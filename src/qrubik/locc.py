@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DEFAULT_TOL, StateSet
+from .states import DEFAULT_TOL, StateSet, _strides
 
 _PRUNE = 1e-12
 
@@ -213,13 +213,13 @@ def _parse_operator_docs(
                 proj = np.zeros(
                     (int(np.prod(table.dims(iregs))),) * 2, dtype=complex
                 )
-                strides = _strides_for(table.dims(iregs))
+                strides = _strides(table.dims(iregs))
                 for level in item["levels"]:
                     if len(level) != len(iregs):
                         raise ProtocolError(
                             f"level {level} arity mismatch for regs {iregs}"
                         )
-                    flat = int(sum(l * s for l, s in zip(level, strides)))
+                    flat = int(np.dot(level, strides))
                     proj[flat, flat] += 1.0
                 mat = mat + _extend_operator(proj, iregs, regs, table)
         elif "matrix" in doc:
@@ -232,6 +232,8 @@ def _parse_operator_docs(
                 raise ProtocolError(
                     f"operator {name!r} matrix shape {mat.shape} does not match regs {regs}"
                 )
+            if not np.all(np.isfinite(mat)):
+                raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
         else:
             raise ProtocolError(f"operator {name!r} needs 'proj', 'matrix' or 'complement'")
         plain.append((name, regs, mat))
@@ -262,13 +264,6 @@ def _parse_operator_docs(
     if np.max(np.abs(completeness - np.eye(full))) > tol:
         raise ProtocolError("measurement operators do not satisfy completeness")
     return tuple(ops)
-
-
-def _strides_for(dims: Sequence[int]) -> list[int]:
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
 
 
 def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cube import build_snoes
-from .states import PartyLayout, PureState, StateSet
+from .states import PartyLayout, PureState, StateSet, _strides
 from .locc import matrix_to_json
 
 # Row-major flattening of a 3x3 (B, C) pair into the 9-level joint index used
@@ -70,12 +70,10 @@ def _measure(party: str, operators: list[dict], branches: dict[str, dict]) -> di
 
 
 def _unit_vector(dims: tuple[int, ...], components: list[tuple[tuple[int, ...], complex]]) -> np.ndarray:
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
+    strides = _strides(dims)
     vec = np.zeros(int(np.prod(dims)), dtype=complex)
     for level, amp in components:
-        vec[sum(l * s for l, s in zip(level, strides))] = amp
+        vec[int(np.dot(level, strides))] = amp
     return vec
 
 
@@ -122,6 +120,49 @@ def _sign_dance(
         )
 
     return node(0, 1)
+
+
+def _bell_pattern(first, second, labels: tuple[str, str, str, str], prefix: str) -> dict:
+    """Example-1 pattern: one shared pair separates four Bell-type candidates.
+
+    ``first`` is (party, regs, dims, (x0, x1)) and ``second`` is
+    (party, regs, dims, (g0, g1, h0, h1)); each party's last register is its
+    half of the pair, and every level is a tuple over the other registers.
+    Candidates labels[0] and labels[1] are the +/- superpositions of x0 g0 and
+    x1 g1, labels[2] and labels[3] those of x0 h0 and x1 h1.  The first party
+    measures L1, after which the ancilla level of the k-th element is k ^ mu
+    for outcome mu; the second party's L2 then splits the g pair from the
+    h pair, and a sign dance finishes each.
+    """
+    party1, regs1, dims1, (x0, x1) = first
+    party2, regs2, dims2, (g0, g1, h0, h1) = second
+
+    def dance(mu: int, y0, y1, plus: str, minus: str, tag: str) -> dict:
+        return _sign_dance(
+            [
+                (party1, regs1, dims1, (*x0, mu), (*x1, 1 ^ mu)),
+                (party2, regs2, dims2, (*y0, mu), (*y1, 1 ^ mu)),
+            ],
+            plus,
+            minus,
+            f"{prefix}u{mu}{tag}",
+        )
+
+    def after(mu: int) -> dict:
+        l2 = _proj_op("L2", (regs2, [(*g0, mu), (*g1, 1 ^ mu)]))
+        return _measure(
+            party2,
+            [l2, _complement_op("L2bar")],
+            {
+                "L2": dance(mu, g0, g1, labels[0], labels[1], "g"),
+                "L2bar": dance(mu, h0, h1, labels[2], labels[3], "h"),
+            },
+        )
+
+    l1 = _proj_op("L1", (regs1, [(*x0, 0), (*x1, 1)]))
+    return _measure(
+        party1, [l1, _complement_op("L1bar")], {"L1": after(0), "L1bar": after(1)}
+    )
 
 
 def example1_protocol() -> dict:
@@ -191,60 +232,9 @@ def prop1_protocol() -> dict:
     BCB = ("B", "C", "b")
     d33 = (3, 3)
     d332 = (3, 3, 2)
-
-    def bell_sub(
-        mu: int,
-        cells: tuple[int, int, int, int],
-        labels: tuple[str, str, str, str],
-        prefix: str,
-    ) -> dict:
-        """Example-1 pattern on A in {1, 2} vs two joint (B, C) levels.
-
-        ``cells`` are the joint levels (g0, g1) of the first +/- pair and
-        (h0, h1) of the second; the first pair couples A=1 with g0 and A=2
-        with g1, the second A=1 with h0 and A=2 with h1.
-        """
-        g0, g1, h0, h1 = cells
-
-        def a1v(a_level: int) -> int:
-            return (1 if a_level == 2 else 0) ^ mu
-
-        l2 = _proj_op(
-            "L2",
-            (("B", "C", "b1"), [(*_bc(g0), a1v(1)), (*_bc(g1), a1v(2))]),
-        )
-        l2bar = _complement_op("L2bar")
-        dance_g = _sign_dance(
-            [
-                ("Alice", ("A", "a1"), (3, 2), (1, a1v(1)), (2, a1v(2))),
-                ("Bob", ("B", "C", "b1"), (3, 3, 2), (*_bc(g0), a1v(1)), (*_bc(g1), a1v(2))),
-            ],
-            labels[0],
-            labels[1],
-            prefix + "g",
-        )
-        dance_h = _sign_dance(
-            [
-                ("Alice", ("A", "a1"), (3, 2), (1, a1v(1)), (2, a1v(2))),
-                ("Bob", ("B", "C", "b1"), (3, 3, 2), (*_bc(h0), a1v(1)), (*_bc(h1), a1v(2))),
-            ],
-            labels[2],
-            labels[3],
-            prefix + "h",
-        )
-        return _measure("Bob", [l2, l2bar], {"L2": dance_g, "L2bar": dance_h})
-
-    def bell_sub_root(cells, labels, prefix) -> dict:
-        l1 = _proj_op("L1", (("A", "a1"), [(1, 0), (2, 1)]))
-        l1bar = _complement_op("L1bar")
-        return _measure(
-            "Alice",
-            [l1, l1bar],
-            {
-                "L1": bell_sub(0, cells, labels, prefix + "u0"),
-                "L1bar": bell_sub(1, cells, labels, prefix + "u1"),
-            },
-        )
+    # Bell-type sub-protocols: A in {1, 2} against joint (B, C) levels held by Bob
+    A12 = ("Alice", ("A", "a1"), (3, 2), ((1,), (2,)))
+    BCB1 = ("B", "C", "b1")
 
     def step4(alpha: int) -> dict:
         k41 = _proj_op("K4,1", ((BCB), [(*_bc(8), alpha), (*_bc(7), 1 ^ alpha)]))
@@ -348,11 +338,17 @@ def prop1_protocol() -> dict:
                 "K2,1": pick_2122,
                 "K2,2": pick_2324,
                 "K2,3": dance_1718,
-                "K2,4": bell_sub_root(
-                    (0, 1, 1, 0), ("psi1", "psi2", "psi3", "psi4"), f"a{alpha}q14"
+                "K2,4": _bell_pattern(
+                    A12,
+                    ("Bob", BCB1, d332, (_bc(0), _bc(1), _bc(1), _bc(0))),
+                    ("psi1", "psi2", "psi3", "psi4"),
+                    f"a{alpha}q14",
                 ),
-                "K2,5": bell_sub_root(
-                    (2, 3, 3, 2), ("psi5", "psi6", "psi7", "psi8"), f"a{alpha}q58"
+                "K2,5": _bell_pattern(
+                    A12,
+                    ("Bob", BCB1, d332, (_bc(2), _bc(3), _bc(3), _bc(2))),
+                    ("psi5", "psi6", "psi7", "psi8"),
+                    f"a{alpha}q58",
                 ),
                 "K2bar": step3(alpha),
             },
@@ -424,105 +420,6 @@ def prop2_protocol() -> dict:
 
         def c1v(c_level: int) -> int:
             return (0 if c_level in (0, 1) else 1) ^ gamma
-
-        def bell_ac(labels: tuple[str, str, str, str], prefix: str) -> dict:
-            # candidates psi1..4 on A in {1,2} x C in {0,1} with B = 0
-            def sub(mu: int) -> dict:
-                def a3v(a_level: int) -> int:
-                    return (1 if a_level == 2 else 0) ^ mu
-
-                l2 = _proj_op("L2", (("C", "c2"), [(0, a3v(1)), (1, a3v(2))]))
-                l2bar = _complement_op("L2bar")
-                dance_g = _sign_dance(
-                    [
-                        ("Alice", ("A", "a3"), (3, 2), (1, a3v(1)), (2, a3v(2))),
-                        ("Charlie", ("C", "c2"), (3, 2), (0, a3v(1)), (1, a3v(2))),
-                    ],
-                    labels[0],
-                    labels[1],
-                    prefix + f"u{mu}g",
-                )
-                dance_h = _sign_dance(
-                    [
-                        ("Alice", ("A", "a3"), (3, 2), (1, a3v(1)), (2, a3v(2))),
-                        ("Charlie", ("C", "c2"), (3, 2), (1, a3v(1)), (0, a3v(2))),
-                    ],
-                    labels[2],
-                    labels[3],
-                    prefix + f"u{mu}h",
-                )
-                return _measure("Charlie", [l2, l2bar], {"L2": dance_g, "L2bar": dance_h})
-
-            l1 = _proj_op("L1", (("A", "a3"), [(1, 0), (2, 1)]))
-            return _measure(
-                "Alice", [l1, _complement_op("L1bar")], {"L1": sub(0), "L1bar": sub(1)}
-            )
-
-        def bell_bc(labels: tuple[str, str, str, str], prefix: str) -> dict:
-            # candidates psi9..12 on B in {1,2} x C in {0,1} with A = 2
-            def sub(mu: int) -> dict:
-                def b2v(b_level: int) -> int:
-                    return (1 if b_level == 2 else 0) ^ mu
-
-                l2 = _proj_op("L2", (("C", "c3"), [(0, b2v(1)), (1, b2v(2))]))
-                l2bar = _complement_op("L2bar")
-                dance_g = _sign_dance(
-                    [
-                        ("Bob", ("B", "b2"), (3, 2), (1, b2v(1)), (2, b2v(2))),
-                        ("Charlie", ("C", "c3"), (3, 2), (0, b2v(1)), (1, b2v(2))),
-                    ],
-                    labels[0],
-                    labels[1],
-                    prefix + f"u{mu}g",
-                )
-                dance_h = _sign_dance(
-                    [
-                        ("Bob", ("B", "b2"), (3, 2), (1, b2v(1)), (2, b2v(2))),
-                        ("Charlie", ("C", "c3"), (3, 2), (1, b2v(1)), (0, b2v(2))),
-                    ],
-                    labels[2],
-                    labels[3],
-                    prefix + f"u{mu}h",
-                )
-                return _measure("Charlie", [l2, l2bar], {"L2": dance_g, "L2bar": dance_h})
-
-            l1 = _proj_op("L1", (("B", "b2"), [(1, 0), (2, 1)]))
-            return _measure(
-                "Bob", [l1, _complement_op("L1bar")], {"L1": sub(0), "L1bar": sub(1)}
-            )
-
-        def bell_ab(labels: tuple[str, str, str, str], prefix: str) -> dict:
-            # candidates psi13..16 on A in {0,1} x B in {1,2} with C = 0
-            def sub(mu: int) -> dict:
-                def a4v(a_level: int) -> int:
-                    return (1 if a_level == 1 else 0) ^ mu
-
-                l2 = _proj_op("L2", (("B", "b3"), [(1, a4v(0)), (2, a4v(1))]))
-                l2bar = _complement_op("L2bar")
-                dance_g = _sign_dance(
-                    [
-                        ("Alice", ("A", "a4"), (3, 2), (0, a4v(0)), (1, a4v(1))),
-                        ("Bob", ("B", "b3"), (3, 2), (1, a4v(0)), (2, a4v(1))),
-                    ],
-                    labels[0],
-                    labels[1],
-                    prefix + f"u{mu}g",
-                )
-                dance_h = _sign_dance(
-                    [
-                        ("Alice", ("A", "a4"), (3, 2), (0, a4v(0)), (1, a4v(1))),
-                        ("Bob", ("B", "b3"), (3, 2), (2, a4v(0)), (1, a4v(1))),
-                    ],
-                    labels[2],
-                    labels[3],
-                    prefix + f"u{mu}h",
-                )
-                return _measure("Bob", [l2, l2bar], {"L2": dance_g, "L2bar": dance_h})
-
-            l1 = _proj_op("L1", (("A", "a4"), [(0, 0), (1, 1)]))
-            return _measure(
-                "Alice", [l1, _complement_op("L1bar")], {"L1": sub(0), "L1bar": sub(1)}
-            )
 
         def step5() -> dict:
             m51 = _proj_op(
@@ -622,8 +519,12 @@ def prop2_protocol() -> dict:
                 "Charlie",
                 [m3, m3bar],
                 {
-                    "M3": bell_ab(
-                        ("psi13", "psi14", "psi15", "psi16"), f"b{beta}g{gamma}q1316"
+                    # A in {0, 1} x B in {1, 2} with C = 0
+                    "M3": _bell_pattern(
+                        ("Alice", ("A", "a4"), (3, 2), ((0,), (1,))),
+                        ("Bob", ("B", "b3"), (3, 2), ((1,), (2,), (2,), (1,))),
+                        ("psi13", "psi14", "psi15", "psi16"),
+                        f"b{beta}g{gamma}q1316",
                     ),
                     "M3bar": step4(),
                 },
@@ -639,11 +540,19 @@ def prop2_protocol() -> dict:
                 "Alice",
                 [m21, m22, m2bar],
                 {
-                    "M2,1": bell_ac(
-                        ("psi1", "psi2", "psi3", "psi4"), f"b{beta}g{gamma}q14"
+                    # A in {1, 2} x C in {0, 1} with B = 0
+                    "M2,1": _bell_pattern(
+                        ("Alice", ("A", "a3"), (3, 2), ((1,), (2,))),
+                        ("Charlie", ("C", "c2"), (3, 2), ((0,), (1,), (1,), (0,))),
+                        ("psi1", "psi2", "psi3", "psi4"),
+                        f"b{beta}g{gamma}q14",
                     ),
-                    "M2,2": bell_bc(
-                        ("psi9", "psi10", "psi11", "psi12"), f"b{beta}g{gamma}q912"
+                    # B in {1, 2} x C in {0, 1} with A = 2
+                    "M2,2": _bell_pattern(
+                        ("Bob", ("B", "b2"), (3, 2), ((1,), (2,))),
+                        ("Charlie", ("C", "c3"), (3, 2), ((0,), (1,), (1,), (0,))),
+                        ("psi9", "psi10", "psi11", "psi12"),
+                        f"b{beta}g{gamma}q912",
                     ),
                     "M2bar": step3(),
                 },

@@ -6,12 +6,14 @@ Born-rule ratios, so normalization only ever happens inside the simulator.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
 
 DEFAULT_TOL = 1e-9
 
@@ -104,6 +106,9 @@ def _canonical_terms(
             if not 0 <= component < d:
                 raise ValueError(f"index {key} out of range for dims {layout.dims}")
         merged[key] = merged.get(key, 0j) + complex(amp)
+    for key, amp in merged.items():
+        if not cmath.isfinite(amp):
+            raise ValueError(f"non-finite amplitude {amp} at index {key}")
     return tuple(sorted((k, v) for k, v in merged.items() if v != 0))
 
 
@@ -243,26 +248,46 @@ class SetReport:
     span_rank: int
 
 
+def _set_matrix(sset: StateSet) -> scipy.sparse.csr_matrix:
+    """The set as a sparse (states x total_dim) matrix, one state per row."""
+    rows = [i for i, s in enumerate(sset.states) for _ in s.terms]
+    idx = np.array([i for s in sset.states for i, _ in s.terms], dtype=np.int64)
+    amps = np.array([a for s in sset.states for _, a in s.terms], dtype=complex)
+    cols = idx.reshape(-1, len(sset.layout.dims)) @ _strides(sset.layout.dims)
+    return scipy.sparse.csr_matrix(
+        (amps, (rows, cols)), shape=(len(sset), sset.layout.total_dim)
+    )
+
+
+def _first_nonorthogonal_pair(
+    mat: scipy.sparse.csr_matrix, tol: float
+) -> tuple[int, int] | None:
+    """Lexicographically first i < j with |<i|j>| > tol * |i| * |j|, or None.
+
+    ``mat`` is a :func:`_set_matrix`; the Gram matrix stays sparse, since most
+    pairs of a cube-partition set share no support.
+    """
+    gram = mat.conj() @ mat.T
+    norms = np.sqrt(gram.diagonal().real)
+    upper = scipy.sparse.triu(gram, k=1, format="coo")
+    bad = np.abs(upper.data) > tol * norms[upper.row] * norms[upper.col]
+    if not bad.any():
+        return None
+    i, j = upper.row[bad], upper.col[bad]
+    first = np.lexsort((j, i))[0]
+    return int(i[first]), int(j[first])
+
+
 def validate_set(sset: StateSet, tol: float = DEFAULT_TOL) -> SetReport:
     """Check pairwise orthogonality (relative tolerance) and the numerical span rank."""
-    states = sset.states
-    norms = [norm(s) for s in states]
-    orthogonal = True
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            bound = tol * norms[i] * norms[j]
-            if abs(inner_product(states[i], states[j])) > bound:
-                orthogonal = False
-                break
-        if not orthogonal:
-            break
-    if states:
-        stacked = np.array([s.to_vector() for s in states])
-        svals = np.linalg.svd(stacked, compute_uv=False)
+    mat = _set_matrix(sset)
+    orthogonal = _first_nonorthogonal_pair(mat, tol) is None
+    if len(sset):
+        svals = np.linalg.svd(mat.toarray(), compute_uv=False)
         rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
     else:
         rank = 0
-    return SetReport(size=len(states), pairwise_orthogonal=orthogonal, span_rank=rank)
+    return SetReport(size=len(sset), pairwise_orthogonal=orthogonal, span_rank=rank)
 
 
 def embed_shift(

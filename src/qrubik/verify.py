@@ -23,7 +23,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .states import DEFAULT_TOL, Bipartition, StateSet, inner_product, norm
+from .states import DEFAULT_TOL, Bipartition, StateSet, norm
+from .states import _first_nonorthogonal_pair, _set_matrix, _strides
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -168,25 +169,19 @@ def assemble_constraints(
     cut.validate_for(sset.layout)
     actor_parties = _resolve_actor(sset, cut, actor)
     layout = sset.layout
+    bad = _first_nonorthogonal_pair(_set_matrix(sset), tol)
+    if bad is not None:
+        i, j = bad
+        raise ValueError(
+            f"input set is not mutually orthogonal ({sset[i].label}, {sset[j].label})"
+        )
     norms = [norm(s) for s in sset.states]
-    for i in range(len(sset)):
-        for j in range(i + 1, len(sset)):
-            if abs(inner_product(sset[i], sset[j])) > tol * norms[i] * norms[j]:
-                raise ValueError(
-                    f"input set is not mutually orthogonal "
-                    f"({sset[i].label}, {sset[j].label})"
-                )
 
     actor_axes = [layout.axis(p) for p in actor_parties]
     other_axes = [a for a in range(len(layout.parties)) if a not in actor_axes]
     actor_dims = [layout.dims[a] for a in actor_axes]
     m = int(np.prod(actor_dims)) if actor_dims else 1
-    strides = []
-    acc = 1
-    for d in reversed(actor_dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
+    strides = _strides(actor_dims).tolist()
 
     grouped = []
     for s in sset.states:
@@ -318,9 +313,14 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
     return vt[rank:].T
 
 
+def _solve(cs: ConstraintSystem, tol: float) -> np.ndarray:
+    """Orthonormal nullspace basis (columns, in coordinates) of a constraint system."""
+    return _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
+
+
 def solution_space(cs: ConstraintSystem, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Frobenius-orthonormal Hermitian basis of the constraint nullspace."""
-    basis = _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
+    basis = _solve(cs, tol)
     return [hermitian_from_coords(basis[:, k], cs.m) for k in range(basis.shape[1])]
 
 
@@ -340,7 +340,7 @@ def certify_triviality(
     a witness always yields a valid nontrivial measurement.
     """
     cs = assemble_constraints(sset, cut, actor, tol)
-    basis = _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
+    basis = _solve(cs, tol)
     dim = basis.shape[1]
     if dim == 1:
         return TrivialityVerdict(trivial=True, solution_dim=1, witness=None)

@@ -3,6 +3,7 @@ import math
 import os
 
 import pytest
+from importlib import resources
 
 from qrubik.cli import main
 
@@ -122,6 +123,38 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     schema.write_text(json.dumps({"dims": [2], "parties": ["A"], "states": [{}]}))
     code, _, err = _run(capsys, "analyze", "--input", str(schema))
     assert code == 2
+
+
+def _packaged_doc(name):
+    return json.loads(resources.files("qrubik").joinpath("data", name).read_text())
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_amplitude_exits_2(tmp_path, capsys, command, value):
+    doc = _packaged_doc("b3.json")
+    doc["states"][0]["terms"][0]["amp"][0] = value
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite amplitude" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_protocol_matrix_exits_2(tmp_path, capsys, value):
+    doc = _packaged_doc("example1.json")
+    # N1 written out as its 4x4 diagonal matrix on (A, a), one entry spoiled
+    matrix = [[[float(r == c and r in (0, 3)), 0.0] for c in range(4)] for r in range(4)]
+    matrix[3][3][0] = value
+    doc["root"]["operators"][0] = {"name": "N1", "regs": ["A", "a"], "matrix": matrix}
+    path = tmp_path / "example1.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "simulate", "--protocol", str(path), "--states", "bell")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
 
 
 def test_unknown_flag_exits_2(capsys):

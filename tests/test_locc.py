@@ -88,6 +88,19 @@ def test_parse_rejects_incomplete_measurement():
         parse_protocol(doc)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_parse_rejects_non_finite_matrix(value):
+    # NaN slips past a plain "deviation > tol" completeness test
+    doc = _minimal_doc()
+    doc["root"]["operators"][0] = {
+        "name": "P0",
+        "regs": ["A"],
+        "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [value, 0.0]]],
+    }
+    with pytest.raises(ProtocolError, match="non-finite"):
+        parse_protocol(doc)
+
+
 def test_parse_rejects_foreign_register():
     doc = _minimal_doc()
     doc["root"]["operators"][0]["proj"][0]["regs"] = ["B"]

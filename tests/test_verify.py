@@ -14,7 +14,10 @@ from qrubik import (
     coords_from_hermitian,
     hermitian_from_coords,
     identity_coords,
+    inner_product,
+    norm,
     solution_space,
+    validate_set,
     verify_strong_nonlocality,
 )
 
@@ -197,6 +200,63 @@ def test_non_orthogonal_input_rejected():
     b = PureState(layout, [((0, 0), 1), ((1, 1), 1)], "b")
     with pytest.raises(ValueError):
         assemble_constraints(StateSet(layout, (a, b)), Bipartition.of(layout, ["A"]), ("A",))
+
+    # two bad pairs, (a, d) and (b, c): the message names the lexicographically first
+    b = PureState(layout, [((0, 1), 1)], "b")
+    c = PureState(layout, [((0, 1), 1), ((1, 0), 1)], "c")
+    d = PureState(layout, [((0, 0), 1), ((1, 1), 1)], "d")
+    sset = StateSet(layout, (a, b, c, d))
+    with pytest.raises(ValueError, match=r"\(a, d\)"):
+        assemble_constraints(sset, Bipartition.of(layout, ["A"]), ("A",))
+
+
+def _reference_first_bad_pair(sset, tol=1e-9):
+    """Brute-force pair loop over :func:`inner_product`, the reference rule."""
+    norms = [norm(s) for s in sset]
+    for i in range(len(sset)):
+        for j in range(i + 1, len(sset)):
+            if abs(inner_product(sset[i], sset[j])) > tol * norms[i] * norms[j]:
+                return i, j
+    return None
+
+
+def test_orthogonality_rule_matches_pair_loop():
+    # random orthonormal columns with complex scale factors, then some states
+    # pick up a component along another one, sized just above or just below
+    # the relative tolerance
+    rng = np.random.default_rng(37)
+    layout = PartyLayout.uniform(("A", "B", "C"), 2)
+    cells = list(itertools.product(range(2), repeat=3))
+    cut = Bipartition.of(layout, ["A"])
+    outcomes = set()
+    for trial in range(80):
+        count = int(rng.integers(2, 9))
+        gauss = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        q = np.linalg.qr(gauss)[0]
+        scales = rng.uniform(0.5, 2.0, count) * np.exp(2j * np.pi * rng.random(count))
+        vecs = [scales[k] * q[:, k] for k in range(count)]
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.choice(count, size=2, replace=False)
+            factor = 1.01 if rng.integers(0, 2) else 0.99
+            phase = np.exp(2j * np.pi * rng.random())
+            vecs[j] = vecs[j] + factor * 1e-9 * abs(scales[j]) * phase * q[:, i]
+        sset = StateSet(
+            layout,
+            tuple(
+                PureState(layout, list(zip(cells, vec)), f"s{k}")
+                for k, vec in enumerate(vecs)
+            ),
+        )
+        expected = _reference_first_bad_pair(sset)
+        outcomes.add(expected is None)
+        assert validate_set(sset).pairwise_orthogonal == (expected is None)
+        if expected is None:
+            assemble_constraints(sset, cut, ("A",))
+        else:
+            i, j = expected
+            with pytest.raises(ValueError, match=rf"\(s{i}, s{j}\)"):
+                assemble_constraints(sset, cut, ("A",))
+    assert outcomes == {True, False}
 
 
 def test_actor_must_be_a_side():

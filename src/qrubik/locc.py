@@ -2,17 +2,18 @@
 
 A protocol is a finite tree over party-owned registers.  Nodes are local
 measurements (branching on outcomes), ideal teleports (register ownership
-moves, one shared pair consumed), and answer leaves.  Execution traverses the
-tree for each candidate state, tracking branch probabilities and which
-declared resources each path consumes.
+moves, one shared pair consumed), and answer leaves.  Execution walks the
+tree once with all candidate states together, tracking branch probabilities,
+which declared resources each path consumes, and whether the survivors at each
+node stay mutually orthogonal.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -551,10 +552,15 @@ def _initial_state(spec: ProtocolSpec, state) -> SimState:
     return SimState(table, names, vector, owners, frozenset())
 
 
-def run_protocol(
-    spec: ProtocolSpec, sset: StateSet, tol: float = DEFAULT_TOL
-) -> ExecutionReport:
-    """Traverse the tree for every candidate state and account the resources."""
+def _groups(
+    spec: ProtocolSpec, sset: StateSet, tol: float
+) -> Iterator[tuple[object, list[tuple[int, SimState, float]]]]:
+    """Walk the tree depth first with all candidates together.
+
+    Yields every node reached with its surviving candidates as a list of
+    ``(index, SimState, path probability)``; a candidate leaves a branch whose
+    Born probability is at most the pruning cutoff.
+    """
     principal = spec.principal_registers
     if len(principal) != len(sset.layout.parties):
         raise ProtocolError(
@@ -567,53 +573,64 @@ def run_protocol(
                 f"principal register {reg.name!r} has dim {reg.dim}, states need {d}"
             )
 
+    def walk(node, group):
+        yield node, group
+        if isinstance(node, Teleport):
+            res = spec.resource(node.resource)
+            moved = [
+                (i, teleport(sim, node.source, res, node.to, tol), prob)
+                for i, sim, prob in group
+            ]
+            yield from walk(node.then, moved)
+        elif isinstance(node, MeasurementStep):
+            for op in node.operators:
+                survivors = []
+                for i, sim, prob in group:
+                    post, p = apply_measurement(sim, op)
+                    if p > _PRUNE:
+                        post = replace(post, consumed=post.consumed | op.touches)
+                        survivors.append((i, post, prob * p))
+                if survivors:
+                    yield from walk(node.branches[op.name], survivors)
+
+    initial = [(i, _initial_state(spec, s), 1.0) for i, s in enumerate(sset.states)]
+    yield from walk(spec.root, initial)
+
+
+def _orthogonal(group, tol: float) -> bool:
+    """True iff the group's vectors are pairwise orthogonal within ``tol``."""
+    vecs = [sim.vector.reshape(-1) for _, sim, _ in group]
+    norms = [np.linalg.norm(v) for v in vecs]
+    return not any(
+        abs(np.vdot(vecs[i], vecs[j])) > tol * norms[i] * norms[j]
+        for i, j in itertools.combinations(range(len(vecs)), 2)
+    )
+
+
+def run_protocol(
+    spec: ProtocolSpec, sset: StateSet, tol: float = DEFAULT_TOL
+) -> ExecutionReport:
+    """Traverse the tree for every candidate state and account the resources."""
+    branches: list[list[BranchOutcome]] = [[] for _ in sset.states]
+    for node, group in _groups(spec, sset, tol):
+        if isinstance(node, Leaf):
+            for i, sim, prob in group:
+                resources = tuple(sorted(sim.consumed))
+                branches[i].append(BranchOutcome(node.answer, prob, resources))
+
     outcomes = []
     copies = {res.name: 0.0 for res in spec.resources}
     weight = 1.0 / len(sset) if len(sset) else 0.0
-    for state in sset.states:
-        sim0 = _initial_state(spec, state)
-        branches: list[BranchOutcome] = []
-
-        def walk(node, sim: SimState, prob: float) -> None:
-            if isinstance(node, Leaf):
-                branches.append(
-                    BranchOutcome(
-                        answer=node.answer,
-                        probability=prob,
-                        resources=tuple(sorted(sim.consumed)),
-                    )
-                )
-                return
-            if isinstance(node, Teleport):
-                walk(
-                    node.then,
-                    teleport(sim, node.source, spec.resource(node.resource), node.to, tol),
-                    prob,
-                )
-                return
-            for op in node.operators:
-                post, p = apply_measurement(sim, op)
-                if p <= _PRUNE:
-                    continue
-                next_sim = SimState(
-                    post.table,
-                    post.live,
-                    post.vector,
-                    post.owners,
-                    post.consumed | op.touches,
-                )
-                walk(node.branches[op.name], next_sim, prob * p)
-
-        walk(spec.root, sim0, 1.0)
-        total = sum(b.probability for b in branches)
-        correct = bool(branches) and all(b.answer == state.label for b in branches)
-        for b in branches:
+    for state, found in zip(sset.states, branches):
+        total = sum(b.probability for b in found)
+        correct = bool(found) and all(b.answer == state.label for b in found)
+        for b in found:
             for name in b.resources:
                 copies[name] += weight * b.probability
         outcomes.append(
             StateOutcome(
                 label=state.label,
-                branches=tuple(branches),
+                branches=tuple(found),
                 probability_total=total,
                 correct=correct,
             )
@@ -650,34 +667,4 @@ def check_orthogonality_preservation(
     spec: ProtocolSpec, sset: StateSet, tol: float = DEFAULT_TOL
 ) -> bool:
     """True iff after every step the surviving candidates stay mutually orthogonal."""
-    sims = [_initial_state(spec, s) for s in sset.states]
-
-    def ortho(group: list[SimState]) -> bool:
-        vecs = [g.vector.reshape(-1) for g in group]
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                bound = tol * np.linalg.norm(vecs[i]) * np.linalg.norm(vecs[j])
-                if abs(np.vdot(vecs[i], vecs[j])) > bound:
-                    return False
-        return True
-
-    def walk(node, group: list[SimState]) -> bool:
-        if isinstance(node, Leaf) or not group:
-            return True
-        if isinstance(node, Teleport):
-            res = spec.resource(node.resource)
-            moved = [teleport(g, node.source, res, node.to, tol) for g in group]
-            return ortho(moved) and walk(node.then, moved)
-        for op in node.operators:
-            survivors = []
-            for g in group:
-                post, p = apply_measurement(g, op)
-                if p > _PRUNE:
-                    survivors.append(post)
-            if not ortho(survivors):
-                return False
-            if not walk(node.branches[op.name], survivors):
-                return False
-        return True
-
-    return ortho(sims) and walk(spec.root, sims)
+    return all(_orthogonal(group, tol) for _, group in _groups(spec, sset, tol))

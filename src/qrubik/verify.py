@@ -32,6 +32,10 @@ _SQRT2 = math.sqrt(2.0)
 # the two state norms) carry no constraint beyond roundoff and are dropped.
 _ROW_DROP = 1e-12
 
+# Most unknowns m^2 the dense solver takes on: every check up to d = 9 runs, and
+# no large sparse layout gets an m^2 x m^2 identity or SVD basis it cannot hold.
+_MAX_UNKNOWNS = 9**4
+
 
 def _pair_slot(m: int, k: int, l: int) -> int:
     """Coordinate offset of the (k, l) upper-triangle pair, k < l."""
@@ -313,8 +317,15 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
     return vt[rank:].T
 
 
-def _solve(cs: ConstraintSystem, tol: float) -> np.ndarray:
+def _solve(
+    cs: ConstraintSystem, tol: float, check: str = "constraint system"
+) -> np.ndarray:
     """Orthonormal nullspace basis (columns, in coordinates) of a constraint system."""
+    if cs.m * cs.m > _MAX_UNKNOWNS:
+        raise ValueError(
+            f"{check} has m^2 = {cs.m * cs.m} unknowns, above the solver limit "
+            f"of {_MAX_UNKNOWNS} (local dimension 9)"
+        )
     return _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
 
 
@@ -340,7 +351,7 @@ def certify_triviality(
     a witness always yields a valid nontrivial measurement.
     """
     cs = assemble_constraints(sset, cut, actor, tol)
-    basis = _solve(cs, tol)
+    basis = _solve(cs, tol, f"check {cut.name}:{''.join(actor)}")
     dim = basis.shape[1]
     if dim == 1:
         return TrivialityVerdict(trivial=True, solution_dim=1, witness=None)

@@ -8,7 +8,7 @@ from importlib import resources
 from qrubik.cli import main
 
 from reference_data import ghz_basis
-from qrubik import save_state_set
+from qrubik import PartyLayout, PureState, StateSet, save_state_set
 
 
 def _run(capsys, *argv):
@@ -155,6 +155,24 @@ def test_non_finite_protocol_matrix_exits_2(tmp_path, capsys, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "non-finite" in err
+
+
+def test_solver_size_budget_exits_2(tmp_path, capsys):
+    # the joint checks would have m^2 = 10^4 unknowns, above the d = 9 limit
+    layout = PartyLayout(("A", "B", "C"), (10, 10, 10))
+    sset = StateSet(
+        layout,
+        (
+            PureState(layout, [((0, 0, 0), 1), ((1, 1, 1), 1)], "plus"),
+            PureState(layout, [((0, 0, 0), 1), ((1, 1, 1), -1)], "minus"),
+        ),
+    )
+    path = str(tmp_path / "wide.json")
+    save_state_set(sset, path)
+    code, out, err = _run(capsys, "verify", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "m^2 = 10000" in err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 from qrubik import (
+    PartyLayout,
     ProtocolError,
+    PureState,
+    StateSet,
     apply_measurement,
     build_snoes,
     check_orthogonality_preservation,
@@ -14,7 +18,15 @@ from qrubik import (
     run_protocol,
     teleport,
 )
-from qrubik.locc import _initial_state
+from qrubik.locc import (
+    _PRUNE,
+    BranchOutcome,
+    Leaf,
+    SimState,
+    StateOutcome,
+    Teleport,
+    _initial_state,
+)
 from qrubik.protocols import (
     SNAKE_3,
     bell_state_set,
@@ -253,8 +265,6 @@ def test_teleport_to_current_owner_is_noop_but_consumes():
         },
     }
     spec = parse_protocol(doc)
-    from qrubik import PartyLayout, PureState, StateSet
-
     layout = PartyLayout(("A", "B"), (2, 2))
     sset = StateSet(
         layout,
@@ -342,6 +352,111 @@ def test_state_set_must_fit_principal_registers():
     spec = parse_protocol(example1_protocol())
     with pytest.raises(ProtocolError, match="principal"):
         run_protocol(spec, build_snoes(3))
+
+
+def _two_party_3x3():
+    layout = PartyLayout(("A", "B"), (3, 3))
+    return StateSet(
+        layout,
+        tuple(PureState(layout, [((k, k), 1)], f"s{k}") for k in range(3)),
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol, states",
+    [
+        # two parties against prop1's three principal registers
+        (prop1_protocol, _two_party_3x3),
+        # three dim-3 parties against example1's two dim-2 principal registers
+        (example1_protocol, functools.partial(build_snoes, 3)),
+    ],
+    ids=["party-count", "dims"],
+)
+def test_orthogonality_check_needs_fitting_set(protocol, states):
+    with pytest.raises(ProtocolError, match="principal"):
+        check_orthogonality_preservation(parse_protocol(protocol()), states())
+
+
+def test_orthogonality_check_reports_collapse():
+    # Alice reads A in the computational basis: |+>|0> and |->|0> both
+    # collapse to |0>|0> on the P0 branch
+    spec = parse_protocol(_minimal_doc())
+    layout = PartyLayout(("A", "B"), (2, 2))
+    sset = StateSet(
+        layout,
+        (
+            PureState(layout, [((0, 0), 1), ((1, 0), 1)], "x"),
+            PureState(layout, [((0, 0), 1), ((1, 0), -1)], "y"),
+        ),
+    )
+    assert not check_orthogonality_preservation(spec, sset)
+
+
+def _reference_outcomes(spec, sset, tol=1e-9):
+    """Per-candidate depth-first walk: each state traverses the tree on its own."""
+    outcomes = []
+    for state in sset.states:
+        branches = []
+
+        def walk(node, sim, prob):
+            if isinstance(node, Leaf):
+                branches.append(
+                    BranchOutcome(
+                        answer=node.answer,
+                        probability=prob,
+                        resources=tuple(sorted(sim.consumed)),
+                    )
+                )
+                return
+            if isinstance(node, Teleport):
+                res = spec.resource(node.resource)
+                walk(node.then, teleport(sim, node.source, res, node.to, tol), prob)
+                return
+            for op in node.operators:
+                post, p = apply_measurement(sim, op)
+                if p <= _PRUNE:
+                    continue
+                next_sim = SimState(
+                    post.table,
+                    post.live,
+                    post.vector,
+                    post.owners,
+                    post.consumed | op.touches,
+                )
+                walk(node.branches[op.name], next_sim, prob * p)
+
+        walk(spec.root, _initial_state(spec, state), 1.0)
+        outcomes.append(
+            StateOutcome(
+                label=state.label,
+                branches=tuple(branches),
+                probability_total=sum(b.probability for b in branches),
+                correct=bool(branches) and all(b.answer == state.label for b in branches),
+            )
+        )
+    return tuple(outcomes)
+
+
+def _reordered_b3():
+    b3 = build_snoes(3)
+    order = [(7 * k + 3) % len(b3) for k in range(len(b3))]
+    return StateSet(b3.layout, tuple(b3[k] for k in order))
+
+
+@pytest.mark.parametrize(
+    "protocol, states",
+    [
+        (example1_protocol, bell_state_set),
+        (prop1_protocol, functools.partial(build_snoes, 3)),
+        (prop2_protocol, functools.partial(build_snoes, 3)),
+        (prop1_protocol, _reordered_b3),
+    ],
+    ids=["example1-bell", "prop1-b3", "prop2-b3", "prop1-b3-reordered"],
+)
+def test_joint_walk_matches_per_candidate_walk(protocol, states):
+    spec = parse_protocol(protocol())
+    sset = states()
+    assert run_protocol(spec, sset).outcomes == _reference_outcomes(spec, sset)
 
 
 def test_shipped_documents_round_trip():

@@ -29,16 +29,6 @@ from .states import (
 )
 from .verify import certify_triviality, verify_strong_nonlocality
 
-_THREADS_VAR = "QRUBIK_THREADS"
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get(_THREADS_VAR, "1")))
-    except ValueError:
-        return 1
-
-
 def _digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -140,7 +130,7 @@ def _cmd_verify(args, started: float) -> int:
             payload["witness"] = matrix_to_json(verdict.witness)
         _emit(_echo(args), {path: _digest(path)}, payload, started)
         return 0 if verdict.trivial else 1
-    report = verify_strong_nonlocality(sset, workers=_workers())
+    report = verify_strong_nonlocality(sset)
     payload = {
         "checks": [_check_payload(c) for c in report.checks],
         "strongly_nonlocal": report.strongly_nonlocal,

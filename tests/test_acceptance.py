@@ -227,12 +227,22 @@ def test_criterion_6_property_suites():
     print("\n[criterion 6] property suites: PASS")
 
 
-@pytest.mark.skipif(
+_stretch = pytest.mark.skipif(
     not os.environ.get("QRUBIK_STRETCH"),
     reason="stretch target with no time bound; set QRUBIK_STRETCH=1 to run",
 )
+
+
+@_stretch
 def test_stretch_certification_d6():
     for sset in (build_snoes(6), build_snoeb(6)):
         report = verify_strong_nonlocality(sset, tol=TOL)
         assert report.strongly_nonlocal
     print("\n[stretch] certification d=6 (both sets): PASS")
+
+
+@_stretch
+def test_stretch_certification_d8():
+    report = verify_strong_nonlocality(build_snoeb(8), tol=TOL)
+    assert report.strongly_nonlocal
+    print("\n[stretch] certification d=8 (basis): PASS")

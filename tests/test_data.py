@@ -60,18 +60,3 @@ def test_consumption_independent_of_candidate_order():
     for key in pa:
         assert pa[key] == pytest.approx(pb[key], abs=1e-12)
     assert a.total_ebits == pytest.approx(b.total_ebits, abs=1e-12)
-
-
-def test_thread_env_var_respected(monkeypatch, capsys, tmp_path):
-    out_file = str(tmp_path / "b3.json")
-    main(["construct", "--d", "3", "--output", out_file])
-    capsys.readouterr()
-    monkeypatch.setenv("QRUBIK_THREADS", "4")
-    code = main(["verify", "--input", out_file])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out)["result"]["strongly_nonlocal"] is True
-    monkeypatch.setenv("QRUBIK_THREADS", "not-a-number")
-    code = main(["verify", "--input", out_file])
-    assert code == 0
-    capsys.readouterr()

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from qrubik import (
     Bipartition,
@@ -9,6 +10,7 @@ from qrubik import (
     PureState,
     StateSet,
     assemble_constraints,
+    build_snoeb,
     build_snoes,
     certify_triviality,
     coords_from_hermitian,
@@ -19,6 +21,14 @@ from qrubik import (
     solution_space,
     validate_set,
     verify_strong_nonlocality,
+)
+from qrubik.verify import (
+    ConstraintSystem,
+    _dedup_rows,
+    _gram_certifies_trivial,
+    _nullspace,
+    _solve,
+    standard_checks,
 )
 
 from reference_data import bell_states, ghz_basis, reducible_five_states, set3_states
@@ -396,11 +406,6 @@ def test_strong_nonlocality_of_small_sets():
     assert report.strongly_nonlocal
     assert all(c.verdict.solution_dim == 1 for c in report.checks)
     assert report.first_witness() is None
-    # parallel execution returns identical results
-    parallel = verify_strong_nonlocality(build_snoes(3), workers=4)
-    assert [c.verdict.solution_dim for c in parallel.checks] == [
-        c.verdict.solution_dim for c in report.checks
-    ]
 
 
 def test_verify_requires_three_parties():
@@ -410,9 +415,6 @@ def test_verify_requires_three_parties():
 
 
 def test_blockwise_qr_nullspace_matches_dense_svd():
-    from qrubik.verify import _nullspace
-    import scipy.sparse
-
     rng = np.random.default_rng(41)
     left = rng.normal(size=(1000, 30))
     right = rng.normal(size=(30, 50))
@@ -421,3 +423,73 @@ def test_blockwise_qr_nullspace_matches_dense_svd():
     assert basis.shape == (50, 20)
     assert float(np.max(np.abs(rows @ basis))) < 1e-8
     assert np.allclose(basis.T @ basis, np.eye(20))
+
+
+# ---------------------------------------------------------------------------
+# Cholesky certificate against the dedup + QR/SVD pipeline it short-cuts
+# ---------------------------------------------------------------------------
+
+def _assert_agrees(cs, tol=1e-9):
+    """The certificate never says Trivial where the pipeline finds more; when
+    it does not decide, :func:`_solve` returns the pipeline's basis unchanged."""
+    certified = _gram_certifies_trivial(cs.rows, cs.m, tol)
+    basis = _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
+    if certified:
+        assert basis.shape[1] == 1
+        assert np.array_equal(_solve(cs, tol), identity_coords(cs.m)[:, None] / np.sqrt(cs.m))
+    else:
+        assert np.array_equal(_solve(cs, tol), basis)
+    return certified, basis.shape[1]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_cholesky_certificate_decides_every_construction_check(d):
+    for sset in (build_snoes(d), build_snoeb(d)):
+        for cut, actor in standard_checks(sset.layout):
+            cs = assemble_constraints(sset, cut, actor)
+            assert _assert_agrees(cs) == (True, 1), (d, cut.name, actor)
+
+
+def test_cholesky_certificate_leaves_ghz_witnesses_to_pipeline():
+    ghz = ghz_basis()
+    for cut, actor in standard_checks(ghz.layout):
+        certified, dim = _assert_agrees(assemble_constraints(ghz, cut, actor))
+        assert (certified, dim) == ((True, 1) if len(actor) == 1 else (False, 2))
+
+
+def test_cholesky_certificate_on_random_sets():
+    rng = np.random.default_rng(43)
+    layout = PartyLayout.uniform(("A", "B", "C"), 2)
+    seen = set()
+    for trial in range(60):
+        sset = _random_orthogonal_set(rng, layout, int(rng.integers(2, 9)))
+        cut = Bipartition.of(layout, ["ABC"[trial % 3]])
+        actor = cut.left if trial % 2 else cut.right
+        seen.add(_assert_agrees(assemble_constraints(sset, cut, actor)))
+    # both outcomes occur, and every trivial pipeline verdict was certified
+    assert (True, 1) in seen and any(dim > 1 for _, dim in seen)
+    assert (False, 1) not in seen
+
+
+@pytest.mark.parametrize("gap, certified", [(1e-3, True), (1e-10, False)])
+def test_cholesky_certificate_near_the_rank_cut(gap, certified):
+    # rows with the identity as exact solution and the second-smallest
+    # singular value at gap * sigma_max: below the 1e-9 cut the pipeline
+    # keeps two directions, and the certificate must not decide
+    m, n_rows = 3, 40
+    rng = np.random.default_rng(47)
+    ident = identity_coords(m) / np.sqrt(m)
+    q = np.linalg.qr(np.column_stack([ident, rng.normal(size=(m * m, m * m - 1))]))[0]
+    u = np.linalg.qr(rng.normal(size=(n_rows, m * m - 1)))[0]
+    svals = np.geomspace(1.0, gap, m * m - 1)
+    rows = scipy.sparse.csr_matrix(u @ np.diag(svals) @ q[:, 1:].T)
+    cs = ConstraintSystem(m=m, rows=rows, provenance=(), n_pairs=0, n_coupled_pairs=0)
+    assert _assert_agrees(cs) == (certified, 1 if certified else 2)
+
+
+def test_cholesky_certificate_needs_identity_solution():
+    # rows of full column rank: the pipeline finds no solution at all, so the
+    # certificate must not report the identity
+    rows = scipy.sparse.csr_matrix(np.random.default_rng(53).normal(size=(40, 9)))
+    cs = ConstraintSystem(m=3, rows=rows, provenance=(), n_pairs=0, n_coupled_pairs=0)
+    assert _assert_agrees(cs) == (False, 0)

@@ -114,10 +114,12 @@ def _cmd_verify(args, started: float) -> int:
     sset = load_state_set(path)
     if args.check:
         cut_name, _, actor = args.check.partition(":")
-        left, _, _right = cut_name.partition("|")
+        left, _, right = cut_name.partition("|")
         # single-letter labels concatenate ("A|BC:BC"); longer ones need commas
         split = lambda s: tuple(s.split(",")) if "," in s else tuple(s)
         cut = Bipartition.of(sset.layout, split(left))
+        if set(split(right)) != set(cut.right):
+            raise ValueError(f"check {args.check!r}: the right side must be {''.join(cut.right)}")
         actor_parties = split(actor)
         verdict = certify_triviality(sset, cut, actor_parties)
         payload = {

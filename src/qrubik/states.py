@@ -248,26 +248,31 @@ class SetReport:
     span_rank: int
 
 
-def _set_matrix(sset: StateSet) -> scipy.sparse.csr_matrix:
-    """The set as a sparse (states x total_dim) matrix, one state per row."""
-    rows = [i for i, s in enumerate(sset.states) for _ in s.terms]
+def _set_matrix(sset: StateSet, row_axes: Sequence[int] = ()) -> scipy.sparse.csr_matrix:
+    """The set as a sparse matrix with row (state, index on ``row_axes``) and
+    column the index on the other axes; with no row axes, one state per row."""
+    dims = np.array(sset.layout.dims, dtype=np.int64)
+    row_axes = list(row_axes)
+    col_axes = [a for a in range(dims.size) if a not in row_axes]
+    m = int(np.prod(dims[row_axes]))
+    state = np.array([i for i, s in enumerate(sset.states) for _ in s.terms], dtype=np.int64)
     idx = np.array([i for s in sset.states for i, _ in s.terms], dtype=np.int64)
+    idx = idx.reshape(-1, dims.size)
     amps = np.array([a for s in sset.states for _, a in s.terms], dtype=complex)
-    cols = idx.reshape(-1, len(sset.layout.dims)) @ _strides(sset.layout.dims)
-    return scipy.sparse.csr_matrix(
-        (amps, (rows, cols)), shape=(len(sset), sset.layout.total_dim)
-    )
+    rows = state * m + idx[:, row_axes] @ _strides(dims[row_axes])
+    cols = idx[:, col_axes] @ _strides(dims[col_axes])
+    shape = (len(sset) * m, sset.layout.total_dim // m)
+    return scipy.sparse.csr_matrix((amps, (rows, cols)), shape=shape)
 
 
 def _first_nonorthogonal_pair(
-    mat: scipy.sparse.csr_matrix, tol: float
+    gram: scipy.sparse.spmatrix, tol: float
 ) -> tuple[int, int] | None:
     """Lexicographically first i < j with |<i|j>| > tol * |i| * |j|, or None.
 
-    ``mat`` is a :func:`_set_matrix`; the Gram matrix stays sparse, since most
-    pairs of a cube-partition set share no support.
+    ``gram`` is the set's sparse Gram matrix (most pairs of a cube-partition
+    set share no support); the norms are read off its diagonal.
     """
-    gram = mat.conj() @ mat.T
     norms = np.sqrt(gram.diagonal().real)
     upper = scipy.sparse.triu(gram, k=1, format="coo")
     bad = np.abs(upper.data) > tol * norms[upper.row] * norms[upper.col]
@@ -281,7 +286,7 @@ def _first_nonorthogonal_pair(
 def validate_set(sset: StateSet, tol: float = DEFAULT_TOL) -> SetReport:
     """Check pairwise orthogonality (relative tolerance) and the numerical span rank."""
     mat = _set_matrix(sset)
-    orthogonal = _first_nonorthogonal_pair(mat, tol) is None
+    orthogonal = _first_nonorthogonal_pair(mat.conj() @ mat.T, tol) is None
     if len(sset):
         svals = np.linalg.svd(mat.toarray(), compute_uv=False)
         rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .states import DEFAULT_TOL, Bipartition, StateSet, norm
-from .states import _first_nonorthogonal_pair, _set_matrix, _strides
+from .states import DEFAULT_TOL, Bipartition, StateSet
+from .states import _first_nonorthogonal_pair, _set_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -40,25 +40,23 @@ _MAX_UNKNOWNS = 9**4
 _CHOLESKY_C = 4.0
 
 
-def _pair_slot(m: int, k: int, l: int) -> int:
-    """Coordinate offset of the (k, l) upper-triangle pair, k < l."""
-    return m + 2 * (k * m - k * (k + 1) // 2 + (l - k - 1))
+def _offdiagonal(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian coordinate layout: upper-triangle pairs (k, l), k < l, in
+    k-then-l order, and the slot of each, which holds its sqrt(2)-scaled real
+    part with the imaginary part at slot + 1.  Slots 0..m-1 are the diagonal."""
+    k, l = np.triu_indices(m, 1)
+    return k, l, m + 2 * np.arange(k.size)
 
 
 def hermitian_from_coords(v: Sequence[float], m: int) -> np.ndarray:
     """Inverse of :func:`coords_from_hermitian`."""
     v = np.asarray(v, dtype=float)
-    mat = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        mat[k, k] = v[k]
-    pos = m
-    for k in range(m):
-        for l in range(k + 1, m):
-            x = v[pos] / _SQRT2
-            y = v[pos + 1] / _SQRT2
-            mat[k, l] = x + 1j * y
-            mat[l, k] = x - 1j * y
-            pos += 2
+    k, l, slot = _offdiagonal(m)
+    mat = np.diag(v[:m]).astype(complex)
+    x = v[slot] / _SQRT2
+    y = v[slot + 1] / _SQRT2
+    mat[k, l] = x + 1j * y
+    mat[l, k] = x - 1j * y
     return mat
 
 
@@ -73,15 +71,25 @@ def coords_from_hermitian(mat: np.ndarray) -> np.ndarray:
     m = mat.shape[0]
     if mat.shape != (m, m) or not np.allclose(mat, mat.conj().T):
         raise ValueError("expected a Hermitian matrix")
+    k, l, slot = _offdiagonal(m)
     v = np.zeros(m * m)
     v[:m] = mat.diagonal().real
-    pos = m
-    for k in range(m):
-        for l in range(k + 1, m):
-            v[pos] = mat[k, l].real * _SQRT2
-            v[pos + 1] = mat[k, l].imag * _SQRT2
-            pos += 2
+    v[slot] = mat[k, l].real * _SQRT2
+    v[slot + 1] = mat[k, l].imag * _SQRT2
     return v
+
+
+def _fold(m: int) -> scipy.sparse.csr_matrix:
+    """Sparse (m^2 x m^2) map from a flattened coupling block c to Hermitian
+    coordinates: c[k, k] to slot k, c[k, l] + c[l, k] to the pair's slot and
+    i (c[k, l] - c[l, k]) to slot + 1.  As <i|(E x I)|j> = sum c[u, w] E[u, w],
+    the real and imaginary parts, off the diagonal over sqrt(2), are two rows."""
+    k, l, slot = _offdiagonal(m)
+    diag = np.arange(m)
+    src = np.concatenate([diag * (m + 1), k * m + l, l * m + k, k * m + l, l * m + k])
+    dst = np.concatenate([diag, slot, slot, slot + 1, slot + 1])
+    val = np.concatenate([np.ones(m + 2 * k.size), np.full(k.size, 1j), np.full(k.size, -1j)])
+    return scipy.sparse.csr_matrix((val, (src, dst)), shape=(m * m, m * m))
 
 
 def identity_coords(m: int) -> np.ndarray:
@@ -161,6 +169,61 @@ def _resolve_actor(
     raise ValueError(f"actor {actor!r} is not a side of bipartition {cut.name}")
 
 
+def _coupled_blocks(
+    sset: StateSet, axes: list[int], m: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, scipy.sparse.csr_matrix]:
+    """Pairs i < j whose m x m coupling block c[u, w] = <i|(|u><w| x I)|j> has
+    an entry above ``_ROW_DROP`` times the two norms: (i, j), that scale, and
+    the blocks folded by :func:`_fold`, as rows.  One sparse product holds every
+    block, and the block traces are the Gram matrix the orthogonality check reads.
+    """
+    n = len(sset)
+    mat = _set_matrix(sset, axes)
+    blocks = (mat.conj() @ mat.T).tocoo()
+    i, u = np.divmod(blocks.row, m)
+    j, w = np.divmod(blocks.col, m)
+    trace = u == w
+    gram = scipy.sparse.csr_matrix((blocks.data[trace], (i[trace], j[trace])), shape=(n, n))
+    bad = _first_nonorthogonal_pair(gram, tol)
+    if bad is not None:
+        raise ValueError(
+            f"input set is not mutually orthogonal ({sset[bad[0]].label}, {sset[bad[1]].label})"
+        )
+    norms = np.sqrt(gram.diagonal().real)
+    upper = i < j
+    pairs, pair_of = np.unique(i[upper].astype(np.int64) * n + j[upper], return_inverse=True)
+    coupled = scipy.sparse.csr_matrix(
+        (blocks.data[upper], (pair_of, u[upper] * m + w[upper])), shape=(pairs.size, m * m)
+    )
+    del blocks, i, u, j, w  # the product is the largest array here; fold without it
+    first, second = np.divmod(pairs, n)
+    scale = _ROW_DROP * norms[first] * norms[second]
+    keep = np.maximum.reduceat(np.abs(coupled.data), coupled.indptr[:-1]) > scale
+    return first[keep], second[keep], scale[keep], coupled[keep] @ _fold(m)
+
+
+def _real_rows(
+    folded: scipy.sparse.csr_matrix, m: int, scale: np.ndarray
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """Rows 2p and 2p + 1 from the real and imaginary part of folded block p,
+    keeping the entries above its scale; returns the nonempty rows and their p."""
+    folded.sort_indices()
+    pair = np.repeat(np.arange(folded.shape[0]), np.diff(folded.indptr))
+    vals = np.concatenate([folded.data.real, folded.data.imag])
+    cols = np.tile(folded.indices, 2)
+    vals[cols >= m] /= _SQRT2
+    big = (np.abs(vals).reshape(2, -1) > scale[pair]).ravel()
+    vals, cols = vals[big], cols[big]
+    # now the row of each entry: the grouping into rows is stable, so each
+    # row keeps its columns in order
+    pair = np.concatenate([2 * pair, 2 * pair + 1])[big]
+    rows = scipy.sparse.csr_matrix((vals, (pair, cols)), shape=(2 * folded.shape[0], m * m))
+    filled = np.flatnonzero(np.diff(rows.indptr))
+    indptr = rows.indptr[np.r_[0, filled + 1]]
+    rows = scipy.sparse.csr_matrix((rows.data, rows.indices, indptr), shape=(filled.size, m * m))
+    return rows, filled // 2
+
+
 def assemble_constraints(
     sset: StateSet,
     cut: Bipartition,
@@ -170,104 +233,23 @@ def assemble_constraints(
     """Build the orthogonality-preservation constraint rows for one actor side.
 
     The unknown is an m x m Hermitian element on the actor side (m = product
-    of the actor dims).  Terms of a state pair couple only where the non-actor
-    index components agree, so rows are assembled sparsely.
+    of the actor dims).  Each coupled state pair's block, folded into
+    Hermitian coordinates, gives a real and an imaginary row, in pair order.
     """
     cut.validate_for(sset.layout)
     actor_parties = _resolve_actor(sset, cut, actor)
-    layout = sset.layout
-    bad = _first_nonorthogonal_pair(_set_matrix(sset), tol)
-    if bad is not None:
-        i, j = bad
-        raise ValueError(
-            f"input set is not mutually orthogonal ({sset[i].label}, {sset[j].label})"
-        )
-    norms = [norm(s) for s in sset.states]
-
-    actor_axes = [layout.axis(p) for p in actor_parties]
-    other_axes = [a for a in range(len(layout.parties)) if a not in actor_axes]
-    actor_dims = [layout.dims[a] for a in actor_axes]
-    m = int(np.prod(actor_dims)) if actor_dims else 1
-    strides = _strides(actor_dims).tolist()
-
-    grouped = []
-    for s in sset.states:
-        groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-        for idx, amp in s.terms:
-            u = sum(idx[ax] * st for ax, st in zip(actor_axes, strides))
-            v = tuple(idx[ax] for ax in other_axes)
-            groups.setdefault(v, []).append((u, amp))
-        grouped.append(groups)
-
-    data: list[float] = []
-    indices: list[int] = []
-    indptr: list[int] = [0]
-    provenance: list[tuple[str, str]] = []
-    n_coupled = 0
-
-    for i in range(len(sset)):
-        gi = grouped[i]
-        for j in range(i + 1, len(sset)):
-            gj = grouped[j]
-            small, big, swap = (gi, gj, False) if len(gi) <= len(gj) else (gj, gi, True)
-            couplings: dict[tuple[int, int], complex] = {}
-            for v, terms_small in small.items():
-                terms_big = big.get(v)
-                if terms_big is None:
-                    continue
-                ti, tj = (terms_small, terms_big) if not swap else (terms_big, terms_small)
-                for (u_i, a_i) in ti:
-                    conj_ai = a_i.conjugate()
-                    for (u_j, a_j) in tj:
-                        key = (u_i, u_j)
-                        couplings[key] = couplings.get(key, 0j) + conj_ai * a_j
-            scale = _ROW_DROP * norms[i] * norms[j]
-            if not any(abs(c) > scale for c in couplings.values()):
-                continue
-            re_row: dict[int, float] = {}
-            im_row: dict[int, float] = {}
-            folded: set[tuple[int, int]] = set()
-            for (u, w), c in couplings.items():
-                if u == w:
-                    re_row[u] = re_row.get(u, 0.0) + c.real
-                    im_row[u] = im_row.get(u, 0.0) + c.imag
-                    continue
-                k, l = (u, w) if u < w else (w, u)
-                if (k, l) in folded:
-                    continue
-                folded.add((k, l))
-                c_kl = couplings.get((k, l), 0j)
-                c_lk = couplings.get((l, k), 0j)
-                s_sum = c_kl + c_lk
-                s_dif = c_kl - c_lk
-                slot = _pair_slot(m, k, l)
-                re_row[slot] = re_row.get(slot, 0.0) + s_sum.real / _SQRT2
-                re_row[slot + 1] = re_row.get(slot + 1, 0.0) - s_dif.imag / _SQRT2
-                im_row[slot] = im_row.get(slot, 0.0) + s_sum.imag / _SQRT2
-                im_row[slot + 1] = im_row.get(slot + 1, 0.0) + s_dif.real / _SQRT2
-            n_coupled += 1
-            pair = (sset[i].label, sset[j].label)
-            for row in (re_row, im_row):
-                entries = [(col, val) for col, val in sorted(row.items()) if abs(val) > scale]
-                if not entries:
-                    continue
-                for col, val in entries:
-                    indices.append(col)
-                    data.append(val)
-                indptr.append(len(data))
-                provenance.append(pair)
-
-    rows = scipy.sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, m * m),
-    )
-    n_pairs = len(sset) * (len(sset) - 1) // 2
+    m = int(np.prod([sset.layout.dim_of(p) for p in actor_parties]))
+    axes = [sset.layout.axis(p) for p in actor_parties]
+    first, second, scale, folded = _coupled_blocks(sset, axes, m, tol)
+    rows, row_pair = _real_rows(folded, m, scale)
+    labels = sset.labels
+    pairs = [(labels[i], labels[j]) for i, j in zip(first.tolist(), second.tolist())]
     return ConstraintSystem(
         m=m,
         rows=rows,
-        provenance=tuple(provenance),
-        n_pairs=n_pairs,
-        n_coupled_pairs=n_coupled,
+        provenance=tuple(pairs[p] for p in row_pair.tolist()),
+        n_pairs=len(sset) * (len(sset) - 1) // 2,
+        n_coupled_pairs=len(pairs),
     )
 
 

@@ -86,6 +86,24 @@ def test_verify_single_check_and_exit_codes(tmp_path, capsys):
     assert result["witness_check"]["actor"] in ("BC", "AC", "AB")
 
 
+@pytest.mark.parametrize("check", ["A|QQ:A", "A|B:A", "A:A"])
+def test_verify_check_rejects_a_wrong_right_side(capsys, check):
+    code, out, err = _run(capsys, "verify", "--input", "b3", "--check", check)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be BC" in err
+
+
+@pytest.mark.parametrize(
+    "check, cut",
+    [("A|BC:A", "A|BC"), ("B|AC:B", "B|AC"), ("C|AB:C", "C|AB"), ("A|CB:BC", "A|BC")],
+)
+def test_verify_check_accepts_the_complement(capsys, check, cut):
+    code, out, _ = _run(capsys, "verify", "--input", "b3", "--check", check)
+    assert code == 0
+    assert _payload(out)["result"]["cut"] == cut
+
+
 def test_simulate_packaged_documents(capsys):
     code, out, _ = _run(capsys, "simulate", "--protocol", "prop2", "--states", "b3")
     assert code == 0

@@ -260,13 +260,147 @@ def test_orthogonality_rule_matches_pair_loop():
         expected = _reference_first_bad_pair(sset)
         outcomes.add(expected is None)
         assert validate_set(sset).pairwise_orthogonal == (expected is None)
-        if expected is None:
-            assemble_constraints(sset, cut, ("A",))
-        else:
-            i, j = expected
-            with pytest.raises(ValueError, match=rf"\(s{i}, s{j}\)"):
-                assemble_constraints(sset, cut, ("A",))
+        for actor in (("A",), ("B", "C")):
+            if expected is None:
+                assemble_constraints(sset, cut, actor)
+            else:
+                i, j = expected
+                with pytest.raises(ValueError, match=rf"\(s{i}, s{j}\)"):
+                    assemble_constraints(sset, cut, actor)
     assert outcomes == {True, False}
+
+
+def _reference_assemble(sset, cut, actor):
+    """The pair-loop assembly: per-state dicts grouped by the non-actor index,
+    joined pair by pair, folded into Hermitian coordinates row by row."""
+    layout = sset.layout
+    actor_parties = cut.left if set(actor) == set(cut.left) else cut.right
+    norms = [norm(s) for s in sset.states]
+    actor_axes = [layout.axis(p) for p in actor_parties]
+    other_axes = [a for a in range(len(layout.parties)) if a not in actor_axes]
+    actor_dims = [layout.dims[a] for a in actor_axes]
+    m = int(np.prod(actor_dims))
+    strides = [int(np.prod(actor_dims[k + 1 :])) for k in range(len(actor_dims))]
+    root2 = np.sqrt(2.0)
+
+    def pair_slot(k, l):
+        return m + 2 * (k * m - k * (k + 1) // 2 + (l - k - 1))
+
+    grouped = []
+    for s in sset.states:
+        groups = {}
+        for idx, amp in s.terms:
+            u = sum(idx[ax] * st for ax, st in zip(actor_axes, strides))
+            v = tuple(idx[ax] for ax in other_axes)
+            groups.setdefault(v, []).append((u, amp))
+        grouped.append(groups)
+
+    data, indices, indptr, provenance = [], [], [0], []
+    n_coupled = 0
+    for i in range(len(sset)):
+        gi = grouped[i]
+        for j in range(i + 1, len(sset)):
+            gj = grouped[j]
+            small, big, swap = (gi, gj, False) if len(gi) <= len(gj) else (gj, gi, True)
+            couplings = {}
+            for v, terms_small in small.items():
+                terms_big = big.get(v)
+                if terms_big is None:
+                    continue
+                ti, tj = (terms_small, terms_big) if not swap else (terms_big, terms_small)
+                for (u_i, a_i) in ti:
+                    conj_ai = a_i.conjugate()
+                    for (u_j, a_j) in tj:
+                        key = (u_i, u_j)
+                        couplings[key] = couplings.get(key, 0j) + conj_ai * a_j
+            scale = 1e-12 * norms[i] * norms[j]
+            if not any(abs(c) > scale for c in couplings.values()):
+                continue
+            re_row, im_row, folded = {}, {}, set()
+            for (u, w), c in couplings.items():
+                if u == w:
+                    re_row[u] = re_row.get(u, 0.0) + c.real
+                    im_row[u] = im_row.get(u, 0.0) + c.imag
+                    continue
+                k, l = (u, w) if u < w else (w, u)
+                if (k, l) in folded:
+                    continue
+                folded.add((k, l))
+                c_kl = couplings.get((k, l), 0j)
+                c_lk = couplings.get((l, k), 0j)
+                s_sum, s_dif = c_kl + c_lk, c_kl - c_lk
+                slot = pair_slot(k, l)
+                re_row[slot] = re_row.get(slot, 0.0) + s_sum.real / root2
+                re_row[slot + 1] = re_row.get(slot + 1, 0.0) - s_dif.imag / root2
+                im_row[slot] = im_row.get(slot, 0.0) + s_sum.imag / root2
+                im_row[slot + 1] = im_row.get(slot + 1, 0.0) + s_dif.real / root2
+            n_coupled += 1
+            for row in (re_row, im_row):
+                entries = [(col, val) for col, val in sorted(row.items()) if abs(val) > scale]
+                if not entries:
+                    continue
+                for col, val in entries:
+                    indices.append(col)
+                    data.append(val)
+                indptr.append(len(data))
+                provenance.append((sset[i].label, sset[j].label))
+    rows = scipy.sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, m * m),
+    )
+    n_pairs = len(sset) * (len(sset) - 1) // 2
+    return ConstraintSystem(m, rows, tuple(provenance), n_pairs, n_coupled)
+
+
+def _seeded(sset, seed, phases):
+    """States permuted and scaled by positive reals, or by complex phases too."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(sset))
+    factors = rng.uniform(0.5, 2.0, len(sset))
+    if phases:
+        factors = factors * np.exp(2j * np.pi * rng.random(len(sset)))
+    return StateSet(
+        sset.layout,
+        tuple(sset[int(k)].scaled(complex(f)) for k, f in zip(order, factors)),
+    )
+
+
+_CUBE3 = PartyLayout.uniform(("A", "B", "C"), 3)
+_QUBITS3 = PartyLayout.uniform(("A", "B", "C"), 2)
+_EQUIVALENCE_INPUTS = {
+    **{
+        f"{build.__name__}({d})": lambda build=build, d=d: build(d)
+        for d in (3, 4, 5)
+        for build in (build_snoes, build_snoeb)
+    },
+    "seeded-snoeb(4)": lambda: _seeded(build_snoeb(4), 61, phases=False),
+    "phased-snoeb(4)": lambda: _seeded(build_snoeb(4), 67, phases=True),
+    "ghz": ghz_basis,
+    "set3": set3_states,
+    **{
+        f"random{count}": lambda count=count: _random_orthogonal_set(
+            np.random.default_rng(59 + count), _QUBITS3, count
+        )
+        for count in (2, 4, 6, 8)
+    },
+    "empty": lambda: StateSet(_CUBE3, ()),
+    "single": lambda: StateSet(_CUBE3, (build_snoeb(3)[0],)),
+}
+
+
+@pytest.mark.parametrize("build", _EQUIVALENCE_INPUTS.values(), ids=_EQUIVALENCE_INPUTS.keys())
+def test_assembly_matches_pair_loop_bit_for_bit(build):
+    sset = build()
+    for cut, actor in standard_checks(sset.layout):
+        got = assemble_constraints(sset, cut, actor)
+        want = _reference_assemble(sset, cut, actor)
+        assert got.m == want.m and got.rows.shape == want.rows.shape
+        assert np.array_equal(got.rows.indptr, want.rows.indptr)
+        assert np.array_equal(got.rows.indices, want.rows.indices)
+        assert np.array_equal(got.rows.data, want.rows.data)
+        assert got.provenance == want.provenance
+        assert got.n_pairs == want.n_pairs
+        assert got.n_coupled_pairs == want.n_coupled_pairs
 
 
 def test_actor_must_be_a_side():

@@ -3,21 +3,21 @@
 A protocol is a finite tree over party-owned registers.  Nodes are local
 measurements (branching on outcomes), ideal teleports (register ownership
 moves, one shared pair consumed), and answer leaves.  Execution walks the
-tree once with all candidate states together, tracking branch probabilities,
-which declared resources each path consumes, and whether the survivors at each
-node stay mutually orthogonal.
+tree once with all candidate states together, held as one sparse array per
+node, tracking branch probabilities, which declared resources each path
+consumes, and whether the survivors at each node stay mutually orthogonal.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .states import DEFAULT_TOL, StateSet, _strides
+from .states import DEFAULT_TOL, StateSet, _first_nonorthogonal_pair, _strides
 
 _PRUNE = 1e-12
 
@@ -57,6 +57,35 @@ class RegisterTable:
     def dims(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.get(n).dim for n in names)
 
+    @functools.cached_property
+    def strides(self) -> dict[str, int]:
+        """Each register's stride in the flat (C-order) index over the whole table."""
+        strides = _strides([r.dim for r in self.registers])
+        return dict(zip(self.names, strides.tolist()))
+
+    @functools.cached_property
+    def size(self) -> int:
+        return math.prod(r.dim for r in self.registers)
+
+    @functools.cached_property
+    def _layouts(self) -> dict:
+        return {}
+
+    def _layout(
+        self, regs: tuple[str, ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For ``regs``: their strides and dims in the table, their strides in
+        an operator's index, and the table offset of each operator index."""
+        found = self._layouts.get(regs)
+        if found is None:
+            strides = np.array([self.strides[r] for r in regs], dtype=np.int64)
+            dims = np.array(self.dims(regs), dtype=np.int64)
+            inner = _strides(dims)
+            index = np.arange(int(np.prod(dims)), dtype=np.int64)
+            found = strides, dims, inner, (index[:, None] // inner % dims) @ strides
+            self._layouts[regs] = found
+        return found
+
 
 @dataclass(frozen=True)
 class ResourceDecl:
@@ -80,6 +109,19 @@ class MeasurementOperator:
     regs: tuple[str, ...]
     matrix: np.ndarray
     touches: frozenset[str] = field(default=frozenset())
+
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix's diagonal if nothing lies off it, and its nonzeros:
+        ``slots[s]`` lists those of column s (padded with -1), and each has
+        its row and its value."""
+        col, row = np.nonzero(self.matrix.T)
+        width = np.bincount(col, minlength=self.matrix.shape[1])
+        lane = np.arange(col.size) - (np.cumsum(width) - width)[col]
+        slots = np.full((width.size, width.max(initial=0)), -1)
+        slots[col, lane] = np.arange(col.size)
+        diagonal = self.matrix.diagonal().copy() if np.array_equal(row, col) else None
+        return diagonal, slots, row, self.matrix[row, col]
 
 
 @dataclass(frozen=True)
@@ -412,26 +454,183 @@ class SimState:
     consumed: frozenset[str]
 
 
+def _abs2(amp: np.ndarray) -> np.ndarray:
+    return amp.real * amp.real + amp.imag * amp.imag
+
+
+def _summed(inverse: np.ndarray, amp: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of ``amp`` by bin, each added in input order."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(inverse, amp.real, minlength=size)
+    out.imag = np.bincount(inverse, amp.imag, minlength=size)
+    return out
+
+
+def _bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, sorted, and the bin of each value: np.unique's
+    inverse without its overhead, which dominates on arrays this small."""
+    distinct = np.unique(values)
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _coalesced(pos: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries sorted by position, the amplitudes at one position summed in
+    input order, and exact zeros dropped."""
+    pos, inverse = _bins(pos)
+    amp = _summed(inverse, amp, pos.size)
+    nonzero = amp != 0
+    return pos[nonzero], amp[nonzero]
+
+
+@dataclass(frozen=True)
+class _Joint:
+    """``count`` candidates that share registers, ownership and consumed
+    resources, held as one sparse array.
+
+    Entry e is the amplitude ``amp[e]`` at ``pos[e] = row * table.size + flat``
+    of candidate ``row``, where ``flat`` is the C-order index over the whole
+    register table and a register that is no longer live sits at level 0.
+    Positions are unique and sorted, and amplitudes nonzero.  A
+    :class:`SimState` is the one-candidate case.
+    """
+
+    table: RegisterTable
+    live: tuple[str, ...]
+    owners: Mapping[str, str]
+    consumed: frozenset[str]
+    count: int
+    pos: np.ndarray
+    amp: np.ndarray
+
+    @classmethod
+    def of(cls, sim: SimState) -> "_Joint":
+        """The one candidate of a dense :class:`SimState`."""
+        vector = np.asarray(sim.vector)
+        at = np.flatnonzero(vector)
+        digits = np.unravel_index(at, vector.shape)
+        pos = sum(d * sim.table.strides[r] for d, r in zip(digits, sim.live))
+        order = np.argsort(pos)
+        amp = vector.reshape(-1)[at[order]]
+        return cls(sim.table, sim.live, sim.owners, sim.consumed, 1, pos[order], amp)
+
+    def sim(self) -> SimState:
+        """The one candidate as a dense :class:`SimState`."""
+        dims = self.table.dims(self.live)
+        vector = np.zeros(dims, dtype=complex)
+        digits = tuple(self.pos // self.table.strides[r] % d for r, d in zip(self.live, dims))
+        vector[digits] = self.amp
+        return SimState(self.table, self.live, vector, self.owners, self.consumed)
+
+    def _entries(self, pos: np.ndarray, amp: np.ndarray) -> "_Joint":
+        return _Joint(self.table, self.live, self.owners, self.consumed, self.count, pos, amp)
+
+    @functools.cached_property
+    def norm2(self) -> np.ndarray:
+        """|psi|^2 of each candidate."""
+        return np.bincount(self.pos // self.table.size, _abs2(self.amp), minlength=self.count)
+
+    def measure(self, op: MeasurementOperator) -> tuple["_Joint", np.ndarray]:
+        """Apply one outcome operator to every candidate; returns the
+        unnormalized post-states and the Born probabilities |M psi|^2 / |psi|^2."""
+        for r in op.regs:
+            if r not in self.live:
+                raise ValueError(f"operator {op.name!r} acts on {r!r}, which is no longer live")
+        if not self.norm2.all():
+            raise ValueError("cannot measure the zero state")
+        strides, dims, inner, offset = self.table._layout(op.regs)
+        diagonal, slots, out, value = op._columns
+        # each entry's index on op.regs picks the operator column it meets
+        sub = (self.pos[:, None] // strides % dims) @ inner
+        if diagonal is not None:
+            amp = diagonal[sub] * self.amp
+            nonzero = amp != 0
+            post = self._entries(self.pos[nonzero], amp[nonzero])
+        else:
+            # scatter the column's nonzeros to the entry's position with
+            # that index replaced by their rows
+            src, lane = np.nonzero(slots[sub] >= 0)
+            at = slots[sub[src], lane]
+            post = self._entries(
+                *_coalesced(
+                    (self.pos - offset[sub])[src] + offset[out[at]],
+                    value[at] * self.amp[src],
+                )
+            )
+        return post, post.norm2 / self.norm2
+
+    def teleport(
+        self, source: str, resource: ResourceDecl, to: str, tol: float
+    ) -> "_Joint":
+        """Factor the resource pair out of every candidate and move ``source``."""
+        if resource.name in self.consumed:
+            raise ValueError(f"resource {resource.name!r} already consumed")
+        if self.table.get(source).dim != resource.dim:
+            raise ValueError(
+                f"teleport of {source!r} needs a dim-{self.table.get(source).dim} resource"
+            )
+        d = resource.dim
+        s1, s2 = (self.table.strides[r] for r in resource.registers)
+        first, second = self.pos // s1 % d, self.pos // s2 % d
+        rest = self.pos - first * s1 - second * s2
+        # a candidate's mat[rest, (k, l)] must be v[rest] delta_kl, v the mean
+        # of the diagonal: ||mat - v mes^T|| counts the entries off the
+        # diagonal, the diagonal entries minus v, and the missing ones (-v)
+        diag = first == second
+        key, inverse = _bins(rest[diag])
+        v = _summed(inverse, self.amp[diag], key.size) / d
+        missing = d - np.bincount(inverse, minlength=key.size)
+        row = self.pos // self.table.size
+        residual = (
+            np.bincount(row[~diag], _abs2(self.amp[~diag]), minlength=self.count)
+            + np.bincount(row[diag], _abs2(self.amp[diag] - v[inverse]), minlength=self.count)
+            + np.bincount(key // self.table.size, missing * _abs2(v), minlength=self.count)
+        )
+        if np.any(np.sqrt(residual) > tol * np.maximum(np.sqrt(self.norm2), 1e-30)):
+            raise ValueError(
+                f"resource {resource.name!r} is no longer in its initial entangled state"
+            )
+        nonzero = v != 0
+        return _Joint(
+            self.table,
+            tuple(r for r in self.live if r not in resource.registers),
+            {**self.owners, source: to},
+            self.consumed | {resource.name},
+            self.count,
+            key[nonzero],
+            v[nonzero],
+        )
+
+    def take(self, keep: np.ndarray, touches: frozenset[str]) -> "_Joint":
+        """The candidates flagged in ``keep``, with ``touches`` consumed."""
+        size = self.table.size
+        row, flat = np.divmod(self.pos, size)
+        entry = keep[row]
+        return _Joint(
+            self.table,
+            self.live,
+            self.owners,
+            self.consumed | touches,
+            int(keep.sum()),
+            (np.cumsum(keep) - 1)[row[entry]] * size + flat[entry],
+            self.amp[entry],
+        )
+
+    def gram(self) -> np.ndarray:
+        """Dense Gram matrix <i|j> of the candidates, over their joint support."""
+        row, flat = np.divmod(self.pos, self.table.size)
+        columns, col = _bins(flat)
+        mat = np.zeros((self.count, columns.size), dtype=complex)
+        mat[row, col] = self.amp
+        return mat.conj() @ mat.T
+
+
 def apply_measurement(
     sim: SimState, op: MeasurementOperator
 ) -> tuple[SimState, float]:
     """Apply one outcome operator; returns the unnormalized post-state and the
     Born probability |M psi|^2 / |psi|^2."""
-    axes = [sim.live.index(r) for r in op.regs]
-    dims = sim.vector.shape
-    q = int(np.prod([dims[a] for a in axes]))
-    moved = np.moveaxis(sim.vector, axes, range(len(axes)))
-    flat = moved.reshape(q, -1)
-    before = float(np.vdot(flat, flat).real)
-    if before == 0.0:
-        raise ValueError("cannot measure the zero state")
-    post = op.matrix @ flat
-    prob = float(np.vdot(post, post).real) / before
-    post_tensor = np.moveaxis(post.reshape(moved.shape), range(len(axes)), axes)
-    return (
-        SimState(sim.table, sim.live, post_tensor, sim.owners, sim.consumed),
-        prob,
-    )
+    post, born = _Joint.of(sim).measure(op)
+    return post.sim(), float(born[0])
 
 
 def teleport(
@@ -443,35 +642,7 @@ def teleport(
     amplitudes are unchanged.  The resource pair must still be in its initial
     entangled state; it is factored out of the live vector.
     """
-    if resource.name in sim.consumed:
-        raise ValueError(f"resource {resource.name!r} already consumed")
-    if sim.table.get(source).dim != resource.dim:
-        raise ValueError(
-            f"teleport of {source!r} needs a dim-{sim.table.get(source).dim} resource"
-        )
-    r1, r2 = resource.registers
-    axes = [sim.live.index(r1), sim.live.index(r2)]
-    d = resource.dim
-    moved = np.moveaxis(sim.vector, axes, (-2, -1))
-    rest_shape = moved.shape[:-2]
-    mat = moved.reshape(-1, d * d)
-    mes = np.eye(d, dtype=complex).reshape(-1)
-    v = mat @ mes.conj() / d
-    residual = mat - np.outer(v, mes)
-    if np.linalg.norm(residual) > tol * max(np.linalg.norm(mat), 1e-30):
-        raise ValueError(
-            f"resource {resource.name!r} is no longer in its initial entangled state"
-        )
-    live = tuple(n for n in sim.live if n not in (r1, r2))
-    owners = dict(sim.owners)
-    owners[source] = to
-    return SimState(
-        sim.table,
-        live,
-        v.reshape(rest_shape),
-        owners,
-        sim.consumed | {resource.name},
-    )
+    return _Joint.of(sim).teleport(source, resource, to, tol).sim()
 
 
 @dataclass(frozen=True)
@@ -529,37 +700,44 @@ class ExecutionReport:
     total_ebits: float
 
 
-def _initial_state(spec: ProtocolSpec, state) -> SimState:
+def _initial(spec: ProtocolSpec, states: Sequence) -> _Joint:
+    """The candidates with every shared pair in sum_k |k,k>."""
     table = spec.table
-    names = table.names
-    dims = tuple(r.dim for r in table.registers)
-    principal = [r.name for r in spec.principal_registers]
-    vector = np.zeros(dims, dtype=complex)
-    res_regs = [(res, res.registers) for res in spec.resources]
-    ranges = [range(res.dim) for res, _ in res_regs]
-    pos = {n: i for i, n in enumerate(names)}
-    for idx, amp in state.terms:
-        base = [0] * len(names)
-        for comp, reg in zip(idx, principal):
-            base[pos[reg]] = comp
-        for combo in itertools.product(*ranges) if ranges else [()]:
-            full = list(base)
-            for (res, (ra, rb)), level in zip(res_regs, combo):
-                full[pos[ra]] = level
-                full[pos[rb]] = level
-            vector[tuple(full)] = amp
-    owners = {r.name: r.owner for r in table.registers}
-    return SimState(table, names, vector, owners, frozenset())
+    strides = table.strides
+    principal = np.array([strides[r.name] for r in spec.principal_registers], dtype=np.int64)
+    row = np.array([k for k, s in enumerate(states) for _ in s.terms], dtype=np.int64)
+    idx = np.array([i for s in states for i, _ in s.terms], dtype=np.int64)
+    amp = np.array([a for s in states for _, a in s.terms], dtype=complex)
+    pairs = np.zeros(1, dtype=np.int64)
+    for res in spec.resources:
+        step = strides[res.registers[0]] + strides[res.registers[1]]
+        pairs = (pairs[:, None] + step * np.arange(res.dim)).reshape(-1)
+    pos = row * table.size + idx.reshape(row.size, principal.size) @ principal
+    pos = (pos[:, None] + pairs).reshape(-1)
+    order = np.argsort(pos)
+    return _Joint(
+        table,
+        table.names,
+        {r.name: r.owner for r in table.registers},
+        frozenset(),
+        len(states),
+        pos[order],
+        np.repeat(amp, pairs.size)[order],
+    )
+
+
+def _initial_state(spec: ProtocolSpec, state) -> SimState:
+    return _initial(spec, [state]).sim()
 
 
 def _groups(
     spec: ProtocolSpec, sset: StateSet, tol: float
-) -> Iterator[tuple[object, list[tuple[int, SimState, float]]]]:
+) -> Iterator[tuple[object, np.ndarray, np.ndarray, _Joint]]:
     """Walk the tree depth first with all candidates together.
 
-    Yields every node reached with its surviving candidates as a list of
-    ``(index, SimState, path probability)``; a candidate leaves a branch whose
-    Born probability is at most the pruning cutoff.
+    Yields every node reached with its survivors: their indices in the set,
+    their path probabilities and their joint state.  A candidate leaves a
+    branch whose Born probability is at most the pruning cutoff.
     """
     principal = spec.principal_registers
     if len(principal) != len(sset.layout.parties):
@@ -573,38 +751,25 @@ def _groups(
                 f"principal register {reg.name!r} has dim {reg.dim}, states need {d}"
             )
 
-    def walk(node, group):
-        yield node, group
+    def walk(node, index, prob, joint):
+        yield node, index, prob, joint
         if isinstance(node, Teleport):
             res = spec.resource(node.resource)
-            moved = [
-                (i, teleport(sim, node.source, res, node.to, tol), prob)
-                for i, sim, prob in group
-            ]
-            yield from walk(node.then, moved)
+            yield from walk(node.then, index, prob, joint.teleport(node.source, res, node.to, tol))
         elif isinstance(node, MeasurementStep):
             for op in node.operators:
-                survivors = []
-                for i, sim, prob in group:
-                    post, p = apply_measurement(sim, op)
-                    if p > _PRUNE:
-                        post = replace(post, consumed=post.consumed | op.touches)
-                        survivors.append((i, post, prob * p))
-                if survivors:
-                    yield from walk(node.branches[op.name], survivors)
+                post, born = joint.measure(op)
+                keep = born > _PRUNE
+                if keep.any():
+                    yield from walk(
+                        node.branches[op.name],
+                        index[keep],
+                        prob[keep] * born[keep],
+                        post.take(keep, op.touches),
+                    )
 
-    initial = [(i, _initial_state(spec, s), 1.0) for i, s in enumerate(sset.states)]
-    yield from walk(spec.root, initial)
-
-
-def _orthogonal(group, tol: float) -> bool:
-    """True iff the group's vectors are pairwise orthogonal within ``tol``."""
-    vecs = [sim.vector.reshape(-1) for _, sim, _ in group]
-    norms = [np.linalg.norm(v) for v in vecs]
-    return not any(
-        abs(np.vdot(vecs[i], vecs[j])) > tol * norms[i] * norms[j]
-        for i, j in itertools.combinations(range(len(vecs)), 2)
-    )
+    n = len(sset)
+    yield from walk(spec.root, np.arange(n), np.ones(n), _initial(spec, sset.states))
 
 
 def run_protocol(
@@ -612,11 +777,11 @@ def run_protocol(
 ) -> ExecutionReport:
     """Traverse the tree for every candidate state and account the resources."""
     branches: list[list[BranchOutcome]] = [[] for _ in sset.states]
-    for node, group in _groups(spec, sset, tol):
+    for node, index, prob, joint in _groups(spec, sset, tol):
         if isinstance(node, Leaf):
-            for i, sim, prob in group:
-                resources = tuple(sorted(sim.consumed))
-                branches[i].append(BranchOutcome(node.answer, prob, resources))
+            resources = tuple(sorted(joint.consumed))
+            for i, p in zip(index.tolist(), prob.tolist()):
+                branches[i].append(BranchOutcome(node.answer, p, resources))
 
     outcomes = []
     copies = {res.name: 0.0 for res in spec.resources}
@@ -667,4 +832,7 @@ def check_orthogonality_preservation(
     spec: ProtocolSpec, sset: StateSet, tol: float = DEFAULT_TOL
 ) -> bool:
     """True iff after every step the surviving candidates stay mutually orthogonal."""
-    return all(_orthogonal(group, tol) for _, group in _groups(spec, sset, tol))
+    return all(
+        joint.count < 2 or _first_nonorthogonal_pair(joint.gram(), tol) is None
+        for _, _, _, joint in _groups(spec, sset, tol)
+    )

@@ -266,19 +266,27 @@ def _set_matrix(sset: StateSet, row_axes: Sequence[int] = ()) -> scipy.sparse.cs
 
 
 def _first_nonorthogonal_pair(
-    gram: scipy.sparse.spmatrix, tol: float
+    gram: scipy.sparse.spmatrix | np.ndarray, tol: float
 ) -> tuple[int, int] | None:
     """Lexicographically first i < j with |<i|j>| > tol * |i| * |j|, or None.
 
-    ``gram`` is the set's sparse Gram matrix (most pairs of a cube-partition
-    set share no support); the norms are read off its diagonal.
+    ``gram`` is the set's Gram matrix, sparse for a whole set (most pairs of a
+    cube-partition set share no support) or dense for a few states; the norms
+    are read off its diagonal.
     """
     norms = np.sqrt(gram.diagonal().real)
-    upper = scipy.sparse.triu(gram, k=1, format="coo")
-    bad = np.abs(upper.data) > tol * norms[upper.row] * norms[upper.col]
+    if scipy.sparse.issparse(gram):
+        upper = scipy.sparse.triu(gram, k=1, format="coo")
+        i, j, value = upper.row, upper.col, upper.data
+    else:
+        i, j = np.nonzero(gram)
+        upper = i < j
+        i, j = i[upper], j[upper]
+        value = gram[i, j]
+    bad = np.abs(value) > tol * norms[i] * norms[j]
     if not bad.any():
         return None
-    i, j = upper.row[bad], upper.col[bad]
+    i, j = i[bad], j[bad]
     first = np.lexsort((j, i))[0]
     return int(i[first]), int(j[first])
 

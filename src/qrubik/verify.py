@@ -169,6 +169,29 @@ def _resolve_actor(
     raise ValueError(f"actor {actor!r} is not a side of bipartition {cut.name}")
 
 
+def _actor_side(
+    sset: StateSet, cut: Bipartition, actor: Sequence[str] | str
+) -> tuple[int, list[int]]:
+    """The actor side's dimension m and its axes in the layout."""
+    cut.validate_for(sset.layout)
+    actor_parties = _resolve_actor(sset, cut, actor)
+    m = int(np.prod([sset.layout.dim_of(p) for p in actor_parties]))
+    return m, [sset.layout.axis(p) for p in actor_parties]
+
+
+def _check_unknowns(m: int, check: str) -> None:
+    """Refuse a check whose m^2 unknowns the dense solver cannot take on."""
+    if m * m > _MAX_UNKNOWNS:
+        raise ValueError(
+            f"{check} has m^2 = {m * m} unknowns, above the solver limit "
+            f"of {_MAX_UNKNOWNS} (local dimension 9)"
+        )
+
+
+def _check_name(cut: Bipartition, actor: Sequence[str] | str) -> str:
+    return f"check {cut.name}:{''.join(actor)}"
+
+
 def _coupled_blocks(
     sset: StateSet, axes: list[int], m: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, scipy.sparse.csr_matrix]:
@@ -236,10 +259,7 @@ def assemble_constraints(
     of the actor dims).  Each coupled state pair's block, folded into
     Hermitian coordinates, gives a real and an imaginary row, in pair order.
     """
-    cut.validate_for(sset.layout)
-    actor_parties = _resolve_actor(sset, cut, actor)
-    m = int(np.prod([sset.layout.dim_of(p) for p in actor_parties]))
-    axes = [sset.layout.axis(p) for p in actor_parties]
+    m, axes = _actor_side(sset, cut, actor)
     first, second, scale, folded = _coupled_blocks(sset, axes, m, tol)
     rows, row_pair = _real_rows(folded, m, scale)
     labels = sset.labels
@@ -356,11 +376,7 @@ def _solve(
     A system the Cholesky test certifies trivial gets exactly the unit
     identity; any other goes through row dedup and the blockwise QR/SVD.
     """
-    if cs.m * cs.m > _MAX_UNKNOWNS:
-        raise ValueError(
-            f"{check} has m^2 = {cs.m * cs.m} unknowns, above the solver limit "
-            f"of {_MAX_UNKNOWNS} (local dimension 9)"
-        )
+    _check_unknowns(cs.m, check)
     if _gram_certifies_trivial(cs.rows, cs.m, tol):
         return identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
     return _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
@@ -387,8 +403,10 @@ def certify_triviality(
     normalized to unit Frobenius norm; see :class:`TrivialityVerdict` for why
     a witness always yields a valid nontrivial measurement.
     """
+    name = _check_name(cut, actor)
+    _check_unknowns(_actor_side(sset, cut, actor)[0], name)
     cs = assemble_constraints(sset, cut, actor, tol)
-    basis = _solve(cs, tol, f"check {cut.name}:{''.join(actor)}")
+    basis = _solve(cs, tol, name)
     dim = basis.shape[1]
     if dim == 1:
         return TrivialityVerdict(trivial=True, solution_dim=1, witness=None)
@@ -420,15 +438,19 @@ def verify_strong_nonlocality(sset: StateSet, tol: float = DEFAULT_TOL) -> Nonlo
     """Run all six checks; strongly nonlocal iff every verdict is Trivial.
 
     Triviality everywhere is a sufficient criterion: the report should be read
-    as "certified" vs "not certified (nontrivial witness found)".
+    as "certified" vs "not certified (nontrivial witness found)".  Every
+    check's size is tested against the solver limit before any is assembled.
     """
+    checks = standard_checks(sset.layout)
+    for cut, actor in checks:
+        _check_unknowns(_actor_side(sset, cut, actor)[0], _check_name(cut, actor))
     results = [
         CheckResult(
             cut=cut.name,
             actor="".join(actor),
             verdict=certify_triviality(sset, cut, actor, tol),
         )
-        for cut, actor in standard_checks(sset.layout)
+        for cut, actor in checks
     ]
     return NonlocalityReport(
         checks=tuple(results),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 from importlib import resources
 
+from qrubik import verify
 from qrubik.cli import main
 
 from reference_data import ghz_basis
@@ -175,7 +177,7 @@ def test_non_finite_protocol_matrix_exits_2(tmp_path, capsys, value):
     assert err.startswith("error:") and "non-finite" in err
 
 
-def test_solver_size_budget_exits_2(tmp_path, capsys):
+def _wide_set(tmp_path):
     # the joint checks would have m^2 = 10^4 unknowns, above the d = 9 limit
     layout = PartyLayout(("A", "B", "C"), (10, 10, 10))
     sset = StateSet(
@@ -187,10 +189,44 @@ def test_solver_size_budget_exits_2(tmp_path, capsys):
     )
     path = str(tmp_path / "wide.json")
     save_state_set(sset, path)
-    code, out, err = _run(capsys, "verify", "--input", path)
+    return path
+
+
+def test_solver_size_budget_exits_2(tmp_path, capsys):
+    code, out, err = _run(capsys, "verify", "--input", _wide_set(tmp_path))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "m^2 = 10000" in err
+
+
+@pytest.mark.parametrize("check", [None, "A|BC:BC"], ids=["all", "one"])
+def test_solver_size_budget_is_checked_before_assembly(tmp_path, capsys, monkeypatch, check):
+    def assemble(*args, **kwargs):
+        raise AssertionError("constraints assembled before the size check")
+
+    monkeypatch.setattr(verify, "assemble_constraints", assemble)
+    argv = ["verify", "--input", _wide_set(tmp_path)] + (["--check", check] if check else [])
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "check A|BC:BC has m^2 = 10000 unknowns" in err
+
+
+# sha256 of json.dumps(result, sort_keys=True) for each shipped protocol and
+# its state set; the simulator's output must not change by a single byte
+SIMULATE_RESULT_SHA256 = {
+    ("example1", "bell"): "6cc7f1edba991d36cb6c6b4ea25f5f60108990ed0f410fa67040c78cfa1fe1bc",
+    ("prop1", "b3"): "0114a96122a428505a9d5367842a07c63806e3bf477f362a8441ee52a4d043f6",
+    ("prop2", "b3"): "c04f37addaa74a2f07161a8a5e5b2166e4836fd1491bbecdd6f710cfc92ab580",
+}
+
+
+@pytest.mark.parametrize("protocol, states", list(SIMULATE_RESULT_SHA256))
+def test_simulate_result_bytes_are_pinned(capsys, protocol, states):
+    code, out, _ = _run(capsys, "simulate", "--protocol", protocol, "--states", states)
+    assert code == 0
+    result = json.dumps(_payload(out)["result"], sort_keys=True)
+    assert hashlib.sha256(result.encode()).hexdigest() == SIMULATE_RESULT_SHA256[protocol, states]
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,7 +1,9 @@
 import copy
 import functools
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qrubik.locc import (
     _PRUNE,
     BranchOutcome,
     Leaf,
+    MeasurementOperator,
     SimState,
     StateOutcome,
     Teleport,
@@ -392,6 +395,77 @@ def test_orthogonality_check_reports_collapse():
     assert not check_orthogonality_preservation(spec, sset)
 
 
+# The dense per-candidate interpreter: every candidate is a full state vector
+# over the live registers, copied at each step.  The joint sparse walk of
+# qrubik.locc must reproduce it.
+
+
+def _dense_initial_state(spec, state):
+    table = spec.table
+    names = table.names
+    dims = tuple(r.dim for r in table.registers)
+    principal = [r.name for r in spec.principal_registers]
+    vector = np.zeros(dims, dtype=complex)
+    res_regs = [(res, res.registers) for res in spec.resources]
+    ranges = [range(res.dim) for res, _ in res_regs]
+    pos = {n: i for i, n in enumerate(names)}
+    for idx, amp in state.terms:
+        base = [0] * len(names)
+        for comp, reg in zip(idx, principal):
+            base[pos[reg]] = comp
+        for combo in itertools.product(*ranges) if ranges else [()]:
+            full = list(base)
+            for (res, (ra, rb)), level in zip(res_regs, combo):
+                full[pos[ra]] = level
+                full[pos[rb]] = level
+            vector[tuple(full)] = amp
+    owners = {r.name: r.owner for r in table.registers}
+    return SimState(table, names, vector, owners, frozenset())
+
+
+def _dense_apply_measurement(sim, op):
+    axes = [sim.live.index(r) for r in op.regs]
+    dims = sim.vector.shape
+    q = int(np.prod([dims[a] for a in axes]))
+    moved = np.moveaxis(sim.vector, axes, range(len(axes)))
+    flat = moved.reshape(q, -1)
+    before = float(np.vdot(flat, flat).real)
+    if before == 0.0:
+        raise ValueError("cannot measure the zero state")
+    post = op.matrix @ flat
+    prob = float(np.vdot(post, post).real) / before
+    post_tensor = np.moveaxis(post.reshape(moved.shape), range(len(axes)), axes)
+    return SimState(sim.table, sim.live, post_tensor, sim.owners, sim.consumed), prob
+
+
+def _dense_teleport(sim, source, resource, to, tol=1e-9):
+    if resource.name in sim.consumed:
+        raise ValueError(f"resource {resource.name!r} already consumed")
+    if sim.table.get(source).dim != resource.dim:
+        raise ValueError(
+            f"teleport of {source!r} needs a dim-{sim.table.get(source).dim} resource"
+        )
+    r1, r2 = resource.registers
+    axes = [sim.live.index(r1), sim.live.index(r2)]
+    d = resource.dim
+    moved = np.moveaxis(sim.vector, axes, (-2, -1))
+    rest_shape = moved.shape[:-2]
+    mat = moved.reshape(-1, d * d)
+    mes = np.eye(d, dtype=complex).reshape(-1)
+    v = mat @ mes.conj() / d
+    residual = mat - np.outer(v, mes)
+    if np.linalg.norm(residual) > tol * max(np.linalg.norm(mat), 1e-30):
+        raise ValueError(
+            f"resource {resource.name!r} is no longer in its initial entangled state"
+        )
+    live = tuple(n for n in sim.live if n not in (r1, r2))
+    owners = dict(sim.owners)
+    owners[source] = to
+    return SimState(
+        sim.table, live, v.reshape(rest_shape), owners, sim.consumed | {resource.name}
+    )
+
+
 def _reference_outcomes(spec, sset, tol=1e-9):
     """Per-candidate depth-first walk: each state traverses the tree on its own."""
     outcomes = []
@@ -410,10 +484,10 @@ def _reference_outcomes(spec, sset, tol=1e-9):
                 return
             if isinstance(node, Teleport):
                 res = spec.resource(node.resource)
-                walk(node.then, teleport(sim, node.source, res, node.to, tol), prob)
+                walk(node.then, _dense_teleport(sim, node.source, res, node.to, tol), prob)
                 return
             for op in node.operators:
-                post, p = apply_measurement(sim, op)
+                post, p = _dense_apply_measurement(sim, op)
                 if p <= _PRUNE:
                     continue
                 next_sim = SimState(
@@ -425,7 +499,7 @@ def _reference_outcomes(spec, sset, tol=1e-9):
                 )
                 walk(node.branches[op.name], next_sim, prob * p)
 
-        walk(spec.root, _initial_state(spec, state), 1.0)
+        walk(spec.root, _dense_initial_state(spec, state), 1.0)
         outcomes.append(
             StateOutcome(
                 label=state.label,
@@ -457,6 +531,199 @@ def test_joint_walk_matches_per_candidate_walk(protocol, states):
     spec = parse_protocol(protocol())
     sset = states()
     assert run_protocol(spec, sset).outcomes == _reference_outcomes(spec, sset)
+
+
+def _seeded_variant(sset, seed, phases):
+    """The set permuted and each state scaled by a positive real or a phase."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(sset))
+    if phases:
+        factors = np.exp(2j * np.pi * rng.random(len(sset)))
+    else:
+        factors = rng.uniform(0.25, 4.0, len(sset))
+    return StateSet(sset.layout, tuple(sset[k].scaled(f) for k, f in zip(order, factors)))
+
+
+@pytest.mark.parametrize("phases", [False, True], ids=["real", "phase"])
+@pytest.mark.parametrize(
+    "protocol, states, seed",
+    [
+        (example1_protocol, bell_state_set, 11),
+        (prop1_protocol, functools.partial(build_snoes, 3), 12),
+        (prop2_protocol, functools.partial(build_snoes, 3), 13),
+    ],
+    ids=["example1-bell", "prop1-b3", "prop2-b3"],
+)
+def test_joint_walk_agrees_on_scaled_sets(protocol, states, seed, phases):
+    # amplitudes that are no longer exact binary fractions may round
+    # differently in the sparse sums than in the dense products
+    spec = parse_protocol(protocol())
+    sset = _seeded_variant(states(), seed, phases)
+    joint = run_protocol(spec, sset).outcomes
+    reference = _reference_outcomes(spec, sset)
+    assert len(joint) == len(reference)
+    for got, want in zip(joint, reference):
+        assert (got.label, got.correct) == (want.label, want.correct)
+        assert [(b.answer, b.resources) for b in got.branches] == [
+            (b.answer, b.resources) for b in want.branches
+        ]
+        for b, ref in zip(got.branches, want.branches):
+            assert abs(b.probability - ref.probability) <= 1e-15
+        # a total sums the branches' differences
+        bound = 1e-15 * len(want.branches)
+        assert abs(got.probability_total - want.probability_total) <= bound
+    assert check_orthogonality_preservation(spec, sset)
+
+
+def test_one_candidate_kernels_match_dense_reference():
+    # a dense random state and a dense operator on two registers, listed out
+    # of table order, so that every column scatters to several rows and the
+    # sums have many terms
+    spec = parse_protocol(prop1_protocol())
+    rng = np.random.default_rng(5)
+    sim = _initial_state(spec, build_snoes(3)[4])
+    vector = rng.normal(size=sim.vector.shape) + 1j * rng.normal(size=sim.vector.shape)
+    vector[rng.random(vector.shape) < 0.3] = 0
+    sim = replace(sim, vector=vector)
+    regs = ("b", "B")
+    matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    op = MeasurementOperator(name="M", regs=regs, matrix=matrix)
+    post, prob = apply_measurement(sim, op)
+    want, want_prob = _dense_apply_measurement(sim, op)
+    assert post.live == want.live
+    assert np.allclose(post.vector, want.vector, rtol=1e-14, atol=1e-14)
+    assert prob == pytest.approx(want_prob, rel=1e-14)
+
+    res = spec.resource("phi3_bc")
+    entangled = _initial_state(spec, build_snoes(3)[4])
+    moved = teleport(entangled, "C", res, "Bob")
+    reference = _dense_teleport(entangled, "C", res, "Bob")
+    assert (moved.live, moved.owners, moved.consumed) == (
+        reference.live, reference.owners, reference.consumed
+    )
+    assert np.array_equal(moved.vector, reference.vector)
+
+
+def _pair_doc(root):
+    """Alice holds A and a, Bob holds B and b, and (a, b) is a shared pair."""
+    return {
+        "name": "toy",
+        "registers": [
+            {"name": "A", "owner": "Alice", "dim": 2},
+            {"name": "B", "owner": "Bob", "dim": 2},
+            {"name": "a", "owner": "Alice", "dim": 2},
+            {"name": "b", "owner": "Bob", "dim": 2},
+        ],
+        "resources": [
+            {"name": "r", "pair": ["Alice", "Bob"], "dim": 2, "registers": ["a", "b"]}
+        ],
+        "root": root,
+    }
+
+
+def _disturbing_doc(operators):
+    """Alice acts on her half ``a`` of the shared pair, then, on the first
+    outcome, teleports A over it."""
+    after = {
+        "type": "teleport",
+        "source": "A",
+        "resource": "r",
+        "to": "Bob",
+        "then": {"type": "leaf", "answer": "x"},
+    }
+    return _pair_doc(
+        {
+            "type": "measure",
+            "party": "Alice",
+            "operators": operators,
+            "branches": {
+                op["name"]: after if k == 0 else {"type": "leaf", "answer": "y"}
+                for k, op in enumerate(operators)
+            },
+        }
+    )
+
+
+def _pair_of_states():
+    layout = PartyLayout(("A", "B"), (2, 2))
+    return StateSet(
+        layout,
+        (
+            PureState(layout, [((0, 0), 1)], "x"),
+            PureState(layout, [((1, 1), 2j)], "y"),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "operators, ratio",
+    [
+        # |00>: the diagonal entry minus v and the missing |11> entry (-v)
+        (
+            [
+                {"name": "P0", "proj": [{"regs": ["a"], "levels": [[0]]}]},
+                {"name": "P1", "complement": True},
+            ],
+            1 / math.sqrt(2),
+        ),
+        # |00> - |11>: v = 0, so only the diagonal entries minus v count
+        ([{"name": "Z", "regs": ["a"], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}], 1.0),
+        # |10> + |01>: only the entries off the diagonal count
+        ([{"name": "X", "regs": ["a"], "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}], 1.0),
+    ],
+    ids=["projector", "phase-flip", "bit-flip"],
+)
+def test_teleport_refuses_a_disturbed_resource(operators, ratio):
+    parsed = parse_protocol(_disturbing_doc(operators))
+    sset = _pair_of_states()
+    # a measurement that acts on the pair marks it consumed when parsed ...
+    with pytest.raises(ValueError, match="already consumed"):
+        run_protocol(parsed, sset)
+    # ... so unmark it to reach the residual test of the joint walk, whose
+    # relative residual ||mat - v mes^T|| / ||mat|| is ``ratio`` here
+    root = replace(
+        parsed.root,
+        operators=tuple(replace(op, touches=frozenset()) for op in parsed.root.operators),
+    )
+    spec = replace(parsed, root=root)
+    for tol in (1e-9, 0.99 * ratio):
+        with pytest.raises(ValueError, match="no longer in its initial entangled state"):
+            run_protocol(spec, sset, tol)
+    run_protocol(spec, sset, 1.01 * ratio)
+
+
+def test_measuring_a_teleported_pair_register_is_refused():
+    # a teleport factors the pair out of the state; its registers keep their
+    # owners, so parsing accepts a later measurement of one of them
+    measure_b = {
+        "type": "measure",
+        "party": "Bob",
+        "operators": [
+            {"name": "P0", "proj": [{"regs": ["b"], "levels": [[0]]}]},
+            {"name": "P1", "complement": True},
+        ],
+        "branches": {
+            "P0": {"type": "leaf", "answer": "x"},
+            "P1": {"type": "leaf", "answer": "y"},
+        },
+    }
+    doc = _pair_doc(
+        {"type": "teleport", "source": "A", "resource": "r", "to": "Bob", "then": measure_b}
+    )
+    with pytest.raises(ValueError, match="'b', which is no longer live"):
+        run_protocol(parse_protocol(doc), _pair_of_states())
+
+
+def test_zero_candidate_cannot_be_measured():
+    spec = parse_protocol(_minimal_doc())
+    layout = PartyLayout(("A", "B"), (2, 2))
+    sset = StateSet(
+        layout,
+        (PureState(layout, [((0, 0), 1)], "x"), PureState(layout, [], "y")),
+    )
+    for walk in (run_protocol, check_orthogonality_preservation):
+        with pytest.raises(ValueError, match="cannot measure the zero state"):
+            walk(spec, sset)
 
 
 def test_shipped_documents_round_trip():

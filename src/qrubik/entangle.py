@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DEFAULT_TOL, Bipartition, PureState, StateSet, flatten
+from .states import DEFAULT_TOL, Bipartition, PureState, StateSet
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,21 @@ class EntanglementProfile:
 def schmidt_rank(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank of the coefficient matrix across a bipartition.
 
+    The matrix is taken over the state's support only, with a row per
+    distinct left index and a column per distinct right index of its terms:
+    the zero rows and columns of the full matrix add no singular value.
     Singular values below ``tol`` times the largest are treated as zero.
     """
     if s.is_zero():
         raise ValueError("Schmidt rank of the zero state is undefined")
-    mat = flatten(s, cut)
+    cut.validate_for(s.layout)
+    left = [s.layout.axis(p) for p in cut.left]
+    right = [s.layout.axis(p) for p in cut.right]
+    keys = [(tuple(idx[a] for a in left), tuple(idx[a] for a in right)) for idx in s.support]
+    rows, cols = ({k: n for n, k in enumerate(sorted(set(side)))} for side in zip(*keys))
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    for (l, r), (_, amp) in zip(keys, s.terms):
+        mat[rows[l], cols[r]] = amp
     svals = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(svals > tol * svals[0]))
 

@@ -20,6 +20,9 @@ import numpy as np
 from .states import DEFAULT_TOL, StateSet, _first_nonorthogonal_pair, _strides
 
 _PRUNE = 1e-12
+# the most levels a measurement step may act on: its operators are held
+# dense, 16 MiB each at the limit
+_MAX_STEP_LEVELS = 2**10
 
 
 class ProtocolError(ValueError):
@@ -41,8 +44,8 @@ class RegisterTable:
         names = [r.name for r in self.registers]
         if len(set(names)) != len(names):
             raise ProtocolError("register names must be unique")
-        if any(r.dim < 1 for r in self.registers):
-            raise ProtocolError("register dims must be >= 1")
+        if any(not isinstance(r.dim, (int, np.integer)) or r.dim < 1 for r in self.registers):
+            raise ProtocolError("register dims must be integers >= 1")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -85,6 +88,20 @@ class RegisterTable:
             found = strides, dims, inner, (index[:, None] // inner % dims) @ strides
             self._layouts[regs] = found
         return found
+
+    def _index_map(
+        self, union: tuple[str, ...], regs: tuple[str, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """For each index of an operator on ``union``: its index on ``regs``,
+        a subset in any order, and itself with the digits of ``regs`` set to 0."""
+        key = (union, regs)
+        if key not in self._layouts:
+            dims = np.array(self.dims(union), dtype=np.int64)
+            at = [union.index(r) for r in regs]
+            index = np.arange(int(np.prod(dims)), dtype=np.int64)
+            digits = index[:, None] // _strides(dims)[at] % dims[at]
+            self._layouts[key] = digits @ _strides(dims[at]), index - digits @ _strides(dims)[at]
+        return self._layouts[key]
 
 
 @dataclass(frozen=True)
@@ -164,149 +181,139 @@ class ProtocolSpec:
         raise ProtocolError(f"unknown resource {name!r}")
 
 
-def _matrix_from_json(entry: Sequence) -> np.ndarray:
-    rows = []
-    for row in entry:
-        rows.append([complex(cell[0], cell[1]) for cell in row])
-    return np.array(rows, dtype=complex)
+def _matrix_from_json(entry: Sequence, name: str) -> np.ndarray:
+    """An n x n array of [re, im] number pairs as a complex matrix, exactly."""
+    try:
+        pairs = np.array(entry)
+    except ValueError:  # ragged nesting
+        pairs = np.array(None)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[1:] != (len(pairs), 2):
+        raise ProtocolError(f"operator {name!r} matrix is not an n x n array of [re, im] pairs")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(mat)]
 
 
-def _extend_operator(
-    mat: np.ndarray,
-    regs: Sequence[str],
-    target: Sequence[str],
-    table: RegisterTable,
+def _distinct_regs(regs: Sequence[str], name: str) -> tuple[str, ...]:
+    """``regs`` as a tuple, none listed twice."""
+    regs = tuple(regs)
+    for r in regs:
+        if regs.count(r) > 1:
+            raise ProtocolError(f"operator {name!r} lists register {r!r} twice")
+    return regs
+
+
+def _proj_levels(
+    item: Mapping, table: RegisterTable, name: str
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """A ``proj`` item's registers and the flat index of each listed level."""
+    regs = _distinct_regs(item["regs"], name)
+    dims = table.dims(regs)
+    strides = _strides(dims).tolist()
+    flat = []
+    for level in item["levels"]:
+        if len(level) != len(regs):
+            raise ProtocolError(f"level {level} arity mismatch for regs {regs}")
+        if not all(isinstance(k, (int, np.integer)) and 0 <= k < d for k, d in zip(level, dims)):
+            raise ProtocolError(f"operator {name!r} level {level} is outside dims {dims}")
+        flat.append(sum(k * s for k, s in zip(level, strides)))
+    return regs, np.array(flat, dtype=np.int64)
+
+
+def _acts_on(
+    stack: np.ndarray, union: tuple[str, ...], reg: str, table: RegisterTable, tol: float
 ) -> np.ndarray:
-    """Embed an operator into the ordered register tuple ``target`` (identity elsewhere)."""
-    if tuple(regs) == tuple(target):
-        return mat
-    dims = table.dims(regs)
-    tensor = mat.reshape(dims + dims)
-    n = len(regs)
-    extra = [r for r in target if r not in regs]
-    for r in extra:
-        d = table.get(r).dim
-        tensor = np.tensordot(tensor, np.eye(d), axes=0)
-        # new axes arrive as (..., out_r, in_r); collect positions later
-    # axis layout now: out(regs), in(regs), then (out, in) pairs per extra reg
-    out_axes = {r: i for i, r in enumerate(regs)}
-    in_axes = {r: n + i for i, r in enumerate(regs)}
-    base = 2 * n
-    for k, r in enumerate(extra):
-        out_axes[r] = base + 2 * k
-        in_axes[r] = base + 2 * k + 1
-    order = [out_axes[r] for r in target] + [in_axes[r] for r in target]
-    tensor = np.transpose(tensor, order)
-    full = int(np.prod(table.dims(target)))
-    return tensor.reshape(full, full)
-
-
-def _acts_nontrivially(
-    mat: np.ndarray, regs: Sequence[str], reg: str, table: RegisterTable, tol: float
-) -> bool:
-    """True unless the operator factors as N (x) I on ``reg``."""
-    if reg not in regs:
-        return False
-    dims = table.dims(regs)
-    axis = list(regs).index(reg)
-    d = dims[axis]
-    rest = int(np.prod(dims)) // d
-    tensor = mat.reshape(dims + dims)
-    # move reg's out/in axes last
-    n = len(regs)
-    order = [i for i in range(n) if i != axis] + [i for i in range(n, 2 * n) if i != n + axis]
-    order += [axis, n + axis]
-    t = np.transpose(tensor, order).reshape(rest, rest, d, d)
-    candidate = t[:, :, 0, 0]
-    recomposed = candidate[:, :, None, None] * np.eye(d)[None, None, :, :]
-    scale = max(np.max(np.abs(mat)), 1.0)
-    return bool(np.max(np.abs(t - recomposed)) > tol * scale)
+    """For each operator of ``stack``, dense on ``union``: True unless it
+    factors as N (x) I on ``reg``, i.e. equals its block at reg's level 0
+    times delta(level of reg) to within tol * max(max |M|, 1)."""
+    level, rest = table._index_map(union, (reg,))
+    factored = stack[:, rest[:, None], rest] * (level[:, None] == level)
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    return np.abs(stack - factored).max(axis=(1, 2)) > tol * scale
 
 
 def _parse_operator_docs(
-    docs: Sequence[Mapping], table: RegisterTable, tol: float
+    docs: Sequence[Mapping],
+    table: RegisterTable,
+    by_reg: Mapping[str, ResourceDecl],
+    tol: float,
 ) -> tuple[MeasurementOperator, ...]:
-    plain: list[tuple[str, tuple[str, ...], np.ndarray]] = []
+    """The operators of one step, each dense on all the step's registers (in
+    table order) and marked with the resources whose registers it does not
+    leave as N (x) I."""
+    names: list[str] = []
     complements: list[str] = []
-    order: list[str] = []
+    parts: list[tuple[str, tuple[str, ...], object]] = []
     for doc in docs:
         name = doc.get("name")
-        if not name:
+        if not isinstance(name, str) or not name:
             raise ProtocolError("measurement operator without a name")
-        order.append(name)
+        names.append(name)
         if doc.get("complement"):
             complements.append(name)
-            continue
-        if "proj" in doc:
-            item_regs: list[str] = []
-            for item in doc["proj"]:
-                for r in item["regs"]:
-                    if r not in item_regs:
-                        item_regs.append(r)
-            regs = tuple(r for r in table.names if r in item_regs)
-            dims = table.dims(regs)
-            full = int(np.prod(dims))
-            mat = np.zeros((full, full), dtype=complex)
-            for item in doc["proj"]:
-                iregs = tuple(item["regs"])
-                proj = np.zeros(
-                    (int(np.prod(table.dims(iregs))),) * 2, dtype=complex
-                )
-                strides = _strides(table.dims(iregs))
-                for level in item["levels"]:
-                    if len(level) != len(iregs):
-                        raise ProtocolError(
-                            f"level {level} arity mismatch for regs {iregs}"
-                        )
-                    flat = int(np.dot(level, strides))
-                    proj[flat, flat] += 1.0
-                mat = mat + _extend_operator(proj, iregs, regs, table)
+        elif "proj" in doc:
+            items = [_proj_levels(item, table, name) for item in doc["proj"]]
+            regs = tuple(r for r in table.names if any(r in iregs for iregs, _ in items))
+            parts.append((name, regs, items))
         elif "matrix" in doc:
-            regs = tuple(doc["regs"])
-            if len(set(regs)) != len(regs):
-                raise ProtocolError(f"operator {name!r} lists a register twice")
-            mat = _matrix_from_json(doc["matrix"])
-            full = int(np.prod(table.dims(regs)))
+            regs = _distinct_regs(doc["regs"], name)
+            mat = _matrix_from_json(doc["matrix"], name)
+            full = math.prod(table.dims(regs))
             if mat.shape != (full, full):
                 raise ProtocolError(
                     f"operator {name!r} matrix shape {mat.shape} does not match regs {regs}"
                 )
             if not np.all(np.isfinite(mat)):
                 raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
+            parts.append((name, regs, mat))
         else:
             raise ProtocolError(f"operator {name!r} needs 'proj', 'matrix' or 'complement'")
-        plain.append((name, regs, mat))
 
-    if len(order) != len(set(order)):
+    if len(names) != len(set(names)):
         raise ProtocolError("operator names within a step must be unique")
     if len(complements) > 1:
         raise ProtocolError("at most one complement operator per step")
-    union: list[str] = []
-    for _, regs, _ in plain:
-        for r in regs:
-            if r not in union:
-                union.append(r)
-    union_t = tuple(r for r in table.names if r in union)
-    if not union_t:
+    union = tuple(r for r in table.names if any(r in regs for _, regs, _ in parts))
+    if not union:
         raise ProtocolError("measurement step acts on no registers")
-    full = int(np.prod(table.dims(union_t)))
-    extended = {
-        name: _extend_operator(mat, regs, union_t, table) for name, regs, mat in plain
-    }
+    full = math.prod(table.dims(union))
+    if full > _MAX_STEP_LEVELS:
+        raise ProtocolError(
+            f"measurement step on {union} has {full} levels, above the limit of "
+            f"{_MAX_STEP_LEVELS} for a dense operator"
+        )
+
+    def embed(mat: np.ndarray, regs: tuple[str, ...]) -> np.ndarray:
+        sub, rest = table._index_map(union, regs)
+        return mat[sub[:, None], sub] * (rest[:, None] == rest)
+
+    mats = {}
+    for name, regs, part in parts:
+        if isinstance(part, np.ndarray):
+            mats[name] = embed(part, regs)
+        else:
+            mats[name] = np.zeros((full, full))
+            for iregs, flat in part:
+                counts = np.bincount(flat, minlength=math.prod(table.dims(iregs)))
+                mats[name] += embed(np.diag(counts), iregs)
     if complements:
-        total = sum(extended.values()) if extended else np.zeros((full, full))
-        extended[complements[0]] = np.eye(full) - total
-    ops = []
-    for name in order:
-        ops.append(MeasurementOperator(name=name, regs=union_t, matrix=extended[name]))
-    completeness = sum(op.matrix.conj().T @ op.matrix for op in ops)
+        mats[complements[0]] = np.eye(full) - sum(mats.values())
+    stack = np.array([mats[name] for name in names], dtype=complex)
+    completeness = sum(m.conj().T @ m for m in stack)
     if np.max(np.abs(completeness - np.eye(full))) > tol:
         raise ProtocolError("measurement operators do not satisfy completeness")
-    return tuple(ops)
+
+    touches: list[set[str]] = [set() for _ in names]
+    for r in union:
+        if r in by_reg:
+            for k in np.flatnonzero(_acts_on(stack, union, r, table, tol)):
+                touches[k].add(by_reg[r].name)
+    return tuple(
+        MeasurementOperator(name, union, mat, frozenset(touched))
+        for name, mat, touched in zip(names, stack, touches)
+    )
 
 
 def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
@@ -314,16 +321,22 @@ def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
 
     Checks register uniqueness, resource wiring, measurement completeness,
     measurement locality (a party may only act on registers it owns at that
-    point of the tree), and single-use of every teleport resource.
+    point of the tree), and single-use of every teleport resource.  A
+    document of the wrong shape (a missing key, a number where a list or a
+    mapping belongs) raises :class:`ProtocolError` as well.
     """
     try:
-        table = RegisterTable(
-            tuple(Register(r["name"], r["owner"], int(r["dim"])) for r in doc["registers"])
-        )
-        resource_docs = doc.get("resources", [])
-        root_doc = doc["root"]
-    except (KeyError, TypeError) as exc:
+        return _compile(doc, tol)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ProtocolError(f"malformed protocol document: {exc}") from exc
+
+
+def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
+    table = RegisterTable(
+        tuple(Register(r["name"], r["owner"], r["dim"]) for r in doc["registers"])
+    )
+    resource_docs = doc.get("resources", [])
+    root_doc = doc["root"]
 
     resources = []
     seen = set()
@@ -398,28 +411,12 @@ def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
             party = node["party"]
             if party not in parties:
                 raise ProtocolError(f"unknown measuring party {party!r}")
-            ops = _parse_operator_docs(node["operators"], table, tol)
-            for op in ops:
-                for reg in op.regs:
-                    if owners[reg] != party:
-                        raise ProtocolError(
-                            f"party {party!r} measures register {reg!r} "
-                            f"owned by {owners[reg]!r}"
-                        )
-            touching = []
-            for op in ops:
-                touched = frozenset(
-                    res.name
-                    for res in resources
-                    if any(
-                        _acts_nontrivially(op.matrix, op.regs, reg, table, tol)
-                        for reg in res.registers
-                        if reg in op.regs
+            ops = _parse_operator_docs(node["operators"], table, by_reg, tol)
+            for reg in ops[0].regs:
+                if owners[reg] != party:
+                    raise ProtocolError(
+                        f"party {party!r} measures register {reg!r} owned by {owners[reg]!r}"
                     )
-                )
-                touching.append(
-                    MeasurementOperator(op.name, op.regs, op.matrix, touched)
-                )
             branch_docs = node.get("branches", {})
             names = {op.name for op in ops}
             if set(branch_docs) != names:
@@ -429,7 +426,7 @@ def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
             branches = {
                 name: parse_node(branch_docs[name], owners) for name in branch_docs
             }
-            return MeasurementStep(party=party, operators=tuple(touching), branches=branches)
+            return MeasurementStep(party=party, operators=ops, branches=branches)
         raise ProtocolError(f"unknown node type {kind!r}")
 
     owners0 = {r.name: r.owner for r in table.registers}

@@ -29,7 +29,11 @@ class PartyLayout:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parties", tuple(self.parties))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        given = tuple(self.dims)
+        dims = tuple(int(d) for d in given)
+        if dims != given:
+            raise ValueError(f"local dimensions must be integers, got {list(given)}")
+        object.__setattr__(self, "dims", dims)
         if not self.parties:
             raise ValueError("layout needs at least one party")
         if len(self.parties) != len(self.dims):
@@ -364,7 +368,10 @@ def state_set_from_dict(doc: Mapping) -> StateSet:
                 (tuple(t["idx"]), complex(t["amp"][0], t["amp"][1]))
                 for t in entry["terms"]
             ]
-            states.append(PureState(layout, terms, entry["label"]))
+            label = entry["label"]
+            if not isinstance(label, str):
+                raise ValueError(f"state label {label!r} is not a string")
+            states.append(PureState(layout, terms, label))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed state-set document: {exc}") from exc
     return StateSet(layout, tuple(states))

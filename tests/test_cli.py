@@ -177,6 +177,98 @@ def test_non_finite_protocol_matrix_exits_2(tmp_path, capsys, value):
     assert err.startswith("error:") and "non-finite" in err
 
 
+def _set_levels(levels):
+    def spoil(protocol, states):
+        protocol["root"]["operators"][0]["proj"][0]["levels"] = levels
+    return spoil
+
+
+def _set_matrix_cell(cell):
+    def spoil(protocol, states):
+        # m0p12S0+, a dense 4x4 operator on (A, a), two steps below the root
+        op = protocol["root"]["branches"]["N1"]["branches"]["N2"]["operators"][0]
+        op["matrix"][1][2] = cell
+    return spoil
+
+
+def _setter(*path, value):
+    """Set protocol or states document entry ``path`` (the first key picks
+    the document) to ``value``."""
+    def spoil(protocol, states):
+        node = {"protocol": protocol, "states": states}
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return spoil
+
+
+# Each spoils example1.json or bell.json; each used to end in a traceback, a
+# giant allocation or a wrong answer with exit 0
+MALFORMED_SIMULATE_INPUTS = {
+    # [0, 3] on the dim-2 register a wrapped to (1, 1): exit 0, "correct"
+    "level-above-dim": (_set_levels([[0, 0], [0, 3]]), "outside dims"),
+    # [1, -1] wrapped to (0, 1)
+    "negative-level": (_set_levels([[0, 0], [1, -1]]), "outside dims"),
+    "register-twice": (
+        _setter("protocol", "root", "operators", 0, "proj", 0, "regs", value=["A", "A"]),
+        "lists register 'A' twice",
+    ),
+    "short-cell": (_set_matrix_cell([1]), "[re, im] pairs"),
+    "string-cell": (_set_matrix_cell("1+0j"), "[re, im] pairs"),
+    "pair-number": (
+        _setter("protocol", "resources", 0, "pair", value=5),
+        "malformed protocol document",
+    ),
+    "root-string": (_setter("protocol", "root", value="x"), "malformed protocol document"),
+    "name-list": (
+        _setter("protocol", "root", "operators", 0, "name", value=["N1"]),
+        "operator without a name",
+    ),
+    # 58.2 TiB for the first step's dense operators
+    "giant-register": (
+        _setter("protocol", "registers", 0, "dim", value=10**6),
+        "2000000 levels, above the limit",
+    ),
+    "label-list": (_setter("states", "states", 0, "label", value=["psi1"]), "not a string"),
+    # read as 2 without a word
+    "fractional-dim": (_setter("states", "dims", 1, value=2.5), "must be integers"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SIMULATE_INPUTS))
+def test_malformed_simulate_input_exits_2(tmp_path, capsys, case):
+    spoil, message = MALFORMED_SIMULATE_INPUTS[case]
+    protocol, states = _packaged_doc("example1.json"), _packaged_doc("bell.json")
+    spoil(protocol, states)
+    paths = []
+    for name, doc in (("protocol.json", protocol), ("states.json", states)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    argv = ["simulate", "--protocol", str(paths[0]), "--states", str(paths[1])]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_analyze_takes_ranks_over_the_support(tmp_path, capsys):
+    # a dense coefficient matrix per cut would take 3000 x 9e6 amplitudes
+    layout = PartyLayout(("A", "B", "C"), (3000, 3000, 3000))
+    sset = StateSet(
+        layout,
+        (
+            PureState(layout, [((0, 0, 0), 1), ((2999, 1, 2999), 1)], "ghz"),
+            PureState(layout, [((5, 6, 7), 1)], "product"),
+        ),
+    )
+    path = str(tmp_path / "wide.json")
+    save_state_set(sset, path)
+    code, out, _ = _run(capsys, "analyze", "--input", path)
+    assert code == 0
+    rows = _payload(out)["result"]["profiles"]
+    assert [sorted(row["ranks"].values()) for row in rows] == [[2, 2, 2], [1, 1, 1]]
+
+
 def _wide_set(tmp_path):
     # the joint checks would have m^2 = 10^4 unknowns, above the d = 9 limit
     layout = PartyLayout(("A", "B", "C"), (10, 10, 10))

@@ -5,10 +5,12 @@ from qrubik import (
     Bipartition,
     PartyLayout,
     PureState,
+    build_snoeb,
     build_snoes,
     completion_states,
     embed_shift,
     entanglement_profile,
+    flatten,
     schmidt_rank,
     StateSet,
     tripartite_layout,
@@ -109,3 +111,24 @@ def test_rank_invariant_under_embed_and_permutation():
             [(tuple(int(p[i]) for p, i in zip(perms, idx)), amp) for idx, amp in s.terms],
         )
         assert schmidt_rank(permuted, cut) == base
+
+
+def _dense_rank(s, cut, tol=1e-9):
+    # the rank over the full coefficient matrix, zero rows and columns included
+    svals = np.linalg.svd(flatten(s, cut), compute_uv=False)
+    return int(np.sum(svals > tol * svals[0]))
+
+
+@pytest.mark.parametrize("build", [build_snoes, build_snoeb], ids=["snoes", "snoeb"])
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_support_rank_matches_dense_rank(build, d):
+    sset = build(d)
+    rng = np.random.default_rng(d)
+    for s in sset.states:
+        # a random phase on every term, so that the ranks are not only those
+        # of the constructed states
+        phases = np.exp(2j * np.pi * rng.random(len(s.terms)))
+        s = PureState(s.layout, [(i, a * f) for (i, a), f in zip(s.terms, phases)], s.label)
+        for p in sset.layout.parties:
+            cut = Bipartition.of(sset.layout, [p])
+            assert schmidt_rank(s, cut) == _dense_rank(s, cut)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from qrubik.locc import (
     SimState,
     StateOutcome,
     Teleport,
+    RegisterTable,
     _initial_state,
 )
+from qrubik.states import _strides
 from qrubik.protocols import (
     SNAKE_3,
     bell_state_set,
@@ -746,17 +749,197 @@ def test_shipped_documents_round_trip():
         assert spec.name == "prop1"
 
 
+# The dense re-layout of operators that parse_protocol used before its index
+# map: an embedding by tensordot with np.eye and a transpose, and a factor
+# test by reshape, transpose and compare.  The parsed operators must match it.
+
+
+def _extend_operator(
+    mat: np.ndarray,
+    regs: Sequence[str],
+    target: Sequence[str],
+    table: RegisterTable,
+) -> np.ndarray:
+    """Embed an operator into the ordered register tuple ``target`` (identity elsewhere)."""
+    if tuple(regs) == tuple(target):
+        return mat
+    dims = table.dims(regs)
+    tensor = mat.reshape(dims + dims)
+    n = len(regs)
+    extra = [r for r in target if r not in regs]
+    for r in extra:
+        d = table.get(r).dim
+        tensor = np.tensordot(tensor, np.eye(d), axes=0)
+        # new axes arrive as (..., out_r, in_r); collect positions later
+    # axis layout now: out(regs), in(regs), then (out, in) pairs per extra reg
+    out_axes = {r: i for i, r in enumerate(regs)}
+    in_axes = {r: n + i for i, r in enumerate(regs)}
+    base = 2 * n
+    for k, r in enumerate(extra):
+        out_axes[r] = base + 2 * k
+        in_axes[r] = base + 2 * k + 1
+    order = [out_axes[r] for r in target] + [in_axes[r] for r in target]
+    tensor = np.transpose(tensor, order)
+    full = int(np.prod(table.dims(target)))
+    return tensor.reshape(full, full)
+
+
+def _acts_nontrivially(
+    mat: np.ndarray, regs: Sequence[str], reg: str, table: RegisterTable, tol: float
+) -> bool:
+    """True unless the operator factors as N (x) I on ``reg``."""
+    if reg not in regs:
+        return False
+    dims = table.dims(regs)
+    axis = list(regs).index(reg)
+    d = dims[axis]
+    rest = int(np.prod(dims)) // d
+    tensor = mat.reshape(dims + dims)
+    # move reg's out/in axes last
+    n = len(regs)
+    order = [i for i in range(n) if i != axis] + [i for i in range(n, 2 * n) if i != n + axis]
+    order += [axis, n + axis]
+    t = np.transpose(tensor, order).reshape(rest, rest, d, d)
+    candidate = t[:, :, 0, 0]
+    recomposed = candidate[:, :, None, None] * np.eye(d)[None, None, :, :]
+    scale = max(np.max(np.abs(mat)), 1.0)
+    return bool(np.max(np.abs(t - recomposed)) > tol * scale)
+
+
+def _reference_step(docs, table, resources, tol=1e-9):
+    """One step's operators, embedded on the step's registers, and the
+    resources each touches, built with the dense reference helpers."""
+    plain = {}
+    complement = None
+    for doc in docs:
+        if doc.get("complement"):
+            complement = doc["name"]
+        elif "proj" in doc:
+            regs = tuple(r for r in table.names if any(r in i["regs"] for i in doc["proj"]))
+            mat = np.zeros((math.prod(table.dims(regs)),) * 2, dtype=complex)
+            for item in doc["proj"]:
+                iregs = tuple(item["regs"])
+                proj = np.zeros((math.prod(table.dims(iregs)),) * 2, dtype=complex)
+                for level in item["levels"]:
+                    flat = int(np.dot(level, _strides(table.dims(iregs))))
+                    proj[flat, flat] += 1.0
+                mat = mat + _extend_operator(proj, iregs, regs, table)
+            plain[doc["name"]] = regs, mat
+        else:
+            matrix = [[complex(re, im) for re, im in row] for row in doc["matrix"]]
+            plain[doc["name"]] = tuple(doc["regs"]), np.array(matrix, dtype=complex)
+    union = tuple(r for r in table.names if any(r in regs for regs, _ in plain.values()))
+    ops = {name: _extend_operator(mat, regs, union, table) for name, (regs, mat) in plain.items()}
+    if complement:
+        ops[complement] = np.eye(math.prod(table.dims(union))) - sum(ops.values())
+    touches = {
+        name: frozenset(
+            res.name
+            for res in resources
+            for r in res.registers
+            if r in union and _acts_nontrivially(mat, union, r, table, tol)
+        )
+        for name, mat in ops.items()
+    }
+    return union, ops, touches
+
+
+def _steps(doc, node):
+    """Each measurement step of a parsed tree with its document."""
+    if isinstance(node, Teleport):
+        yield from _steps(doc["then"], node.then)
+    elif not isinstance(node, Leaf):
+        yield doc, node
+        for name, child in node.branches.items():
+            yield from _steps(doc["branches"][name], child)
+
+
+def _assert_matches_reference(doc, spec):
+    steps = 0
+    for step_doc, step in _steps(doc["root"], spec.root):
+        union, ops, touches = _reference_step(step_doc["operators"], spec.table, spec.resources)
+        assert [op.name for op in step.operators] == [d["name"] for d in step_doc["operators"]]
+        for op in step.operators:
+            assert op.regs == union
+            assert np.array_equal(op.matrix, ops[op.name]), op.name
+            assert op.touches == touches[op.name], op.name
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("name", ["example1", "prop1", "prop2"])
+def test_parsed_operators_match_dense_reference(name):
+    from importlib import resources
+
+    doc = json.loads(resources.files("qrubik").joinpath("data", f"{name}.json").read_text())
+    assert _assert_matches_reference(doc, parse_protocol(doc)) > 0
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("factored", [False, True], ids=["entangling", "factored"])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_random_matrix_operators_match_dense_reference(seed, factored):
+    # Alice holds A, c and her half a of a shared pair; her two operators list
+    # their registers out of table order, so the embedding must permute, and
+    # a factored operator leaves a as N (x) I and so must not touch the pair
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.2, 1.3)
+    if factored:
+        first = np.kron(np.eye(3), _random_unitary(rng, 2))  # on (a, A)
+        second = np.kron(_random_unitary(rng, 2), np.eye(3))  # on (c, a)
+    else:
+        first, second = _random_unitary(rng, 6), _random_unitary(rng, 6)
+    ops = [
+        {"name": "K", "regs": ["a", "A"], "matrix": math.cos(theta) * first},
+        {"name": "L", "regs": ["c", "a"], "matrix": math.sin(theta) * second},
+    ]
+    for op in ops:
+        op["matrix"] = [[[z.real, z.imag] for z in row] for row in op["matrix"]]
+    doc = {
+        "name": "toy",
+        "registers": [
+            {"name": "A", "owner": "Alice", "dim": 2},
+            {"name": "B", "owner": "Bob", "dim": 2},
+            {"name": "c", "owner": "Alice", "dim": 2},
+            {"name": "a", "owner": "Alice", "dim": 3},
+            {"name": "b", "owner": "Bob", "dim": 3},
+        ],
+        "resources": [
+            {"name": "r", "pair": ["Alice", "Bob"], "dim": 3, "registers": ["a", "b"]}
+        ],
+        "root": {
+            "type": "measure",
+            "party": "Alice",
+            "operators": ops,
+            "branches": {
+                "K": {"type": "leaf", "answer": "x"},
+                "L": {"type": "leaf", "answer": "y"},
+            },
+        },
+    }
+    spec = parse_protocol(doc)
+    assert _assert_matches_reference(doc, spec) == 1
+    assert spec.root.operators[0].regs == ("A", "c", "a")
+    touched = frozenset() if factored else frozenset({"r"})
+    assert [op.touches for op in spec.root.operators] == [touched, touched]
+
+
 def test_identity_factor_detection_drives_touching():
-    from qrubik.locc import RegisterTable, Register, _acts_nontrivially
+    from qrubik.locc import RegisterTable, Register, _acts_on
 
     table = RegisterTable(
         (Register("A", "Alice", 2), Register("a", "Alice", 2))
     )
+    union = ("A", "a")
     correlated = np.zeros((4, 4), dtype=complex)
     for a_level, anc in ((0, 0), (1, 1)):
         correlated[a_level * 2 + anc, a_level * 2 + anc] = 1.0
-    assert _acts_nontrivially(correlated, ("A", "a"), "a", table, 1e-9)
+    assert _acts_on(correlated[None], union, "a", table, 1e-9).all()
 
     factored = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), 3 * np.eye(2))
-    assert not _acts_nontrivially(factored, ("A", "a"), "a", table, 1e-9)
-    assert _acts_nontrivially(factored, ("A", "a"), "A", table, 1e-9)
+    assert not _acts_on(factored[None], union, "a", table, 1e-9).any()
+    assert _acts_on(factored[None], union, "A", table, 1e-9).all()

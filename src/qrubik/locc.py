@@ -128,17 +128,13 @@ class MeasurementOperator:
     touches: frozenset[str] = field(default=frozenset())
 
     @functools.cached_property
-    def _columns(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-        """The matrix's diagonal if nothing lies off it, and its nonzeros:
-        ``slots[s]`` lists those of column s (padded with -1), and each has
-        its row and its value."""
-        col, row = np.nonzero(self.matrix.T)
-        width = np.bincount(col, minlength=self.matrix.shape[1])
-        lane = np.arange(col.size) - (np.cumsum(width) - width)[col]
-        slots = np.full((width.size, width.max(initial=0)), -1)
-        slots[col, lane] = np.arange(col.size)
-        diagonal = self.matrix.diagonal().copy() if np.array_equal(row, col) else None
-        return diagonal, slots, row, self.matrix[row, col]
+    def _gather(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The matrix's diagonal if nothing lies off it, and the rows that
+        hold a nonzero."""
+        diagonal = self.matrix.diagonal().copy()
+        if np.count_nonzero(self.matrix) != np.count_nonzero(diagonal):
+            diagonal = None
+        return diagonal, np.flatnonzero(self.matrix.any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -440,17 +436,6 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
     )
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Interpreter state: live register axes, vector, ownership, consumed set."""
-
-    table: RegisterTable
-    live: tuple[str, ...]
-    vector: np.ndarray
-    owners: Mapping[str, str]
-    consumed: frozenset[str]
-
-
 def _abs2(amp: np.ndarray) -> np.ndarray:
     return amp.real * amp.real + amp.imag * amp.imag
 
@@ -487,8 +472,7 @@ class _Joint:
     Entry e is the amplitude ``amp[e]`` at ``pos[e] = row * table.size + flat``
     of candidate ``row``, where ``flat`` is the C-order index over the whole
     register table and a register that is no longer live sits at level 0.
-    Positions are unique and sorted, and amplitudes nonzero.  A
-    :class:`SimState` is the one-candidate case.
+    Positions are unique and sorted, and amplitudes nonzero.
     """
 
     table: RegisterTable
@@ -498,25 +482,6 @@ class _Joint:
     count: int
     pos: np.ndarray
     amp: np.ndarray
-
-    @classmethod
-    def of(cls, sim: SimState) -> "_Joint":
-        """The one candidate of a dense :class:`SimState`."""
-        vector = np.asarray(sim.vector)
-        at = np.flatnonzero(vector)
-        digits = np.unravel_index(at, vector.shape)
-        pos = sum(d * sim.table.strides[r] for d, r in zip(digits, sim.live))
-        order = np.argsort(pos)
-        amp = vector.reshape(-1)[at[order]]
-        return cls(sim.table, sim.live, sim.owners, sim.consumed, 1, pos[order], amp)
-
-    def sim(self) -> SimState:
-        """The one candidate as a dense :class:`SimState`."""
-        dims = self.table.dims(self.live)
-        vector = np.zeros(dims, dtype=complex)
-        digits = tuple(self.pos // self.table.strides[r] % d for r, d in zip(self.live, dims))
-        vector[digits] = self.amp
-        return SimState(self.table, self.live, vector, self.owners, self.consumed)
 
     def _entries(self, pos: np.ndarray, amp: np.ndarray) -> "_Joint":
         return _Joint(self.table, self.live, self.owners, self.consumed, self.count, pos, amp)
@@ -535,7 +500,7 @@ class _Joint:
         if not self.norm2.all():
             raise ValueError("cannot measure the zero state")
         strides, dims, inner, offset = self.table._layout(op.regs)
-        diagonal, slots, out, value = op._columns
+        diagonal, rows = op._gather
         # each entry's index on op.regs picks the operator column it meets
         sub = (self.pos[:, None] // strides % dims) @ inner
         if diagonal is not None:
@@ -543,15 +508,13 @@ class _Joint:
             nonzero = amp != 0
             post = self._entries(self.pos[nonzero], amp[nonzero])
         else:
-            # scatter the column's nonzeros to the entry's position with
-            # that index replaced by their rows
-            src, lane = np.nonzero(slots[sub] >= 0)
-            at = slots[sub[src], lane]
+            # gather the column at the rows that hold a nonzero, and scatter
+            # the nonzero products to the entry's position with that index
+            # replaced by their rows
+            value = op.matrix[rows[:, None], sub].T * self.amp[:, None]
+            src, k = np.nonzero(value)
             post = self._entries(
-                *_coalesced(
-                    (self.pos - offset[sub])[src] + offset[out[at]],
-                    value[at] * self.amp[src],
-                )
+                *_coalesced((self.pos - offset[sub])[src] + offset[rows[k]], value[src, k])
             )
         return post, post.norm2 / self.norm2
 
@@ -619,27 +582,6 @@ class _Joint:
         mat = np.zeros((self.count, columns.size), dtype=complex)
         mat[row, col] = self.amp
         return mat.conj() @ mat.T
-
-
-def apply_measurement(
-    sim: SimState, op: MeasurementOperator
-) -> tuple[SimState, float]:
-    """Apply one outcome operator; returns the unnormalized post-state and the
-    Born probability |M psi|^2 / |psi|^2."""
-    post, born = _Joint.of(sim).measure(op)
-    return post.sim(), float(born[0])
-
-
-def teleport(
-    sim: SimState, source: str, resource: ResourceDecl, to: str, tol: float = DEFAULT_TOL
-) -> SimState:
-    """Ideal teleport: reassign ``source`` to ``to`` and consume the resource.
-
-    Outcome corrections are local unitaries and are modeled away, so the
-    amplitudes are unchanged.  The resource pair must still be in its initial
-    entangled state; it is factored out of the live vector.
-    """
-    return _Joint.of(sim).teleport(source, resource, to, tol).sim()
 
 
 @dataclass(frozen=True)
@@ -723,10 +665,6 @@ def _initial(spec: ProtocolSpec, states: Sequence) -> _Joint:
     )
 
 
-def _initial_state(spec: ProtocolSpec, state) -> SimState:
-    return _initial(spec, [state]).sim()
-
-
 def _groups(
     spec: ProtocolSpec, sset: StateSet, tol: float
 ) -> Iterator[tuple[object, np.ndarray, np.ndarray, _Joint]]:
@@ -736,6 +674,8 @@ def _groups(
     their path probabilities and their joint state.  A candidate leaves a
     branch whose Born probability is at most the pruning cutoff.
     """
+    if not len(sset):
+        raise ProtocolError("the state set has no states to discriminate")
     principal = spec.principal_registers
     if len(principal) != len(sset.layout.parties):
         raise ProtocolError(
@@ -782,7 +722,7 @@ def run_protocol(
 
     outcomes = []
     copies = {res.name: 0.0 for res in spec.resources}
-    weight = 1.0 / len(sset) if len(sset) else 0.0
+    weight = 1.0 / len(sset)
     for state, found in zip(sset.states, branches):
         total = sum(b.probability for b in found)
         correct = bool(found) and all(b.answer == state.label for b in found)

@@ -307,40 +307,6 @@ def validate_set(sset: StateSet, tol: float = DEFAULT_TOL) -> SetReport:
     return SetReport(size=len(sset), pairwise_orthogonal=orthogonal, span_rank=rank)
 
 
-def embed_shift(
-    sset: StateSet,
-    offsets: Mapping[str, int] | Sequence[int],
-    dims: Sequence[int] | None = None,
-) -> StateSet:
-    """Shift every index component by a per-party offset, optionally enlarging dims.
-
-    Amplitudes are untouched, so all pairwise inner products are preserved
-    exactly.  Raises if any shifted index falls outside the target dimensions.
-    """
-    layout = sset.layout
-    if isinstance(offsets, Mapping):
-        offs = tuple(int(offsets.get(p, 0)) for p in layout.parties)
-    else:
-        offs = tuple(int(o) for o in offsets)
-        if len(offs) != len(layout.parties):
-            raise ValueError("one offset per party required")
-    new_dims = tuple(int(d) for d in (dims if dims is not None else layout.dims))
-    target = PartyLayout(layout.parties, new_dims)
-    shifted = []
-    for s in sset.states:
-        terms = []
-        for idx, amp in s.terms:
-            new_idx = tuple(i + o for i, o in zip(idx, offs))
-            for component, d in zip(new_idx, new_dims):
-                if not 0 <= component < d:
-                    raise ValueError(
-                        f"shifted index {new_idx} escapes target dims {new_dims}"
-                    )
-            terms.append((new_idx, amp))
-        shifted.append(PureState(target, terms, s.label))
-    return StateSet(target, tuple(shifted))
-
-
 def state_set_to_dict(sset: StateSet) -> dict:
     """JSON-ready document: dims, parties, and per-state sparse terms as [re, im]."""
     return {

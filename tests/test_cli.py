@@ -230,6 +230,8 @@ MALFORMED_SIMULATE_INPUTS = {
         "2000000 levels, above the limit",
     ),
     "label-list": (_setter("states", "states", 0, "label", value=["psi1"]), "not a string"),
+    # exit 0 with "correct: true" about no states
+    "no-states": (_setter("states", "states", value=[]), "no states"),
     # read as 2 without a word
     "fractional-dim": (_setter("states", "dims", 1, value=2.5), "must be integers"),
 }

@@ -1,4 +1,5 @@
-"""Shipped data files stay in sync with their builders and load cleanly."""
+"""Shipped data files stay in sync with their builders and load cleanly, and
+every public name resolves."""
 
 import json
 import os
@@ -7,6 +8,7 @@ import tempfile
 import pytest
 from importlib import resources
 
+import qrubik
 from qrubik import load_state_set, parse_protocol, run_protocol, validate_set
 from qrubik.cli import main
 from qrubik.make_data import write_data
@@ -14,6 +16,11 @@ from qrubik.make_data import write_data
 
 def _packaged(name):
     return resources.files("qrubik").joinpath("data", name)
+
+
+def test_public_names_resolve():
+    assert [name for name in qrubik.__all__ if not hasattr(qrubik, name)] == []
+    assert len(set(qrubik.__all__)) == len(qrubik.__all__)
 
 
 @pytest.mark.parametrize(

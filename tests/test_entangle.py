@@ -8,11 +8,9 @@ from qrubik import (
     build_snoeb,
     build_snoes,
     completion_states,
-    embed_shift,
     entanglement_profile,
     flatten,
     schmidt_rank,
-    StateSet,
     tripartite_layout,
 )
 
@@ -102,7 +100,7 @@ def test_rank_invariant_under_embed_and_permutation():
         s = PureState(layout, [(c, complex(rng.normal(), rng.normal())) for c in cells], "s")
         base = schmidt_rank(s, cut)
 
-        shifted = embed_shift(StateSet(layout, (s,)), (1, 2, 0), dims=(5, 5, 5))[0]
+        shifted = PureState(big, [((a + 1, b + 2, c), amp) for (a, b, c), amp in s.terms])
         assert schmidt_rank(shifted, big_cut) == base
 
         perms = [rng.permutation(3) for _ in range(3)]

@@ -3,8 +3,8 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -14,25 +14,23 @@ from qrubik import (
     ProtocolError,
     PureState,
     StateSet,
-    apply_measurement,
     build_snoes,
     check_orthogonality_preservation,
     parse_protocol,
     run_protocol,
-    teleport,
 )
 from qrubik.locc import (
     _PRUNE,
     BranchOutcome,
     Leaf,
     MeasurementOperator,
-    SimState,
     StateOutcome,
     Teleport,
     RegisterTable,
-    _initial_state,
+    _initial,
+    _Joint,
 )
-from qrubik.states import _strides
+from qrubik.states import DEFAULT_TOL, _strides
 from qrubik.protocols import (
     SNAKE_3,
     bell_state_set,
@@ -185,39 +183,40 @@ def test_parse_rejects_resource_reuse_and_dim_mismatch():
 def test_apply_measurement_born_rule():
     spec = parse_protocol(example1_protocol())
     bell = bell_state_set()
-    sim = _initial_state(spec, bell[0])  # |00>+|11> with the shared pair
+    joint = _initial(spec, [bell[0]])  # |00>+|11> with the shared pair
     n1 = spec.root.operators[0]
-    post, prob = apply_measurement(sim, n1)
-    assert prob == pytest.approx(0.5)
+    post, prob = joint.measure(n1)
+    assert prob[0] == pytest.approx(0.5)
     # surviving components are |0,0,0,0> and |1,1,1,1> on (A, B, a, b)
-    nz = {tuple(int(x) for x in idx) for idx in np.argwhere(np.abs(post.vector) > 1e-12)}
+    nz = {tuple(int(x) for x in idx) for idx in np.argwhere(np.abs(_dense(post).vector) > 1e-12)}
     assert nz == {(0, 0, 0, 0), (1, 1, 1, 1)}
 
     ident = type(n1)(name="I", regs=("A",), matrix=np.eye(2, dtype=complex))
-    same, prob = apply_measurement(sim, ident)
-    assert prob == pytest.approx(1.0)
-    assert np.allclose(same.vector, sim.vector)
+    same, prob = joint.measure(ident)
+    assert prob[0] == pytest.approx(1.0)
+    assert np.allclose(_dense(same).vector, _dense(joint).vector)
 
     nothing = type(n1)(
         name="Z", regs=("A", "a"), matrix=np.zeros((4, 4), dtype=complex)
     )
-    _, prob = apply_measurement(sim, nothing)
-    assert prob == 0.0
+    _, prob = joint.measure(nothing)
+    assert prob[0] == 0.0
 
 
 def test_teleport_moves_ownership_and_consumes():
     spec = parse_protocol(prop1_protocol())
     b3 = build_snoes(3)
-    sim = _initial_state(spec, b3[0])
+    joint = _initial(spec, [b3[0]])
     res = spec.resource("phi3_bc")
-    moved = teleport(sim, "C", res, "Bob")
+    moved = joint.teleport("C", res, "Bob", DEFAULT_TOL)
     assert moved.owners["C"] == "Bob"
     assert "phi3_bc" in moved.consumed
     assert "b0" not in moved.live and "c0" not in moved.live
     # amplitudes unchanged: norm matches the input state times remaining pairs
-    assert np.vdot(moved.vector, moved.vector).real == pytest.approx(2 * 2 * 2)
+    vector = _dense(moved).vector
+    assert np.vdot(vector, vector).real == pytest.approx(2 * 2 * 2)
     with pytest.raises(ValueError, match="consumed"):
-        teleport(moved, "C", res, "Charlie")
+        moved.teleport("C", res, "Charlie", DEFAULT_TOL)
 
 
 def test_teleport_grid_mapping_matches_reference_bipartite_set():
@@ -225,7 +224,7 @@ def test_teleport_grid_mapping_matches_reference_bipartite_set():
     b3 = build_snoes(3)
     res = spec.resource("phi3_bc")
     for k, s in enumerate(b3.states):
-        sim = teleport(_initial_state(spec, s), "C", res, "Bob")
+        sim = _dense(_initial(spec, [s]).teleport("C", res, "Bob", DEFAULT_TOL))
         # project out the untouched dim-2 pairs and read the (A, B, C) part
         axes = [sim.live.index(r) for r in ("A", "B", "C")]
         vec = sim.vector
@@ -360,6 +359,16 @@ def test_state_set_must_fit_principal_registers():
         run_protocol(spec, build_snoes(3))
 
 
+def test_empty_state_set_is_refused():
+    # no states to tell apart: neither a report of "correct" nor a vacuous
+    # orthogonality verdict
+    spec = parse_protocol(example1_protocol())
+    empty = StateSet(bell_state_set().layout, ())
+    for walk in (run_protocol, check_orthogonality_preservation):
+        with pytest.raises(ProtocolError, match="no states"):
+            walk(spec, empty)
+
+
 def _two_party_3x3():
     layout = PartyLayout(("A", "B"), (3, 3))
     return StateSet(
@@ -403,6 +412,37 @@ def test_orthogonality_check_reports_collapse():
 # qrubik.locc must reproduce it.
 
 
+@dataclass(frozen=True)
+class _Dense:
+    """One candidate: live register axes, vector, ownership, consumed set."""
+
+    table: RegisterTable
+    live: tuple[str, ...]
+    vector: np.ndarray
+    owners: Mapping[str, str]
+    consumed: frozenset[str]
+
+
+def _dense(joint):
+    """The one candidate of ``joint`` as a dense vector over its live registers."""
+    assert joint.count == 1
+    dims = joint.table.dims(joint.live)
+    vector = np.zeros(dims, dtype=complex)
+    digits = tuple(joint.pos // joint.table.strides[r] % d for r, d in zip(joint.live, dims))
+    vector[digits] = joint.amp
+    return _Dense(joint.table, joint.live, vector, joint.owners, joint.consumed)
+
+
+def _joint(dense):
+    """A dense candidate as a one-candidate sparse state."""
+    at = np.flatnonzero(dense.vector)
+    digits = np.unravel_index(at, dense.vector.shape)
+    pos = sum(d * dense.table.strides[r] for d, r in zip(digits, dense.live))
+    order = np.argsort(pos)
+    amp = dense.vector.reshape(-1)[at[order]]
+    return _Joint(dense.table, dense.live, dense.owners, dense.consumed, 1, pos[order], amp)
+
+
 def _dense_initial_state(spec, state):
     table = spec.table
     names = table.names
@@ -423,7 +463,7 @@ def _dense_initial_state(spec, state):
                 full[pos[rb]] = level
             vector[tuple(full)] = amp
     owners = {r.name: r.owner for r in table.registers}
-    return SimState(table, names, vector, owners, frozenset())
+    return _Dense(table, names, vector, owners, frozenset())
 
 
 def _dense_apply_measurement(sim, op):
@@ -438,7 +478,7 @@ def _dense_apply_measurement(sim, op):
     post = op.matrix @ flat
     prob = float(np.vdot(post, post).real) / before
     post_tensor = np.moveaxis(post.reshape(moved.shape), range(len(axes)), axes)
-    return SimState(sim.table, sim.live, post_tensor, sim.owners, sim.consumed), prob
+    return _Dense(sim.table, sim.live, post_tensor, sim.owners, sim.consumed), prob
 
 
 def _dense_teleport(sim, source, resource, to, tol=1e-9):
@@ -464,7 +504,7 @@ def _dense_teleport(sim, source, resource, to, tol=1e-9):
     live = tuple(n for n in sim.live if n not in (r1, r2))
     owners = dict(sim.owners)
     owners[source] = to
-    return SimState(
+    return _Dense(
         sim.table, live, v.reshape(rest_shape), owners, sim.consumed | {resource.name}
     )
 
@@ -493,7 +533,7 @@ def _reference_outcomes(spec, sset, tol=1e-9):
                 post, p = _dense_apply_measurement(sim, op)
                 if p <= _PRUNE:
                     continue
-                next_sim = SimState(
+                next_sim = _Dense(
                     post.table,
                     post.live,
                     post.vector,
@@ -579,28 +619,35 @@ def test_joint_walk_agrees_on_scaled_sets(protocol, states, seed, phases):
 
 
 def test_one_candidate_kernels_match_dense_reference():
-    # a dense random state and a dense operator on two registers, listed out
-    # of table order, so that every column scatters to several rows and the
-    # sums have many terms
+    # a dense random state and operators on two registers, listed out of
+    # table order: a dense one, so that every column scatters to several
+    # rows and the sums have many terms, and a rank-1 projector on levels 1
+    # and 4, as the sign dances use, whose zero rows make the row map count
     spec = parse_protocol(prop1_protocol())
     rng = np.random.default_rng(5)
-    sim = _initial_state(spec, build_snoes(3)[4])
+    entangled = _initial(spec, [build_snoes(3)[4]])
+    sim = _dense(entangled)
     vector = rng.normal(size=sim.vector.shape) + 1j * rng.normal(size=sim.vector.shape)
     vector[rng.random(vector.shape) < 0.3] = 0
     sim = replace(sim, vector=vector)
     regs = ("b", "B")
-    matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op = MeasurementOperator(name="M", regs=regs, matrix=matrix)
-    post, prob = apply_measurement(sim, op)
-    want, want_prob = _dense_apply_measurement(sim, op)
-    assert post.live == want.live
-    assert np.allclose(post.vector, want.vector, rtol=1e-14, atol=1e-14)
-    assert prob == pytest.approx(want_prob, rel=1e-14)
+    sign = np.zeros(6)
+    sign[[1, 4]] = 1, -1
+    for matrix in (
+        rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+        np.outer(sign, sign) / 2,
+    ):
+        op = MeasurementOperator(name="M", regs=regs, matrix=matrix)
+        post, prob = _joint(sim).measure(op)
+        post = _dense(post)
+        want, want_prob = _dense_apply_measurement(sim, op)
+        assert post.live == want.live
+        assert np.allclose(post.vector, want.vector, rtol=1e-14, atol=1e-14)
+        assert prob[0] == pytest.approx(want_prob, rel=1e-14)
 
     res = spec.resource("phi3_bc")
-    entangled = _initial_state(spec, build_snoes(3)[4])
-    moved = teleport(entangled, "C", res, "Bob")
-    reference = _dense_teleport(entangled, "C", res, "Bob")
+    moved = _dense(entangled.teleport("C", res, "Bob", DEFAULT_TOL))
+    reference = _dense_teleport(_dense(entangled), "C", res, "Bob")
     assert (moved.live, moved.owners, moved.consumed) == (
         reference.live, reference.owners, reference.consumed
     )

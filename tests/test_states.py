@@ -10,7 +10,6 @@ from qrubik import (
     PartyLayout,
     PureState,
     StateSet,
-    embed_shift,
     flatten,
     inner_product,
     norm,
@@ -164,30 +163,6 @@ def test_span_rank_bound():
     )
     report = validate_set(StateSet(layout, states))
     assert report.span_rank <= min(7, layout.total_dim)
-
-
-def test_embed_shift_preserves_inner_products_exactly():
-    rng = np.random.default_rng(5)
-    layout = _layout3()
-    states = tuple(_random_state(layout, rng, label=f"s{i}") for i in range(6))
-    sset = StateSet(layout, states)
-    shifted = embed_shift(sset, (1, 2, 0), dims=(5, 6, 4))
-    for i in range(6):
-        for j in range(6):
-            assert inner_product(sset[i], sset[j]) == inner_product(
-                shifted[i], shifted[j]
-            )
-
-
-def test_embed_shift_identity_and_errors():
-    s24 = set3_states()
-    same = embed_shift(s24, (0, 0, 0))
-    assert same.states == s24.states
-    with pytest.raises(ValueError):
-        embed_shift(s24, (1, 0, 0))  # index 2 -> 3 escapes dim 3
-    core = embed_shift(s24, (1, 1, 1), dims=(5, 5, 5))
-    levels = {c for s in core.states for idx in s.support for c in idx}
-    assert levels == {1, 2, 3}
 
 
 def test_json_round_trip_byte_identical():

@@ -487,6 +487,37 @@ def test_scale_invariance_of_verdicts():
         assert c1.verdict.solution_dim == c2.verdict.solution_dim
 
 
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_snoes(3), lambda: build_snoeb(3), ghz_basis],
+    ids=["snoes(3)", "snoeb(3)", "ghz"],
+)
+@pytest.mark.parametrize("seed", [41, 43])
+def test_local_unitary_invariance_of_solution_dims(build, seed):
+    # U_A (x) U_B (x) U_C maps the solutions E of each check to U E U^dagger,
+    # so no check's solution space may change dimension
+    sset = build()
+    dims = sset.layout.dims
+    rng = np.random.default_rng(seed)
+    unitaries = [_haar_unitary(rng, d) for d in dims]
+    rotated = []
+    for s in sset.states:
+        tensor = np.einsum(
+            "ai,bj,ck,ijk->abc", *unitaries, s.to_vector().reshape(dims)
+        )
+        rotated.append(PureState(sset.layout, list(np.ndenumerate(tensor)), s.label))
+    base = verify_strong_nonlocality(sset)
+    moved = verify_strong_nonlocality(StateSet(sset.layout, tuple(rotated)))
+    assert [c.verdict.solution_dim for c in moved.checks] == [
+        c.verdict.solution_dim for c in base.checks
+    ]
+
+
 def test_superset_monotonicity_on_nested_prefixes():
     s24 = set3_states()
     cut = Bipartition.of(s24.layout, ["A"])

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .states import DEFAULT_TOL, Bipartition, PureState, StateSet
+from .states import (
+    DEFAULT_TOL,
+    Bipartition,
+    PartyLayout,
+    PureState,
+    StateSet,
+    _block_singular_values,
+    _flat_index,
+    _term_arrays,
+)
 
 
 @dataclass(frozen=True)
@@ -18,55 +28,68 @@ class EntanglementProfile:
     genuine: bool
 
 
-def schmidt_rank(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank of the coefficient matrix across a bipartition.
+def _schmidt_ranks(
+    layout: PartyLayout, states: Sequence[PureState], cuts: Sequence[Bipartition], tol: float
+) -> np.ndarray:
+    """Schmidt rank of every state (rows) across every cut (columns).
 
-    The matrix is taken over the state's support only, with a row per
-    distinct left index and a column per distinct right index of its terms:
-    the zero rows and columns of the full matrix add no singular value.
-    Singular values below ``tol`` times the largest are treated as zero.
+    A state's coefficient matrix across a cut is taken over its support only,
+    with a row per distinct left index and a column per distinct right index
+    of its terms, both in lexicographic order: the zero rows and columns of
+    the full matrix add no singular value. The matrices of all states are
+    stacked by shape into batched SVDs, and singular values below ``tol``
+    times a state's largest are treated as zero.
     """
-    if s.is_zero():
+    if any(s.is_zero() for s in states):
         raise ValueError("Schmidt rank of the zero state is undefined")
-    cut.validate_for(s.layout)
-    left = [s.layout.axis(p) for p in cut.left]
-    right = [s.layout.axis(p) for p in cut.right]
-    keys = [(tuple(idx[a] for a in left), tuple(idx[a] for a in right)) for idx in s.support]
-    rows, cols = ({k: n for n, k in enumerate(sorted(set(side)))} for side in zip(*keys))
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for (l, r), (_, amp) in zip(keys, s.terms):
-        mat[rows[l], cols[r]] = amp
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > tol * svals[0]))
+    state, idx, amps = _term_arrays(layout, states)
+    ranks = np.empty((len(states), len(cuts)), dtype=np.int64)
+    for k, cut in enumerate(cuts):
+        cut.validate_for(layout)
+        left = _flat_index(idx, layout.dims, [layout.axis(p) for p in cut.left])
+        right = _flat_index(idx, layout.dims, [layout.axis(p) for p in cut.right])
+        for ids, svals in _block_singular_values(state, left, right, amps, len(states)):
+            ranks[ids, k] = np.sum(svals > tol * svals[:, :1], axis=1)
+    return ranks
+
+
+def schmidt_rank(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> int:
+    """Numerical rank of the coefficient matrix across a bipartition, over the
+    state's support; see ``_schmidt_ranks``."""
+    return int(_schmidt_ranks(s.layout, [s], [cut], tol)[0, 0])
+
+
+def _profiles(
+    layout: PartyLayout, states: Sequence[PureState], tol: float
+) -> list[EntanglementProfile]:
+    """Profiles of tripartite states across the three one-party-vs-rest cuts."""
+    if len(layout.parties) != 3:
+        raise ValueError("entanglement profile is defined for tripartite layouts")
+    cuts = [Bipartition.of(layout, [p]) for p in layout.parties]
+    names = [cut.name for cut in cuts]
+    return [
+        EntanglementProfile(
+            ranks=dict(zip(names, row)),
+            entangled=any(r > 1 for r in row),
+            genuine=all(r > 1 for r in row),
+        )
+        for row in _schmidt_ranks(layout, states, cuts, tol).tolist()
+    ]
 
 
 def entanglement_profile(s: PureState, tol: float = DEFAULT_TOL) -> EntanglementProfile:
     """Ranks for the three one-party-vs-rest cuts of a tripartite state."""
-    if len(s.layout.parties) != 3:
-        raise ValueError("entanglement profile is defined for tripartite layouts")
-    ranks = {}
-    for p in s.layout.parties:
-        cut = Bipartition.of(s.layout, [p])
-        ranks[cut.name] = schmidt_rank(s, cut, tol)
-    values = list(ranks.values())
-    return EntanglementProfile(
-        ranks=ranks,
-        entangled=any(r > 1 for r in values),
-        genuine=all(r > 1 for r in values),
-    )
+    return _profiles(s.layout, [s], tol)[0]
 
 
 def profile_rows(sset: StateSet, tol: float = DEFAULT_TOL) -> list[dict]:
     """JSON-ready profile rows, one per state."""
-    rows = []
-    for s in sset.states:
-        prof = entanglement_profile(s, tol)
-        rows.append(
-            {
-                "label": s.label,
-                "ranks": dict(prof.ranks),
-                "entangled": prof.entangled,
-                "genuine": prof.genuine,
-            }
-        )
-    return rows
+    return [
+        {
+            "label": s.label,
+            "ranks": dict(prof.ranks),
+            "entangled": prof.entangled,
+            "genuine": prof.genuine,
+        }
+        for s, prof in zip(sset.states, _profiles(sset.layout, sset.states, tol))
+    ]

@@ -29,11 +29,7 @@ class PartyLayout:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parties", tuple(self.parties))
-        given = tuple(self.dims)
-        dims = tuple(int(d) for d in given)
-        if dims != given:
-            raise ValueError(f"local dimensions must be integers, got {list(given)}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _integers(self.dims, "local dimensions"))
         if not self.parties:
             raise ValueError("layout needs at least one party")
         if len(self.parties) != len(self.dims):
@@ -98,12 +94,25 @@ class Bipartition:
         return "".join(self.left) + "|" + "".join(self.right)
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as ints; a value that is not equal to an int (a fraction,
+    a string, a non-finite number) is refused, not truncated."""
+    given = tuple(values)
+    try:
+        ints = tuple(int(v) for v in given)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != given:
+        raise ValueError(f"{what} must be integers, got {list(given)}")
+    return ints
+
+
 def _canonical_terms(
     layout: PartyLayout, terms: Iterable[tuple[Sequence[int], complex]]
 ) -> tuple[tuple[Index, complex], ...]:
     merged: dict[Index, complex] = {}
     for idx, amp in terms:
-        key = tuple(int(i) for i in idx)
+        key = _integers(idx, "index entries")
         if len(key) != len(layout.parties):
             raise ValueError(f"index {key} has wrong arity for layout {layout.parties}")
         for component, d in zip(key, layout.dims):
@@ -252,21 +261,133 @@ class SetReport:
     span_rank: int
 
 
+def _term_arrays(
+    layout: PartyLayout, states: Sequence[PureState]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term of ``states`` as three arrays: the position of its state in
+    ``states``, its multi-index (one row per term) and its amplitude."""
+    state = np.repeat(np.arange(len(states)), [len(s.terms) for s in states])
+    idx = np.array([i for s in states for i, _ in s.terms], dtype=np.int64)
+    amps = np.array([a for s in states for _, a in s.terms], dtype=complex)
+    return state, idx.reshape(-1, len(layout.dims)), amps
+
+
+def _flat_index(idx: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
+    """C-order index of each row of ``idx`` on the given axes, in that order."""
+    axes = list(axes)
+    return idx[:, axes] @ _strides([dims[a] for a in axes])
+
+
 def _set_matrix(sset: StateSet, row_axes: Sequence[int] = ()) -> scipy.sparse.csr_matrix:
     """The set as a sparse matrix with row (state, index on ``row_axes``) and
     column the index on the other axes; with no row axes, one state per row."""
-    dims = np.array(sset.layout.dims, dtype=np.int64)
-    row_axes = list(row_axes)
-    col_axes = [a for a in range(dims.size) if a not in row_axes]
-    m = int(np.prod(dims[row_axes]))
-    state = np.array([i for i, s in enumerate(sset.states) for _ in s.terms], dtype=np.int64)
-    idx = np.array([i for s in sset.states for i, _ in s.terms], dtype=np.int64)
-    idx = idx.reshape(-1, dims.size)
-    amps = np.array([a for s in sset.states for _, a in s.terms], dtype=complex)
-    rows = state * m + idx[:, row_axes] @ _strides(dims[row_axes])
-    cols = idx[:, col_axes] @ _strides(dims[col_axes])
+    dims = sset.layout.dims
+    col_axes = [a for a in range(len(dims)) if a not in row_axes]
+    m = math.prod(dims[a] for a in row_axes)
+    state, idx, amps = _term_arrays(sset.layout, sset.states)
+    rows = state * m + _flat_index(idx, dims, row_axes)
+    cols = _flat_index(idx, dims, col_axes)
     shape = (len(sset) * m, sset.layout.total_dim // m)
     return scipy.sparse.csr_matrix((amps, (rows, cols)), shape=shape)
+
+
+def _key_positions(block: np.ndarray, key: np.ndarray, n_blocks: int):
+    """Each entry's position among the distinct keys of its block, ascending,
+    and the number of distinct keys of every block."""
+    order = np.lexsort((key, block))
+    b, k = block[order], key[order]
+    first = np.ones(b.size, dtype=bool)
+    first[1:] = b[1:] != b[:-1]
+    new_key = first.copy()
+    new_key[1:] |= k[1:] != k[:-1]
+    distinct = np.cumsum(new_key) - 1
+    position = np.empty_like(distinct)
+    position[order] = distinct - np.maximum.accumulate(np.where(first, distinct, 0))
+    return position, np.bincount(b[new_key], minlength=n_blocks)
+
+
+def _block_singular_values(
+    block: np.ndarray, row: np.ndarray, col: np.ndarray, amps: np.ndarray, n_blocks: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Singular values of the dense blocks of a block-sparse matrix.
+
+    Entry k holds ``amps[k]`` in block ``block[k]`` (0 <= block < n_blocks,
+    every block with at least one entry) at row key ``row[k]`` and column key
+    ``col[k]``. A block is the dense matrix over its distinct row keys and
+    its distinct column keys, both ascending; blocks of one shape are stacked
+    into one batched SVD. Returns one (block ids, singular values) pair per
+    shape, one row of descending singular values per block.
+    """
+    if not block.size:
+        return []
+    r, heights = _key_positions(block, row, n_blocks)
+    c, widths = _key_positions(block, col, n_blocks)
+    span = int(widths.max()) + 1
+    codes, shape, count = np.unique(
+        heights * span + widths, return_inverse=True, return_counts=True
+    )
+    # renumber the blocks so that those of one shape are consecutive
+    order = np.argsort(shape, kind="stable")
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(n_blocks)
+    ends = np.cumsum(count)
+    entry_id = new_id[block]
+    entries = np.argsort(entry_id, kind="stable")
+    entry_ends = np.searchsorted(entry_id[entries], ends)
+    result = []
+    start = entry_start = 0
+    for code, end, entry_end in zip(codes, ends, entry_ends):
+        h, w = divmod(int(code), span)
+        e = entries[entry_start:entry_end]
+        stack = np.zeros((end - start, h, w), dtype=complex)
+        stack[entry_id[e] - start, r[e], c[e]] = amps[e]
+        result.append((order[start:end], np.linalg.svd(stack, compute_uv=False)))
+        start, entry_start = end, entry_end
+    return result
+
+
+def _components(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected component of each (row, col) entry of a sparse pattern, where
+    rows and columns are the nodes and entries the edges: components numbered
+    0.. in order of their smallest row, and their number.
+
+    Union-find by hooking every root to the smallest root it shares an entry
+    with, then pointing every node at its root, until no entry joins two roots.
+    """
+    n_rows = int(rows.max()) + 1
+    _, cols = np.unique(cols, return_inverse=True)
+    cols = cols + n_rows
+    parent = np.arange(int(cols.max()) + 1)
+    while True:
+        up = parent[parent]
+        while not np.array_equal(up, parent):
+            parent, up = up, up[up]
+        a, b = parent[rows], parent[cols]
+        join = a != b
+        if not join.any():
+            break
+        np.minimum.at(parent, np.maximum(a, b)[join], np.minimum(a, b)[join])
+    roots, component = np.unique(a, return_inverse=True)
+    return component, roots.size
+
+
+def _span_rank(mat: scipy.sparse.spmatrix, tol: float) -> int:
+    """Numerical rank of a sparse matrix: singular values above ``tol`` times
+    the largest.
+
+    The SVD is taken per connected component of the support pattern, where
+    the matrix is block-diagonal up to a permutation, so the blocks together
+    have the singular values of the whole matrix besides its zeros.
+    """
+    coo = mat.tocoo()
+    if not coo.nnz:
+        return 0
+    component, n = _components(coo.row, coo.col)
+    svals = np.concatenate(
+        [s.ravel() for _, s in _block_singular_values(component, coo.row, coo.col, coo.data, n)]
+    )
+    top = svals.max()
+    return int(np.sum(svals > tol * top)) if top > 0 else 0
 
 
 def _first_nonorthogonal_pair(
@@ -299,12 +420,7 @@ def validate_set(sset: StateSet, tol: float = DEFAULT_TOL) -> SetReport:
     """Check pairwise orthogonality (relative tolerance) and the numerical span rank."""
     mat = _set_matrix(sset)
     orthogonal = _first_nonorthogonal_pair(mat.conj() @ mat.T, tol) is None
-    if len(sset):
-        svals = np.linalg.svd(mat.toarray(), compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
-    else:
-        rank = 0
-    return SetReport(size=len(sset), pairwise_orthogonal=orthogonal, span_rank=rank)
+    return SetReport(size=len(sset), pairwise_orthogonal=orthogonal, span_rank=_span_rank(mat, tol))
 
 
 def state_set_to_dict(sset: StateSet) -> dict:
@@ -325,15 +441,18 @@ def state_set_to_dict(sset: StateSet) -> dict:
     }
 
 
+def _amplitude(pair: Sequence[float]) -> complex:
+    if len(pair) != 2:
+        raise ValueError(f"amplitude {pair!r} is not an [re, im] pair")
+    return complex(pair[0], pair[1])
+
+
 def state_set_from_dict(doc: Mapping) -> StateSet:
     try:
         layout = PartyLayout(tuple(doc["parties"]), tuple(doc["dims"]))
         states = []
         for entry in doc["states"]:
-            terms = [
-                (tuple(t["idx"]), complex(t["amp"][0], t["amp"][1]))
-                for t in entry["terms"]
-            ]
+            terms = [(t["idx"], _amplitude(t["amp"])) for t in entry["terms"]]
             label = entry["label"]
             if not isinstance(label, str):
                 raise ValueError(f"state label {label!r} is not a string")

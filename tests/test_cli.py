@@ -253,6 +253,37 @@ def test_malformed_simulate_input_exits_2(tmp_path, capsys, case):
     assert err.startswith("error:") and message in err
 
 
+def _set_term(key, value):
+    def spoil(doc):
+        doc["states"][0]["terms"][0][key] = value
+    return spoil
+
+
+# Each spoils b3.json; each used to be read as some other set, with exit 0
+MALFORMED_STATE_SETS = {
+    # read as (0, 0, 0) and (1, 0, 0)
+    "fractional-idx": (_set_term("idx", [0.9, 0, 0]), "index entries must be integers"),
+    "fraction-above-one-idx": (_set_term("idx", [1.2, 0, 0]), "index entries must be integers"),
+    "string-idx": (_set_term("idx", ["1", 0, 0]), "index entries must be integers"),
+    # the 7 was dropped without a word
+    "three-entry-amp": (_set_term("amp", [1, 0, 7]), "not an [re, im] pair"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("case", list(MALFORMED_STATE_SETS))
+def test_malformed_state_set_exits_2(tmp_path, capsys, case, command):
+    spoil, message = MALFORMED_STATE_SETS[case]
+    doc = _packaged_doc("b3.json")
+    spoil(doc)
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_analyze_takes_ranks_over_the_support(tmp_path, capsys):
     # a dense coefficient matrix per cut would take 3000 x 9e6 amplitudes
     layout = PartyLayout(("A", "B", "C"), (3000, 3000, 3000))
@@ -321,6 +352,30 @@ def test_simulate_result_bytes_are_pinned(capsys, protocol, states):
     assert code == 0
     result = json.dumps(_payload(out)["result"], sort_keys=True)
     assert hashlib.sha256(result.encode()).hexdigest() == SIMULATE_RESULT_SHA256[protocol, states]
+
+
+# sha256 for `construct --d 5 --basis`: of json.dumps(result, sort_keys=True)
+# without the output path, of the file it writes, and of the `analyze`
+# result of that file
+CONSTRUCT_RESULT_SHA256 = "525990b36072ab39644b4616f0030cc76e1f70af4571cc3a3bcd95d7dcdca9a4"
+CONSTRUCT_FILE_SHA256 = "a8165f6919ebfaf5923d687747813816735f6baee711d3b0b5d8da4b569a6180"
+ANALYZE_RESULT_SHA256 = "ef900a2490f51a66fe9c8297b9142a67078098769a62e9af481479b69269c869"
+
+
+def test_construct_and_analyze_bytes_are_pinned(tmp_path, capsys):
+    path = str(tmp_path / "b5_basis.json")
+    code, out, _ = _run(capsys, "construct", "--d", "5", "--basis", "--output", path)
+    assert code == 0
+    result = _payload(out)["result"]
+    assert result.pop("output") == path
+    digest = lambda text: hashlib.sha256(text).hexdigest()
+    assert digest(json.dumps(result, sort_keys=True).encode()) == CONSTRUCT_RESULT_SHA256
+    assert digest(open(path, "rb").read()) == CONSTRUCT_FILE_SHA256
+
+    code, out, _ = _run(capsys, "analyze", "--input", path)
+    assert code == 0
+    result = json.dumps(_payload(out)["result"], sort_keys=True)
+    assert digest(result.encode()) == ANALYZE_RESULT_SHA256
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -5,6 +5,7 @@ from qrubik import (
     Bipartition,
     PartyLayout,
     PureState,
+    StateSet,
     build_snoeb,
     build_snoes,
     completion_states,
@@ -13,8 +14,9 @@ from qrubik import (
     schmidt_rank,
     tripartite_layout,
 )
+from qrubik.entangle import profile_rows
 
-from reference_data import completion3_states, set3_states
+from reference_data import completion3_states, ghz_basis, set3_states
 
 
 def test_schmidt_rank_of_two_term_state():
@@ -130,3 +132,59 @@ def test_support_rank_matches_dense_rank(build, d):
         for p in sset.layout.parties:
             cut = Bipartition.of(sset.layout, [p])
             assert schmidt_rank(s, cut) == _dense_rank(s, cut)
+
+
+def _reference_schmidt_rank(s, cut, tol=1e-9):
+    # one SVD per state and cut over the support, as schmidt_rank once did
+    left = [s.layout.axis(p) for p in cut.left]
+    right = [s.layout.axis(p) for p in cut.right]
+    keys = [(tuple(idx[a] for a in left), tuple(idx[a] for a in right)) for idx in s.support]
+    rows, cols = ({k: n for n, k in enumerate(sorted(set(side)))} for side in zip(*keys))
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    for (l, r), (_, amp) in zip(keys, s.terms):
+        mat[rows[l], cols[r]] = amp
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(svals > tol * svals[0]))
+
+
+def _reference_profile_rows(sset):
+    rows = []
+    for s in sset:
+        ranks = {}
+        for p in sset.layout.parties:
+            cut = Bipartition.of(sset.layout, [p])
+            ranks[cut.name] = _reference_schmidt_rank(s, cut)
+        values = list(ranks.values())
+        rows.append(
+            {
+                "label": s.label,
+                "ranks": ranks,
+                "entangled": any(r > 1 for r in values),
+                "genuine": all(r > 1 for r in values),
+            }
+        )
+    return rows
+
+
+def _phased(sset, seed):
+    # a random phase on every term, and every state scaled by its own factor
+    rng = np.random.default_rng(seed)
+    states = []
+    for s in sset:
+        phases = np.exp(2j * np.pi * rng.random(len(s.terms))) * 10 ** rng.uniform(-6, 6)
+        states.append(PureState(s.layout, [(i, a * f) for (i, a), f in zip(s.terms, phases)], s.label))
+    return StateSet(sset.layout, tuple(states))
+
+
+def _profile_inputs():
+    for d in (3, 4, 5, 6):
+        for build in (build_snoes, build_snoeb):
+            yield f"{build.__name__}-{d}", build(d)
+            yield f"{build.__name__}-{d}-phased", _phased(build(d), d)
+    yield "ghz", ghz_basis()
+    yield "ghz-phased", _phased(ghz_basis(), 2)
+
+
+@pytest.mark.parametrize("sset", [pytest.param(sset, id=kind) for kind, sset in _profile_inputs()])
+def test_profile_rows_match_per_state_loop(sset):
+    assert profile_rows(sset) == _reference_profile_rows(sset)

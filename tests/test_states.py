@@ -10,6 +10,7 @@ from qrubik import (
     PartyLayout,
     PureState,
     StateSet,
+    build_snoeb,
     flatten,
     inner_product,
     norm,
@@ -17,6 +18,7 @@ from qrubik import (
     state_set_to_dict,
     validate_set,
 )
+from qrubik.states import _set_matrix
 
 from reference_data import completion3_states, set3_states
 
@@ -186,3 +188,79 @@ def test_norm_unnormalized_convention():
     layout = _layout3()
     s = PureState(layout, [((0, 0, 0), 1), ((1, 1, 1), 1)])
     assert norm(s) == pytest.approx(math.sqrt(2))
+
+
+def _dense_span_rank(sset, tol=1e-9):
+    # one SVD of the whole dense set matrix, as validate_set once computed it
+    if not len(sset):
+        return 0
+    svals = np.linalg.svd(_set_matrix(sset).toarray(), compute_uv=False)
+    return int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
+
+
+def _blocks_of_cells(layout, rng):
+    cells = [tuple(int(i) for i in c) for c in np.ndindex(*layout.dims)]
+    rng.shuffle(cells)
+    cuts = np.sort(rng.choice(np.arange(1, len(cells)), size=len(cells) // 4, replace=False))
+    return np.split(np.array(cells), cuts)
+
+
+def _random_block_set(layout, rng, orthogonal):
+    """States on disjoint random groups of cells. Each group holds the rows of
+    a random unitary (orthogonal) or a few random states on some of its cells,
+    possibly more states than cells; a group is scaled by 1, 1e-4 or 1e-13, so
+    that some groups fall below the rank cut of the whole set."""
+    states = []
+    for group in _blocks_of_cells(layout, rng):
+        k = len(group)
+        scale = rng.choice([1.0, 1e-4, 1e-13])
+        if orthogonal:
+            z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            coeffs = np.linalg.qr(z)[0] * rng.uniform(0.5, 2, size=(k, 1))
+        else:
+            shape = (int(rng.integers(1, k + 2)), k)
+            coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            coeffs *= rng.random(shape) < 0.6
+        for row in coeffs * scale:
+            terms = [(tuple(c), a) for c, a in zip(group, row)]
+            states.append(PureState(layout, terms, f"s{len(states)}"))
+    return states
+
+
+def _span_rank_inputs():
+    rng = np.random.default_rng(29)
+    for dims in [(3, 3, 3), (2, 4, 3), (4, 4, 4), (2, 2)]:
+        parties = ("A", "B", "C")[: len(dims)]
+        layout = PartyLayout(parties, dims)
+        for orthogonal in (True, False):
+            states = _random_block_set(layout, rng, orthogonal)
+            kind = "x".join(map(str, dims)) + ("-orthogonal" if orthogonal else "-overlapping")
+            yield kind, StateSet(layout, states)
+            dup = states[int(rng.integers(len(states)))]
+            yield kind + "-duplicate", StateSet(layout, states + [dup.relabeled("dup")])
+            yield kind + "-zero", StateSet(layout, states + [PureState(layout, [], "zero")])
+            # one dense state on every cell joins all groups into one block
+            cells = np.ndindex(*dims)
+            amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+            bridge = PureState(layout, list(zip(cells, amps)), "bridge")
+            yield kind + "-bridge", StateSet(layout, states + [bridge])
+        yield "x".join(map(str, dims)) + "-empty", StateSet(layout, ())
+
+
+@pytest.mark.parametrize("sset", [pytest.param(sset, id=kind) for kind, sset in _span_rank_inputs()])
+def test_span_rank_matches_dense_svd(sset):
+    assert validate_set(sset).span_rank == _dense_span_rank(sset)
+
+
+def test_validate_set_takes_no_whole_set_svd(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    report = validate_set(build_snoeb(16))
+    assert report.span_rank == 4096 and report.pairwise_orthogonal
+    assert shapes and max(max(shape) for shape in shapes) <= 16

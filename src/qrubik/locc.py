@@ -18,6 +18,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .states import DEFAULT_TOL, StateSet, _first_nonorthogonal_pair, _strides
+from .states import _power_of_two_scaled
 
 _PRUNE = 1e-12
 # the most levels a measurement step may act on: its operators are held
@@ -640,13 +641,16 @@ class ExecutionReport:
 
 
 def _initial(spec: ProtocolSpec, states: Sequence) -> _Joint:
-    """The candidates with every shared pair in sum_k |k,k>."""
+    """The candidates with every shared pair in sum_k |k,k>, each scaled by a
+    power of two (:func:`_power_of_two_scaled`), which leaves every Born ratio
+    as it is."""
     table = spec.table
     strides = table.strides
     principal = np.array([strides[r.name] for r in spec.principal_registers], dtype=np.int64)
     row = np.array([k for k, s in enumerate(states) for _ in s.terms], dtype=np.int64)
     idx = np.array([i for s in states for i, _ in s.terms], dtype=np.int64)
     amp = np.array([a for s in states for _, a in s.terms], dtype=complex)
+    amp = _power_of_two_scaled(row, amp, len(states))
     pairs = np.zeros(1, dtype=np.int64)
     for res in spec.resources:
         step = strides[res.registers[0]] + strides[res.registers[1]]

@@ -10,7 +10,7 @@ import os
 import sys
 
 from .protocols import builtin_protocols, builtin_state_sets
-from .states import state_set_to_dict
+from .states import save_state_set
 
 
 def write_data(outdir: str) -> list[str]:
@@ -25,9 +25,7 @@ def write_data(outdir: str) -> list[str]:
         written.append(path)
     for name, sset in builtin_state_sets().items():
         path = os.path.join(outdir, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(state_set_to_dict(sset), fh, indent=1)
-            fh.write("\n")
+        save_state_set(sset, path)
         written.append(path)
     return written
 

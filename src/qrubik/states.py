@@ -9,8 +9,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -252,6 +253,27 @@ class StateSet:
         return StateSet(self.layout, self.states[:count])
 
 
+def _power_of_two_scaled(owner: np.ndarray, amps: np.ndarray, count: int) -> np.ndarray:
+    """``amps`` with the entries of each state (``owner``, 0 <= owner < count)
+    times the power of two that puts their largest real or imaginary part in
+    [1, 2).
+
+    The scaling is exact, and it keeps the products of two amplitudes that the
+    couplings and Born probabilities are made of from underflowing or
+    overflowing for states given at an extreme scale.  When every state is
+    already there, as in the cube sets, ``amps`` is returned as it is.
+    """
+    peak = np.zeros(count)
+    np.maximum.at(peak, owner, np.maximum(np.abs(amps.real), np.abs(amps.imag)))
+    shift = (1 - np.frexp(peak)[1])[owner]
+    if not shift.any():
+        return amps
+    scaled = np.empty_like(amps)
+    scaled.real = np.ldexp(amps.real, shift)
+    scaled.imag = np.ldexp(amps.imag, shift)
+    return scaled
+
+
 @dataclass(frozen=True)
 class SetReport:
     """Orthogonality and span diagnostics for one state set."""
@@ -462,10 +484,55 @@ def state_set_from_dict(doc: Mapping) -> StateSet:
     return StateSet(layout, tuple(states))
 
 
+def _json_scalar(value) -> str:
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _json_container(open_: str, close: str, items: Sequence[str], depth: int) -> str:
+    """Encoded items in a JSON list or object at nesting ``depth``, laid out
+    as ``json.dump(..., indent=1)`` lays them out."""
+    if not items:
+        return open_ + close
+    inner = "\n" + " " * (depth + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + " " * depth + close
+
+
+def _json_object(fields: Sequence[tuple[str, str]], depth: int) -> str:
+    return _json_container("{", "}", [f'"{key}": {value}' for key, value in fields], depth)
+
+
+def _document_chunks(sset: StateSet) -> Iterator[str]:
+    """The document of :func:`state_set_to_dict` exactly as ``json.dump(doc,
+    fh, indent=1)`` writes it, a state at a time, with the final newline.
+
+    Every term has one shape, so it is filled into a fixed template instead of
+    passing through the pure-Python encoder that ``indent`` selects:
+    amplitudes are finite floats and print with ``float.__repr__`` (``%r``),
+    as the encoder prints them.
+    """
+    layout = sset.layout
+    term = _json_object(
+        [
+            ("idx", _json_container("[", "]", ["%d"] * len(layout.dims), 5)),
+            ("amp", _json_container("[", "]", ["%r", "%r"], 5)),
+        ],
+        4,
+    )
+    dims = _json_container("[", "]", [str(d) for d in layout.dims], 1)
+    parties = _json_container("[", "]", [_json_scalar(p) for p in layout.parties], 1)
+    yield f'{{\n "dims": {dims},\n "parties": {parties},\n "states": '
+    separator = "[\n  "
+    for s in sset.states:
+        terms = [term % (*idx, amp.real, amp.imag) for idx, amp in s.terms]
+        fields = [("label", _json_scalar(s.label)), ("terms", _json_container("[", "]", terms, 3))]
+        yield separator + _json_object(fields, 2)
+        separator = ",\n  "
+    yield ("\n ]" if sset.states else "[]") + "\n}\n"
+
+
 def save_state_set(sset: StateSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_set_to_dict(sset), fh, indent=1)
-        fh.write("\n")
+        fh.writelines(_document_chunks(sset))
 
 
 def load_state_set(path: str) -> StateSet:

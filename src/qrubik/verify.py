@@ -14,6 +14,7 @@ as a witness, never as a proof of reducibility.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .states import DEFAULT_TOL, Bipartition, StateSet
-from .states import _first_nonorthogonal_pair, _set_matrix
+from .states import _first_nonorthogonal_pair, _power_of_two_scaled, _set_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -31,8 +32,10 @@ _SQRT2 = math.sqrt(2.0)
 # the two state norms) carry no constraint beyond roundoff and are dropped.
 _ROW_DROP = 1e-12
 
-# Most unknowns m^2 the dense solver takes on: every check up to d = 9 runs, and
-# no large sparse layout gets an m^2 x m^2 identity or SVD basis it cannot hold.
+# Largest side of a dense matrix the solver factors: a symmetry block of the
+# Cholesky certificate (every check up to d = 10 runs) or, when the blocks do
+# not certify, the m^2 unknowns of the fallback; no large sparse layout gets an
+# identity or SVD basis it cannot hold.
 _MAX_UNKNOWNS = 9**4
 
 # Multiple of the floating-error bound that the Cholesky certificate of
@@ -98,13 +101,67 @@ def identity_coords(m: int) -> np.ndarray:
     return v
 
 
+# one Q per actor-side dimension: the six checks of a layout need at most six
+@functools.lru_cache(maxsize=8)
+def _symmetry_split(m: int) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """The orthogonal change of coordinates Q that complex conjugation and the
+    index reversal u -> m - 1 - u split into four blocks, and the block of each
+    new coordinate: 0 real and reversal-even (it holds the identity), 1 real
+    and odd, 2 imaginary and even, 3 imaginary and odd.
+
+    Conjugation keeps the real coordinates (the diagonal and the even slots)
+    and negates the imaginary ones (the odd slots).  The reversal E -> P E P is
+    a signed permutation: diagonal k goes to m - 1 - k, and pair (k, l) to
+    (m - 1 - l, m - 1 - k) with its imaginary part negated.  An orbit a < b,
+    with e_a sent to s e_b, becomes column a, (e_a + s e_b) / sqrt 2 (even),
+    and column b, (e_a - s e_b) / sqrt 2 (odd); a fixed e_a stays, odd if s = -1.
+    """
+    n = m * m
+    k, l, slot = _offdiagonal(m)
+    # pair (m - 1 - l, m - 1 - k) in the k-then-l order of _offdiagonal
+    rk, rl = m - 1 - l, m - 1 - k
+    mirror = m + 2 * (rk * m - rk * (rk + 1) // 2 + rl - rk - 1)
+    image = np.empty(n, dtype=np.int64)
+    image[:m] = m - 1 - np.arange(m)
+    image[slot], image[slot + 1] = mirror, mirror + 1
+    sign = np.ones(n)
+    sign[slot + 1] = -1.0
+    coord = np.arange(n)
+    lo, hi = np.minimum(coord, image), np.maximum(coord, image)
+    fixed = lo == hi
+    pair = ~fixed
+    upper = np.where(coord == lo, 1.0, sign)[pair] / math.sqrt(2.0)
+    lower = np.where(coord == lo, 1.0, -sign)[pair] / math.sqrt(2.0)
+    q = scipy.sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(int(fixed.sum())), upper, lower]),
+            (np.concatenate([coord[fixed], coord[pair], coord[pair]]),
+             np.concatenate([coord[fixed], lo[pair], hi[pair]])),
+        ),
+        shape=(n, n),
+    )
+    imaginary = (coord >= m) & ((coord - m) % 2 == 1)
+    odd = np.where(fixed, sign < 0, coord == hi)
+    return q, 2 * imaginary + odd
+
+
+def _largest_block(m: int) -> int:
+    """Side of the largest block of :func:`_symmetry_split`, the first: every
+    real coordinate the reversal fixes and one per orbit of two."""
+    pairs = m * (m - 1) // 2
+    return (m + m % 2 + pairs + m // 2) // 2
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Real linear constraints on the actor-side Hermitian element.
 
     Each state pair with nonvanishing coupling contributes a real and an
-    imaginary row; identically zero rows are dropped.  ``provenance`` records
-    the generating pair labels per row.
+    imaginary row, taken from the states each scaled by the power of two that
+    puts its largest amplitude part in [1, 2); identically zero rows are
+    dropped.  ``provenance`` records the generating pair labels per row, and
+    ``weights`` 1 / (|i| |j|) for the scaled pair (i, j) of each row (None
+    weighs every row 1).
     """
 
     m: int
@@ -112,6 +169,7 @@ class ConstraintSystem:
     provenance: tuple[tuple[str, str], ...]
     n_pairs: int
     n_coupled_pairs: int
+    weights: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -180,11 +238,11 @@ def _actor_side(
 
 
 def _check_unknowns(m: int, check: str) -> None:
-    """Refuse a check whose m^2 unknowns the dense solver cannot take on."""
-    if m * m > _MAX_UNKNOWNS:
+    """Refuse a check whose largest symmetry block the dense solver cannot take on."""
+    if _largest_block(m) > _MAX_UNKNOWNS:
         raise ValueError(
-            f"{check} has m^2 = {m * m} unknowns, above the solver limit "
-            f"of {_MAX_UNKNOWNS} (local dimension 9)"
+            f"{check} has m^2 = {m * m} unknowns, and its largest symmetry block "
+            f"of {_largest_block(m)} is above the solver limit of {_MAX_UNKNOWNS}"
         )
 
 
@@ -196,12 +254,17 @@ def _coupled_blocks(
     sset: StateSet, axes: list[int], m: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, scipy.sparse.csr_matrix]:
     """Pairs i < j whose m x m coupling block c[u, w] = <i|(|u><w| x I)|j> has
-    an entry above ``_ROW_DROP`` times the two norms: (i, j), that scale, and
-    the blocks folded by :func:`_fold`, as rows.  One sparse product holds every
-    block, and the block traces are the Gram matrix the orthogonality check reads.
+    an entry above ``_ROW_DROP`` times the two norms: (i, j), the norm of every
+    state, and the blocks folded by :func:`_fold`, as rows.  One sparse product
+    holds every block, and the block traces are the Gram matrix the
+    orthogonality check reads.  Each state is first scaled by the exact power of
+    two of :func:`_power_of_two_scaled`, so no product underflows or overflows.
     """
     n = len(sset)
     mat = _set_matrix(sset, axes)
+    mat.data = _power_of_two_scaled(
+        np.repeat(np.arange(mat.shape[0]) // m, np.diff(mat.indptr)), mat.data, n
+    )
     blocks = (mat.conj() @ mat.T).tocoo()
     i, u = np.divmod(blocks.row, m)
     j, w = np.divmod(blocks.col, m)
@@ -222,7 +285,7 @@ def _coupled_blocks(
     first, second = np.divmod(pairs, n)
     scale = _ROW_DROP * norms[first] * norms[second]
     keep = np.maximum.reduceat(np.abs(coupled.data), coupled.indptr[:-1]) > scale
-    return first[keep], second[keep], scale[keep], coupled[keep] @ _fold(m)
+    return first[keep], second[keep], norms, coupled[keep] @ _fold(m)
 
 
 def _real_rows(
@@ -260,8 +323,8 @@ def assemble_constraints(
     Hermitian coordinates, gives a real and an imaginary row, in pair order.
     """
     m, axes = _actor_side(sset, cut, actor)
-    first, second, scale, folded = _coupled_blocks(sset, axes, m, tol)
-    rows, row_pair = _real_rows(folded, m, scale)
+    first, second, norms, folded = _coupled_blocks(sset, axes, m, tol)
+    rows, row_pair = _real_rows(folded, m, _ROW_DROP * norms[first] * norms[second])
     labels = sset.labels
     pairs = [(labels[i], labels[j]) for i, j in zip(first.tolist(), second.tolist())]
     return ConstraintSystem(
@@ -270,6 +333,7 @@ def assemble_constraints(
         provenance=tuple(pairs[p] for p in row_pair.tolist()),
         n_pairs=len(sset) * (len(sset) - 1) // 2,
         n_coupled_pairs=len(pairs),
+        weights=1.0 / (norms[first] * norms[second])[row_pair],
     )
 
 
@@ -322,49 +386,99 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
     return vt[rank:].T
 
 
-def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -> bool:
-    """Whether one Cholesky factorisation proves the identity is the only solution.
+def _gram_certifies_trivial(
+    rows: scipy.sparse.csr_matrix, m: int, tol: float, weights: np.ndarray | None = None
+) -> bool:
+    """Whether Cholesky factorisations of symmetry blocks prove the identity is
+    the only solution.
 
-    With R the rows, n = m^2 unknowns, F = ||R||_F^2, k the most nonzeros in
-    one column of R, i the unit identity coordinate vector and c = 4, the
-    dense matrix
+    With R the rows, W the row ``weights`` (all 1 if None; WR has the null
+    space of R), n = m^2 unknowns, F = ||WR||_F^2, k the most nonzeros in one
+    column of R, kappa = max W / min W, i the unit identity coordinate vector
+    and c = 4, the matrix
 
-        A = R^T R + F i i^T - tau I,    tau = c max((n + k) eps, tol^2) F,
+        A = (WR)^T WR + F i i^T - tau I,   tau = c max((n + k + 8) eps, kappa^2 tol^2) F,
 
-    is factored once.  To first order in eps, forming R^T R errs by at most
-    k eps F in 2-norm (each entry sums at most k products), adding F i i^T and
-    subtracting tau by at most 4 eps F, and a Cholesky factorisation that
-    runs to completion is exact for a matrix within (n + 1) eps tr(A) <=
-    2 (n + 1) eps F of the one factored (Demmel's bound).  For n >= 4 the sum
-    (2 n + k + 6) eps F is at most 3 (n + k) eps F <= 3 tau / 4, so success
-    proves that the exact A has no eigenvalue below -3 tau / 4: every unit v
-    orthogonal to i has ||R v||^2 > tau / 4 >= tol^2 F >= tol^2 sigma_max^2.
-    (For n = 1 there is no such v.)  The second-smallest singular value of R
-    is then above the rank cut of :func:`_nullspace`, so at most one direction
-    survives it.  The identity must also pass that cut, ||R i|| <= tol times
-    the largest column norm of R (a lower bound on sigma_max), or the answer
-    is left to the full pipeline.  Duplicate rows add no direction to R^T R,
-    so it is formed from the rows as assembled.  On the cube constructions
-    at d = 3..8 the second-smallest eigenvalue of R^T R is 0.02-0.35 of the
-    largest, and tau at most 1.3e-8 of it.
+    is shown positive definite a diagonal block at a time.  In the coordinates
+    Q of :func:`_symmetry_split`, Q^T A Q = D + B with D its four diagonal
+    blocks (i lies in the first) and B the rest, and lambda_min(A) >=
+    lambda_min(D) - ||B||_F, so each block is factored with ||B||_F subtracted
+    from its diagonal too.  The row weights make the Gram matrix of a set that
+    is closed under conjugation and index reversal, whatever its state norms,
+    commute with both up to roundoff, so B is negligible; when ||B||_F > tau
+    the set lacks the symmetry and A is factored whole, as one block with
+    Q = I and B = 0.  Only then is a dense n x n matrix formed, and only
+    within the solver limit.
+
+    To first order in eps, forming (WR)^T WR errs by at most k eps F in
+    2-norm, weighting the rows by 2 eps F, the products with Q (entries
+    +-1/sqrt 2, at most two in a row or column) by 12 eps F, adding F i i^T
+    and subtracting the shift by 12 eps F, and a Cholesky factorisation that
+    runs to completion is exact for a matrix within (n_b + 1) eps tr <=
+    2 (n + 1) eps F of the block of side n_b factored (Demmel's bound).  The
+    sum (2 n + k + 28) eps F is at most 3 (n + k + 8) eps F <= 3 tau / 4 for
+    n >= 4, so success proves that the exact A has no eigenvalue below
+    -3 tau / 4: every unit v orthogonal to i has ||WR v||^2 > tau / 4 >=
+    kappa^2 tol^2 F, so ||R v|| > tol ||R||_F >= tol sigma_max(R), as F >=
+    (min W)^2 ||R||_F^2.  (For n = 1 there is no such v.)  The second-smallest
+    singular value of R is then above the rank cut of :func:`_nullspace`, so
+    at most one direction survives it.  The identity must also pass that cut,
+    ||R i|| <= tol times the largest column norm of WR over max W (a lower
+    bound on sigma_max), or the answer is left to the full pipeline.
+    Duplicate rows add no direction to R^T R, so it is formed from the rows
+    as assembled.  On the cube constructions at d = 3..8 the second-smallest
+    eigenvalue of R^T R is 0.02-0.35 of the largest, and tau at most 1.3e-8
+    of it.
     """
     n = m * m
-    fro2 = float(np.dot(rows.data, rows.data))
-    if fro2 == 0.0:
+    weights = np.ones(rows.shape[0]) if weights is None else weights
+    weighted = scipy.sparse.csr_matrix(
+        (np.repeat(weights, np.diff(rows.indptr)), rows.indices, rows.indptr), shape=rows.shape
+    )
+    weighted.data *= rows.data
+    fro2 = float(np.dot(weighted.data, weighted.data))
+    if not 0.0 < fro2 < math.inf:
         return False
-    # Fortran order lets LAPACK factor the matrix in place
-    gram = (rows.T @ rows).toarray(order="F")
+    gram = weighted.T @ weighted
+    del weighted
+    # a column norm of WR is at most max W times that of R
     residual = rows @ identity_coords(m)
-    if float(np.dot(residual, residual)) / m > tol * tol * float(gram.diagonal().max()):
+    top = float(gram.diagonal().max()) / float(weights.max()) ** 2
+    if float(np.dot(residual, residual)) / m > tol * tol * top:
         return False
     k = int(np.bincount(rows.indices, minlength=n).max())
-    tau = _CHOLESKY_C * max((n + k) * np.finfo(float).eps, tol * tol) * fro2
-    gram[:m, :m] += fro2 / m
-    gram.flat[:: n + 1] -= tau
-    try:
-        scipy.linalg.cholesky(gram, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return False
+    kappa = float(weights.max() / weights.min())
+    tau = _CHOLESKY_C * max((n + k + 8) * np.finfo(float).eps, (kappa * tol) ** 2) * fro2
+    q, block = _symmetry_split(m)
+    split = (q.T @ gram @ q).tocoo()
+    off = split.data[block[split.row] != block[split.col]]
+    off_norm = float(np.sqrt(np.dot(off, off)))
+    if off_norm > tau:
+        # the set lacks the symmetry: one block, Q = I and B = 0
+        if n > _MAX_UNKNOWNS:
+            return False
+        q = scipy.sparse.identity(n, format="csr")
+        split, block, off_norm = gram.tocoo(), np.zeros(n, dtype=np.int64), 0.0
+    del gram
+    ident = q.T @ identity_coords(m) / math.sqrt(m)
+    position = np.empty(n, dtype=np.int64)
+    row_block = block[split.row]
+    inside = row_block == block[split.col]
+    for b in np.unique(block):
+        members = np.flatnonzero(block == b)
+        position[members] = np.arange(members.size)
+        entry = inside & (row_block == b)
+        # Fortran order lets LAPACK factor the block in place
+        dense = np.zeros((members.size, members.size), order="F")
+        dense[position[split.row[entry]], position[split.col[entry]]] = split.data[entry]
+        unit = ident[members]
+        touched = np.flatnonzero(unit)
+        dense[np.ix_(touched, touched)] += fro2 * np.outer(unit[touched], unit[touched])
+        dense.flat[:: members.size + 1] -= tau + off_norm
+        try:
+            scipy.linalg.cholesky(dense, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 
@@ -374,11 +488,17 @@ def _solve(
     """Orthonormal nullspace basis (columns, in coordinates) of a constraint system.
 
     A system the Cholesky test certifies trivial gets exactly the unit
-    identity; any other goes through row dedup and the blockwise QR/SVD.
+    identity; any other goes through row dedup and the blockwise QR/SVD, whose
+    m^2 x m^2 basis must be within the solver limit.
     """
     _check_unknowns(cs.m, check)
-    if _gram_certifies_trivial(cs.rows, cs.m, tol):
+    if _gram_certifies_trivial(cs.rows, cs.m, tol, cs.weights):
         return identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
+    if cs.m * cs.m > _MAX_UNKNOWNS:
+        raise ValueError(
+            f"{check} has m^2 = {cs.m * cs.m} unknowns, and its symmetry blocks did "
+            f"not certify it: the dense fallback is above the solver limit of {_MAX_UNKNOWNS}"
+        )
     return _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
 
 

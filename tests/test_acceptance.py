@@ -246,3 +246,13 @@ def test_stretch_certification_d8():
     report = verify_strong_nonlocality(build_snoeb(8), tol=TOL)
     assert report.strongly_nonlocal
     print("\n[stretch] certification d=8 (basis): PASS")
+
+
+@_stretch
+def test_stretch_certification_d10():
+    # m^2 = 10^4 unknowns in each two-party check, certified by symmetry
+    # blocks of at most 2550 coordinates
+    report = verify_strong_nonlocality(build_snoeb(10), tol=TOL)
+    assert report.strongly_nonlocal
+    assert all(c.verdict.solution_dim == 1 for c in report.checks)
+    print("\n[stretch] certification d=10 (basis): PASS")

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
+import types
 
 import pytest
 from importlib import resources
@@ -10,7 +12,8 @@ from qrubik import verify
 from qrubik.cli import main
 
 from reference_data import ghz_basis
-from qrubik import PartyLayout, PureState, StateSet, save_state_set
+from qrubik import PartyLayout, PureState, StateSet, save_state_set, state_set_to_dict
+from qrubik.states import state_set_from_dict
 
 
 def _run(capsys, *argv):
@@ -302,9 +305,10 @@ def test_analyze_takes_ranks_over_the_support(tmp_path, capsys):
     assert [sorted(row["ranks"].values()) for row in rows] == [[2, 2, 2], [1, 1, 1]]
 
 
-def _wide_set(tmp_path):
-    # the joint checks would have m^2 = 10^4 unknowns, above the d = 9 limit
-    layout = PartyLayout(("A", "B", "C"), (10, 10, 10))
+def _wide_set(tmp_path, dims=(2, 18, 9)):
+    # by default the A|BC:BC check has m = 162: m^2 = 26244 unknowns, and its
+    # largest symmetry block of 6642 is above the 9^4 limit
+    layout = PartyLayout(("A", "B", "C"), dims)
     sset = StateSet(
         layout,
         (
@@ -321,7 +325,25 @@ def test_solver_size_budget_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, "verify", "--input", _wide_set(tmp_path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "m^2 = 10000" in err
+    assert err.startswith("error:") and "m^2 = 26244" in err and "block of 6642" in err
+
+
+def test_asymmetric_check_above_the_limit_exits_2_without_allocating(tmp_path, capsys):
+    # m = 100 passes the block test before assembly (largest block 2550), but
+    # the set is not closed under index reversal, so its Gram matrix does not
+    # split; the 10^4 x 10^4 fallback (800 MB) must be refused, not allocated
+    path = _wide_set(tmp_path, (10, 10, 10))
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "verify", "--input", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "check A|BC:BC has m^2 = 10000 unknowns" in err
+    assert "did not certify" in err
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("check", [None, "A|BC:BC"], ids=["all", "one"])
@@ -334,7 +356,7 @@ def test_solver_size_budget_is_checked_before_assembly(tmp_path, capsys, monkeyp
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "check A|BC:BC has m^2 = 10000 unknowns" in err
+    assert err.startswith("error:") and "check A|BC:BC has m^2 = 26244 unknowns" in err
 
 
 # sha256 of json.dumps(result, sort_keys=True) for each shipped protocol and
@@ -376,6 +398,41 @@ def test_construct_and_analyze_bytes_are_pinned(tmp_path, capsys):
     assert code == 0
     result = json.dumps(_payload(out)["result"], sort_keys=True)
     assert digest(result.encode()) == ANALYZE_RESULT_SHA256
+
+    # the writer fills a template; json.dump(..., indent=1) is the reference
+    # on the cases a template could get wrong: empty lists, a null label and
+    # labels that need escaping
+    layout = PartyLayout(("A", "B"), (2, 3))
+    cases = [
+        StateSet(layout, ()),
+        StateSet(
+            layout,
+            (
+                PureState(layout, [], "zero"),
+                PureState(layout, [((1, 2), -0.5j), ((0, 0), 1e-300)], "\u03a9mega \"q\" \\"),
+            ),
+        ),
+        types.SimpleNamespace(layout=layout, states=(PureState(layout, [((0, 1), 1)], None),)),
+    ]
+    for sset in cases:
+        save_state_set(sset, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(state_set_to_dict(sset), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("factor", [1e-170, 1e170])
+def test_simulate_result_is_scale_invariant(tmp_path, capsys, factor):
+    # Born ratios of states at a finite but extreme scale used to underflow
+    # ("cannot measure the zero state") or overflow ("correct": false)
+    b3 = state_set_from_dict(_packaged_doc("b3.json"))
+    path = str(tmp_path / "scaled.json")
+    save_state_set(StateSet(b3.layout, tuple(s.scaled(factor) for s in b3.states)), path)
+    results = []
+    for states in ("b3", path):
+        code, out, _ = _run(capsys, "simulate", "--protocol", "prop1", "--states", states)
+        assert code == 0
+        results.append(_payload(out)["result"])
+    assert results[0] == results[1]
 
 
 def test_unknown_flag_exits_2(capsys):

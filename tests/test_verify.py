@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from qrubik import (
@@ -26,8 +28,10 @@ from qrubik.verify import (
     ConstraintSystem,
     _dedup_rows,
     _gram_certifies_trivial,
+    _largest_block,
     _nullspace,
     _solve,
+    _symmetry_split,
     standard_checks,
 )
 
@@ -352,6 +356,16 @@ def _reference_assemble(sset, cut, actor):
     return ConstraintSystem(m, rows, tuple(provenance), n_pairs, n_coupled)
 
 
+def _power_of_two_scaled(sset):
+    """Each state times the power of two that puts its largest real or
+    imaginary part in [1, 2): the states the assembly takes its rows from."""
+    scaled = []
+    for s in sset.states:
+        peak = max(max(abs(a.real), abs(a.imag)) for _, a in s.terms)
+        scaled.append(s.scaled(2.0 ** (1 - math.frexp(peak)[1])))
+    return StateSet(sset.layout, tuple(scaled))
+
+
 def _seeded(sset, seed, phases):
     """States permuted and scaled by positive reals, or by complex phases too."""
     rng = np.random.default_rng(seed)
@@ -393,7 +407,7 @@ def test_assembly_matches_pair_loop_bit_for_bit(build):
     sset = build()
     for cut, actor in standard_checks(sset.layout):
         got = assemble_constraints(sset, cut, actor)
-        want = _reference_assemble(sset, cut, actor)
+        want = _reference_assemble(_power_of_two_scaled(sset), cut, actor)
         assert got.m == want.m and got.rows.shape == want.rows.shape
         assert np.array_equal(got.rows.indptr, want.rows.indptr)
         assert np.array_equal(got.rows.indices, want.rows.indices)
@@ -486,6 +500,36 @@ def test_scale_invariance_of_verdicts():
         assert c1.verdict.trivial == c2.verdict.trivial
         assert c1.verdict.solution_dim == c2.verdict.solution_dim
 
+    # finite but extreme scales, whose coupling products would underflow or
+    # overflow: the verdicts must not see the scale at all
+    pair = StateSet(
+        _QUBITS3,
+        (
+            PureState(_QUBITS3, [((0, 0, 0), 1), ((1, 1, 1), 1)], "plus"),
+            PureState(_QUBITS3, [((0, 0, 0), 1), ((1, 1, 1), -1)], "minus"),
+        ),
+    )
+    cases = ((build_snoeb(3), (1e-170, 1e170), [1] * 6), (pair, (1e-200,), [3, 15] * 3))
+    for sset, scales, dims in cases:
+        for factor in (1.0,) + scales:
+            scaled = StateSet(sset.layout, tuple(s.scaled(factor) for s in sset.states))
+            report = verify_strong_nonlocality(scaled)
+            assert [c.verdict.solution_dim for c in report.checks] == dims, factor
+
+
+def _record_cholesky(monkeypatch):
+    """The side of every matrix handed to scipy.linalg.cholesky, in call order."""
+    sides = []
+    factor = scipy.linalg.cholesky
+
+    def recording(a, *args, **kwargs):
+        assert a.shape[0] == a.shape[1]
+        sides.append(a.shape[0])
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", recording)
+    return sides
+
 
 def _haar_unitary(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -493,12 +537,12 @@ def _haar_unitary(rng, n):
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda: build_snoes(3), lambda: build_snoeb(3), ghz_basis],
+    "build, isotropic_singles",
+    [(lambda: build_snoes(3), False), (lambda: build_snoeb(3), False), (ghz_basis, True)],
     ids=["snoes(3)", "snoeb(3)", "ghz"],
 )
 @pytest.mark.parametrize("seed", [41, 43])
-def test_local_unitary_invariance_of_solution_dims(build, seed):
+def test_local_unitary_invariance_of_solution_dims(build, isotropic_singles, seed, monkeypatch):
     # U_A (x) U_B (x) U_C maps the solutions E of each check to U E U^dagger,
     # so no check's solution space may change dimension
     sset = build()
@@ -511,11 +555,21 @@ def test_local_unitary_invariance_of_solution_dims(build, seed):
             "ai,bj,ck,ijk->abc", *unitaries, s.to_vector().reshape(dims)
         )
         rotated.append(PureState(sset.layout, list(np.ndenumerate(tensor)), s.label))
+    sides = _record_cholesky(monkeypatch)
     base = verify_strong_nonlocality(sset)
-    moved = verify_strong_nonlocality(StateSet(sset.layout, tuple(rotated)))
-    assert [c.verdict.solution_dim for c in moved.checks] == [
-        c.verdict.solution_dim for c in base.checks
-    ]
+    # the constructions and the GHZ basis are closed under conjugation and
+    # index reversal, so every check splits into blocks
+    assert sides and max(sides) <= _largest_block(dims[0] * dims[1])
+    moved = StateSet(sset.layout, tuple(rotated))
+    for (cut, actor), check in zip(standard_checks(sset.layout), base.checks):
+        sides.clear()
+        assert certify_triviality(moved, cut, actor).solution_dim == check.verdict.solution_dim
+        # the rotated sets lack the symmetry, so each check factors its whole
+        # Gram matrix once; only the GHZ one-party Gram matrices, multiples of
+        # the projector off the identity, commute with every rotation and split
+        m = int(np.prod([sset.layout.dim_of(p) for p in actor]))
+        if not (isotropic_singles and len(actor) == 1):
+            assert sides == [m * m], (cut.name, actor)
 
 
 def test_superset_monotonicity_on_nested_prefixes():
@@ -597,7 +651,7 @@ def test_blockwise_qr_nullspace_matches_dense_svd():
 def _assert_agrees(cs, tol=1e-9):
     """The certificate never says Trivial where the pipeline finds more; when
     it does not decide, :func:`_solve` returns the pipeline's basis unchanged."""
-    certified = _gram_certifies_trivial(cs.rows, cs.m, tol)
+    certified = _gram_certifies_trivial(cs.rows, cs.m, tol, cs.weights)
     basis = _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
     if certified:
         assert basis.shape[1] == 1
@@ -658,3 +712,60 @@ def test_cholesky_certificate_needs_identity_solution():
     rows = scipy.sparse.csr_matrix(np.random.default_rng(53).normal(size=(40, 9)))
     cs = ConstraintSystem(m=3, rows=rows, provenance=(), n_pairs=0, n_coupled_pairs=0)
     assert _assert_agrees(cs) == (False, 0)
+
+
+# ---------------------------------------------------------------------------
+# symmetry blocks of the certificate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
+def test_symmetry_split_is_orthogonal_and_diagonalises_both_symmetries(m):
+    q, block = _symmetry_split(m)
+    dense = q.toarray()
+    assert np.allclose(dense.T @ dense, np.eye(m * m), atol=1e-15)
+    reverse = np.eye(m)[::-1]
+    for j, b in enumerate(block):
+        e = hermitian_from_coords(dense[:, j], m)
+        # blocks 0, 1 real and 2, 3 imaginary; 0, 2 even and 1, 3 odd under reversal
+        assert np.allclose(e.conj(), e if b < 2 else -e, atol=1e-15)
+        assert np.allclose(reverse @ e @ reverse, e if b % 2 == 0 else -e, atol=1e-15)
+    # the identity lies in block 0
+    assert not np.any((dense.T @ identity_coords(m))[block != 0])
+    assert np.bincount(block).max() == _largest_block(m)
+
+
+def test_symmetry_block_sizes():
+    assert tuple(np.bincount(_symmetry_split(36)[1])) == (342, 324, 306, 324)
+    assert tuple(np.bincount(_symmetry_split(100)[1])) == (2550, 2500, 2450, 2500)
+    # the solver limit 9^4 admits every block up to m = 161
+    assert (_largest_block(161), _largest_block(162)) == (6561, 6642)
+
+
+@pytest.mark.parametrize(
+    "d, phases", [(4, False), (4, True), (5, False), (6, False)], ids=["4", "4-phased", "5", "6"]
+)
+def test_seeded_constructions_take_the_split_path(d, phases, monkeypatch):
+    # states permuted and scaled apart: the row weights keep the Gram matrix
+    # symmetric, so every check factors its four blocks and nothing larger
+    sset = _seeded(build_snoeb(d), 71 + d, phases)
+    sides = _record_cholesky(monkeypatch)
+    for cut, actor in standard_checks(sset.layout):
+        sides.clear()
+        assert certify_triviality(sset, cut, actor).solution_dim == 1
+        m = int(np.prod([sset.layout.dim_of(p) for p in actor]))
+        assert sides == [int(c) for c in np.bincount(_symmetry_split(m)[1]) if c]
+
+
+def test_cholesky_certificate_sees_null_vectors_across_blocks():
+    # rows whose null space is the identity and one direction that mixes the
+    # real and the imaginary part of E[0, 1]: each diagonal block alone is
+    # definite after the identity is deflated, so only the coupling B between
+    # them shows the second solution
+    m = 3
+    ident = identity_coords(m) / np.sqrt(m)
+    mixed = np.zeros(m * m)
+    mixed[3] = mixed[4] = 1 / np.sqrt(2)
+    keep = np.eye(m * m) - np.outer(ident, ident) - np.outer(mixed, mixed)
+    rows = scipy.sparse.csr_matrix(np.random.default_rng(59).normal(size=(40, m * m)) @ keep)
+    cs = ConstraintSystem(m=m, rows=rows, provenance=(), n_pairs=0, n_coupled_pairs=0)
+    assert _assert_agrees(cs) == (False, 2)

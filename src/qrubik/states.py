@@ -274,6 +274,25 @@ def _power_of_two_scaled(owner: np.ndarray, amps: np.ndarray, count: int) -> np.
     return scaled
 
 
+def _unit_scaled(owner: np.ndarray, amps: np.ndarray, count: int) -> np.ndarray:
+    """``amps`` with each state (``owner``, as for :func:`_power_of_two_scaled`)
+    scaled by its power of two, then divided by its norm.
+
+    The norm sums re^2 + im^2 over the state's entries in the order given, as
+    :func:`norm` does over its terms, and the real and imaginary parts are
+    divided apart (numpy's complex-by-real division is not exact per
+    component), so each amplitude is bit for bit the prescaled term over
+    :func:`norm`.
+    """
+    amps = _power_of_two_scaled(owner, amps, count)
+    square = amps.real * amps.real + amps.imag * amps.imag
+    norms = np.sqrt(np.bincount(owner, weights=square, minlength=count))[owner]
+    unit = np.empty_like(amps)
+    unit.real = amps.real / norms
+    unit.imag = amps.imag / norms
+    return unit
+
+
 @dataclass(frozen=True)
 class SetReport:
     """Orthogonality and span diagnostics for one state set."""
@@ -300,13 +319,18 @@ def _flat_index(idx: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np
     return idx[:, axes] @ _strides([dims[a] for a in axes])
 
 
-def _set_matrix(sset: StateSet, row_axes: Sequence[int] = ()) -> scipy.sparse.csr_matrix:
+def _set_matrix(
+    sset: StateSet, row_axes: Sequence[int] = (), unit: bool = False
+) -> scipy.sparse.csr_matrix:
     """The set as a sparse matrix with row (state, index on ``row_axes``) and
-    column the index on the other axes; with no row axes, one state per row."""
+    column the index on the other axes; with no row axes, one state per row.
+    With ``unit``, every state is taken at norm one (:func:`_unit_scaled`)."""
     dims = sset.layout.dims
     col_axes = [a for a in range(len(dims)) if a not in row_axes]
     m = math.prod(dims[a] for a in row_axes)
     state, idx, amps = _term_arrays(sset.layout, sset.states)
+    if unit:
+        amps = _unit_scaled(state, amps, len(sset))
     rows = state * m + _flat_index(idx, dims, row_axes)
     cols = _flat_index(idx, dims, col_axes)
     shape = (len(sset) * m, sset.layout.total_dim // m)

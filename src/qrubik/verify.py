@@ -24,18 +24,19 @@ import scipy.linalg
 import scipy.sparse
 
 from .states import DEFAULT_TOL, Bipartition, StateSet
-from .states import _first_nonorthogonal_pair, _power_of_two_scaled, _set_matrix
+from .states import _first_nonorthogonal_pair, _set_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
-# Rows whose largest coefficient falls below this (relative to the product of
-# the two state norms) carry no constraint beyond roundoff and are dropped.
+# Couplings and row entries at or below this carry no constraint beyond
+# roundoff and are dropped: the rows come from unit-norm states, so one
+# absolute cut serves every pair.
 _ROW_DROP = 1e-12
 
 # Largest side of a dense matrix the solver factors: a symmetry block of the
-# Cholesky certificate (every check up to d = 10 runs) or, when the blocks do
-# not certify, the m^2 unknowns of the fallback; no large sparse layout gets an
-# identity or SVD basis it cannot hold.
+# Cholesky certificate (every check up to d = 12 is within it) or, when the
+# blocks do not certify, the m^2 unknowns of the fallback; no large sparse
+# layout gets an identity or SVD basis it cannot hold.
 _MAX_UNKNOWNS = 9**4
 
 # Multiple of the floating-error bound that the Cholesky certificate of
@@ -157,19 +158,15 @@ class ConstraintSystem:
     """Real linear constraints on the actor-side Hermitian element.
 
     Each state pair with nonvanishing coupling contributes a real and an
-    imaginary row, taken from the states each scaled by the power of two that
-    puts its largest amplitude part in [1, 2); identically zero rows are
-    dropped.  ``provenance`` records the generating pair labels per row, and
-    ``weights`` 1 / (|i| |j|) for the scaled pair (i, j) of each row (None
-    weighs every row 1).
+    imaginary row, taken from the states each divided by its norm, so
+    rescaling a state moves the rows by roundoff at most; identically zero
+    rows are dropped.
     """
 
     m: int
     rows: scipy.sparse.csr_matrix
-    provenance: tuple[tuple[str, str], ...]
     n_pairs: int
     n_coupled_pairs: int
-    weights: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,8 @@ class TrivialityVerdict:
     """Outcome of one (bipartition, actor) check.
 
     ``trivial`` iff the solution space is spanned by the identity.  When
-    nontrivial, ``witness`` is a traceless unit-norm Hermitian solution: for
+    nontrivial, ``witness`` is a traceless unit-norm Hermitian solution, the
+    one of :func:`_witness`, which depends on the solution space alone: for
     any such W, E = (W + lam*I)/c with lam > max|eig(W)| and c normalizing is
     a positive nontrivial element, and {E, I - E} is a valid measurement that
     preserves all pairwise orthogonalities.
@@ -252,19 +250,16 @@ def _check_name(cut: Bipartition, actor: Sequence[str] | str) -> str:
 
 def _coupled_blocks(
     sset: StateSet, axes: list[int], m: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, scipy.sparse.csr_matrix]:
-    """Pairs i < j whose m x m coupling block c[u, w] = <i|(|u><w| x I)|j> has
-    an entry above ``_ROW_DROP`` times the two norms: (i, j), the norm of every
-    state, and the blocks folded by :func:`_fold`, as rows.  One sparse product
-    holds every block, and the block traces are the Gram matrix the
-    orthogonality check reads.  Each state is first scaled by the exact power of
-    two of :func:`_power_of_two_scaled`, so no product underflows or overflows.
+) -> scipy.sparse.csr_matrix:
+    """The m x m coupling blocks c[u, w] = <i|(|u><w| x I)|j> of the pairs
+    i < j with an entry above ``_ROW_DROP``, in pair order, folded by
+    :func:`_fold`.  The states are taken at norm one (:func:`_unit_scaled`,
+    an exact power of two first, so no product underflows or overflows), and
+    one sparse product holds every block; the block traces are the Gram matrix
+    the orthogonality check reads.
     """
     n = len(sset)
-    mat = _set_matrix(sset, axes)
-    mat.data = _power_of_two_scaled(
-        np.repeat(np.arange(mat.shape[0]) // m, np.diff(mat.indptr)), mat.data, n
-    )
+    mat = _set_matrix(sset, axes, unit=True)
     blocks = (mat.conj() @ mat.T).tocoo()
     i, u = np.divmod(blocks.row, m)
     j, w = np.divmod(blocks.col, m)
@@ -275,30 +270,25 @@ def _coupled_blocks(
         raise ValueError(
             f"input set is not mutually orthogonal ({sset[bad[0]].label}, {sset[bad[1]].label})"
         )
-    norms = np.sqrt(gram.diagonal().real)
     upper = i < j
     pairs, pair_of = np.unique(i[upper].astype(np.int64) * n + j[upper], return_inverse=True)
     coupled = scipy.sparse.csr_matrix(
         (blocks.data[upper], (pair_of, u[upper] * m + w[upper])), shape=(pairs.size, m * m)
     )
     del blocks, i, u, j, w  # the product is the largest array here; fold without it
-    first, second = np.divmod(pairs, n)
-    scale = _ROW_DROP * norms[first] * norms[second]
-    keep = np.maximum.reduceat(np.abs(coupled.data), coupled.indptr[:-1]) > scale
-    return first[keep], second[keep], norms, coupled[keep] @ _fold(m)
+    keep = np.maximum.reduceat(np.abs(coupled.data), coupled.indptr[:-1]) > _ROW_DROP
+    return coupled[keep] @ _fold(m)
 
 
-def _real_rows(
-    folded: scipy.sparse.csr_matrix, m: int, scale: np.ndarray
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+def _real_rows(folded: scipy.sparse.csr_matrix, m: int) -> scipy.sparse.csr_matrix:
     """Rows 2p and 2p + 1 from the real and imaginary part of folded block p,
-    keeping the entries above its scale; returns the nonempty rows and their p."""
+    keeping the entries above ``_ROW_DROP``; returns the nonempty rows."""
     folded.sort_indices()
     pair = np.repeat(np.arange(folded.shape[0]), np.diff(folded.indptr))
     vals = np.concatenate([folded.data.real, folded.data.imag])
     cols = np.tile(folded.indices, 2)
     vals[cols >= m] /= _SQRT2
-    big = (np.abs(vals).reshape(2, -1) > scale[pair]).ravel()
+    big = np.abs(vals) > _ROW_DROP
     vals, cols = vals[big], cols[big]
     # now the row of each entry: the grouping into rows is stable, so each
     # row keeps its columns in order
@@ -306,8 +296,7 @@ def _real_rows(
     rows = scipy.sparse.csr_matrix((vals, (pair, cols)), shape=(2 * folded.shape[0], m * m))
     filled = np.flatnonzero(np.diff(rows.indptr))
     indptr = rows.indptr[np.r_[0, filled + 1]]
-    rows = scipy.sparse.csr_matrix((rows.data, rows.indices, indptr), shape=(filled.size, m * m))
-    return rows, filled // 2
+    return scipy.sparse.csr_matrix((rows.data, rows.indices, indptr), shape=(filled.size, m * m))
 
 
 def assemble_constraints(
@@ -323,40 +312,13 @@ def assemble_constraints(
     Hermitian coordinates, gives a real and an imaginary row, in pair order.
     """
     m, axes = _actor_side(sset, cut, actor)
-    first, second, norms, folded = _coupled_blocks(sset, axes, m, tol)
-    rows, row_pair = _real_rows(folded, m, _ROW_DROP * norms[first] * norms[second])
-    labels = sset.labels
-    pairs = [(labels[i], labels[j]) for i, j in zip(first.tolist(), second.tolist())]
+    folded = _coupled_blocks(sset, axes, m, tol)
     return ConstraintSystem(
         m=m,
-        rows=rows,
-        provenance=tuple(pairs[p] for p in row_pair.tolist()),
+        rows=_real_rows(folded, m),
         n_pairs=len(sset) * (len(sset) - 1) // 2,
-        n_coupled_pairs=len(pairs),
-        weights=1.0 / (norms[first] * norms[second])[row_pair],
+        n_coupled_pairs=folded.shape[0],
     )
-
-
-def _dedup_rows(rows: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """Drop rows that duplicate another up to scale (direction-level dedup)."""
-    seen = set()
-    keep = []
-    indptr, indices, data = rows.indptr, rows.indices, rows.data
-    for r in range(rows.shape[0]):
-        lo, hi = indptr[r], indptr[r + 1]
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
-        peak = np.max(np.abs(vals))
-        scaled = vals / peak
-        if scaled[0] < 0:
-            scaled = -scaled
-        key = (tuple(cols.tolist()), tuple(np.round(scaled, 12).tolist()))
-        if key not in seen:
-            seen.add(key)
-            keep.append(r)
-    if len(keep) == rows.shape[0]:
-        return rows
-    return rows[keep]
 
 
 def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarray:
@@ -386,69 +348,54 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
     return vt[rank:].T
 
 
-def _gram_certifies_trivial(
-    rows: scipy.sparse.csr_matrix, m: int, tol: float, weights: np.ndarray | None = None
-) -> bool:
+def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -> bool:
     """Whether Cholesky factorisations of symmetry blocks prove the identity is
     the only solution.
 
-    With R the rows, W the row ``weights`` (all 1 if None; WR has the null
-    space of R), n = m^2 unknowns, F = ||WR||_F^2, k the most nonzeros in one
-    column of R, kappa = max W / min W, i the unit identity coordinate vector
-    and c = 4, the matrix
+    With R the rows, n = m^2 unknowns, F = ||R||_F^2, k the most nonzeros in
+    one column of R, i the unit identity coordinate vector and c = 4, the
+    matrix
 
-        A = (WR)^T WR + F i i^T - tau I,   tau = c max((n + k + 8) eps, kappa^2 tol^2) F,
+        A = R^T R + F i i^T - tau I,   tau = c max((n + k + 8) eps, tol^2) F,
 
     is shown positive definite a diagonal block at a time.  In the coordinates
     Q of :func:`_symmetry_split`, Q^T A Q = D + B with D its four diagonal
     blocks (i lies in the first) and B the rest, and lambda_min(A) >=
     lambda_min(D) - ||B||_F, so each block is factored with ||B||_F subtracted
-    from its diagonal too.  The row weights make the Gram matrix of a set that
-    is closed under conjugation and index reversal, whatever its state norms,
-    commute with both up to roundoff, so B is negligible; when ||B||_F > tau
-    the set lacks the symmetry and A is factored whole, as one block with
-    Q = I and B = 0.  Only then is a dense n x n matrix formed, and only
-    within the solver limit.
+    from its diagonal too.  The rows come from unit-norm states, so the Gram
+    matrix of a set that is closed under conjugation and index reversal,
+    whatever its state norms and phases, commutes with both up to roundoff,
+    and B is negligible; when ||B||_F > tau the set lacks the symmetry and A
+    is factored whole, as one block with Q = I and B = 0.  Only then is a
+    dense n x n matrix formed, and only within the solver limit.
 
-    To first order in eps, forming (WR)^T WR errs by at most k eps F in
-    2-norm, weighting the rows by 2 eps F, the products with Q (entries
-    +-1/sqrt 2, at most two in a row or column) by 12 eps F, adding F i i^T
-    and subtracting the shift by 12 eps F, and a Cholesky factorisation that
-    runs to completion is exact for a matrix within (n_b + 1) eps tr <=
-    2 (n + 1) eps F of the block of side n_b factored (Demmel's bound).  The
-    sum (2 n + k + 28) eps F is at most 3 (n + k + 8) eps F <= 3 tau / 4 for
-    n >= 4, so success proves that the exact A has no eigenvalue below
-    -3 tau / 4: every unit v orthogonal to i has ||WR v||^2 > tau / 4 >=
-    kappa^2 tol^2 F, so ||R v|| > tol ||R||_F >= tol sigma_max(R), as F >=
-    (min W)^2 ||R||_F^2.  (For n = 1 there is no such v.)  The second-smallest
+    To first order in eps, forming R^T R errs by at most k eps F in 2-norm,
+    the products with Q (entries +-1/sqrt 2, at most two in a row or column)
+    by 12 eps F, adding F i i^T and subtracting the shift by 12 eps F, and a
+    Cholesky factorisation that runs to completion is exact for a matrix
+    within (n_b + 1) eps tr <= 2 (n + 1) eps F of the block of side n_b
+    factored (Demmel's bound).  The sum (2 n + k + 26) eps F is below
+    3 (n + k + 8) eps F <= 3 tau / 4 for n >= 4, so success proves that the
+    exact A has no eigenvalue below -3 tau / 4: every unit v orthogonal to i
+    has ||R v||^2 > tau / 4 >= tol^2 F = tol^2 ||R||_F^2 >= tol^2
+    sigma_max(R)^2.  (For n = 1 there is no such v.)  The second-smallest
     singular value of R is then above the rank cut of :func:`_nullspace`, so
     at most one direction survives it.  The identity must also pass that cut,
-    ||R i|| <= tol times the largest column norm of WR over max W (a lower
-    bound on sigma_max), or the answer is left to the full pipeline.
-    Duplicate rows add no direction to R^T R, so it is formed from the rows
-    as assembled.  On the cube constructions at d = 3..8 the second-smallest
-    eigenvalue of R^T R is 0.02-0.35 of the largest, and tau at most 1.3e-8
-    of it.
+    ||R i|| <= tol times the largest column norm of R (a lower bound on
+    sigma_max), or the answer is left to the full pipeline.  On the cube
+    constructions at d = 3..8 the second-smallest eigenvalue of R^T R is
+    0.02-0.33 of the largest, and tau at most 2.1e-7 of that eigenvalue.
     """
     n = m * m
-    weights = np.ones(rows.shape[0]) if weights is None else weights
-    weighted = scipy.sparse.csr_matrix(
-        (np.repeat(weights, np.diff(rows.indptr)), rows.indices, rows.indptr), shape=rows.shape
-    )
-    weighted.data *= rows.data
-    fro2 = float(np.dot(weighted.data, weighted.data))
+    fro2 = float(np.dot(rows.data, rows.data))
     if not 0.0 < fro2 < math.inf:
         return False
-    gram = weighted.T @ weighted
-    del weighted
-    # a column norm of WR is at most max W times that of R
+    gram = rows.T @ rows
     residual = rows @ identity_coords(m)
-    top = float(gram.diagonal().max()) / float(weights.max()) ** 2
-    if float(np.dot(residual, residual)) / m > tol * tol * top:
+    if float(np.dot(residual, residual)) / m > tol * tol * float(gram.diagonal().max()):
         return False
     k = int(np.bincount(rows.indices, minlength=n).max())
-    kappa = float(weights.max() / weights.min())
-    tau = _CHOLESKY_C * max((n + k + 8) * np.finfo(float).eps, (kappa * tol) ** 2) * fro2
+    tau = _CHOLESKY_C * max((n + k + 8) * np.finfo(float).eps, tol * tol) * fro2
     q, block = _symmetry_split(m)
     split = (q.T @ gram @ q).tocoo()
     off = split.data[block[split.row] != block[split.col]]
@@ -488,24 +435,46 @@ def _solve(
     """Orthonormal nullspace basis (columns, in coordinates) of a constraint system.
 
     A system the Cholesky test certifies trivial gets exactly the unit
-    identity; any other goes through row dedup and the blockwise QR/SVD, whose
-    m^2 x m^2 basis must be within the solver limit.
+    identity; any other goes through the blockwise QR/SVD of all its rows,
+    whose m^2 x m^2 basis must be within the solver limit.
     """
     _check_unknowns(cs.m, check)
-    if _gram_certifies_trivial(cs.rows, cs.m, tol, cs.weights):
+    if _gram_certifies_trivial(cs.rows, cs.m, tol):
         return identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
     if cs.m * cs.m > _MAX_UNKNOWNS:
         raise ValueError(
             f"{check} has m^2 = {cs.m * cs.m} unknowns, and its symmetry blocks did "
             f"not certify it: the dense fallback is above the solver limit of {_MAX_UNKNOWNS}"
         )
-    return _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
+    return _nullspace(cs.rows, cs.m * cs.m, tol)
 
 
 def solution_space(cs: ConstraintSystem, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Frobenius-orthonormal Hermitian basis of the constraint nullspace."""
+    """Frobenius-orthonormal Hermitian basis of the constraint nullspace: the
+    identity over sqrt(m) alone when the Cholesky certificate decides the
+    system, else the SVD basis of :func:`_nullspace`, which is fixed only up
+    to a rotation within the space (:func:`_witness` is not)."""
     basis = _solve(cs, tol)
     return [hermitian_from_coords(basis[:, k], cs.m) for k in range(basis.shape[1])]
+
+
+def _witness(basis: np.ndarray, m: int) -> np.ndarray | None:
+    """The unit-norm solution along (I - i i^T) V V^T p, with V the orthonormal
+    ``basis`` (columns), i the unit identity coordinate vector and the fixed
+    probe p_k = sin(k + 1); None if that part is negligible.
+
+    V V^T projects onto the solution space, so the witness depends on that
+    space alone and not on the basis the solver returns; as i solves the
+    system, it lies along (V V^T - i i^T) p, and it is traceless.  No nonzero
+    vector with algebraic entries is orthogonal to p (Lindemann-Weierstrass),
+    so p has a part in every exact solution space beyond the identity.
+    """
+    ident = identity_coords(m) / math.sqrt(m)
+    probe = np.sin(np.arange(1.0, m * m + 1))
+    v = basis @ (basis.T @ probe)
+    v -= np.dot(ident, v) * ident
+    nrm = np.linalg.norm(v)
+    return hermitian_from_coords(v / nrm, m) if nrm > 1e-6 * np.linalg.norm(probe) else None
 
 
 def certify_triviality(
@@ -518,10 +487,10 @@ def certify_triviality(
 
     The verdict is Trivial exactly when the Hermitian solution space is
     one-dimensional (the identity direction, which is always a solution for a
-    mutually orthogonal input set).  When nontrivial, the witness is the first
-    nullspace basis element with the identity direction projected out,
-    normalized to unit Frobenius norm; see :class:`TrivialityVerdict` for why
-    a witness always yields a valid nontrivial measurement.
+    mutually orthogonal input set).  When nontrivial, the witness is the
+    solution :func:`_witness` takes from the solution space; see
+    :class:`TrivialityVerdict` for why a witness always yields a valid
+    nontrivial measurement.
     """
     name = _check_name(cut, actor)
     _check_unknowns(_actor_side(sset, cut, actor)[0], name)
@@ -530,16 +499,7 @@ def certify_triviality(
     dim = basis.shape[1]
     if dim == 1:
         return TrivialityVerdict(trivial=True, solution_dim=1, witness=None)
-    ident = identity_coords(cs.m) / math.sqrt(cs.m)
-    witness = None
-    for k in range(dim):
-        v = basis[:, k]
-        v = v - np.dot(ident, v) * ident
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-6:
-            witness = hermitian_from_coords(v / nrm, cs.m)
-            break
-    return TrivialityVerdict(trivial=False, solution_dim=int(dim), witness=witness)
+    return TrivialityVerdict(trivial=False, solution_dim=int(dim), witness=_witness(basis, cs.m))
 
 
 def standard_checks(layout) -> list[tuple[Bipartition, tuple[str, ...]]]:

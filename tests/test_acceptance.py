@@ -45,7 +45,7 @@ from reference_data import (
     set3_states,
     set4_states,
 )
-from test_verify import _random_orthogonal_set, dense_solution_dim
+from test_verify import _off_the_a0_face, _random_orthogonal_set, dense_solution_dim
 
 TOL = 1e-9
 
@@ -246,6 +246,15 @@ def test_stretch_certification_d8():
     report = verify_strong_nonlocality(build_snoeb(8), tol=TOL)
     assert report.strongly_nonlocal
     print("\n[stretch] certification d=8 (basis): PASS")
+
+
+@_stretch
+def test_stretch_fallback_d6():
+    # 135 states off the a = 0 face: five nontrivial checks, decided by the
+    # blockwise QR/SVD of all their rows
+    report = verify_strong_nonlocality(_off_the_a0_face(build_snoeb(6)), tol=TOL)
+    assert [c.verdict.solution_dim for c in report.checks] == [12, 74, 1, 398, 2, 621]
+    print("\n[stretch] fallback d=6 (basis off the a = 0 face): PASS")
 
 
 @_stretch

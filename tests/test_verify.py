@@ -26,12 +26,12 @@ from qrubik import (
 )
 from qrubik.verify import (
     ConstraintSystem,
-    _dedup_rows,
     _gram_certifies_trivial,
     _largest_block,
     _nullspace,
     _solve,
     _symmetry_split,
+    _witness,
     standard_checks,
 )
 
@@ -195,6 +195,26 @@ def test_ghz_basis_checks():
     assert _residual(cs, verdict.witness) < 1e-9
 
 
+def test_ghz_witness_depends_on_the_solution_space_alone():
+    # the witness is the projection of a fixed probe, so neither the order of
+    # the states nor that of the rows moves it, and it still solves its system
+    ghz = ghz_basis()
+    rng = np.random.default_rng(79)
+    permuted = StateSet(ghz.layout, tuple(ghz[int(k)] for k in rng.permutation(len(ghz))))
+    for cut, actor in standard_checks(ghz.layout):
+        if len(actor) == 1:
+            continue
+        cs = assemble_constraints(ghz, cut, actor)
+        witness = certify_triviality(ghz, cut, actor).witness
+        assert _residual(cs, witness) < 1e-9
+        assert np.allclose(witness, np.diag([-0.5, 0.5, 0.5, -0.5]), rtol=0, atol=1e-12)
+        moved = certify_triviality(permuted, cut, actor).witness
+        assert np.allclose(moved, witness, rtol=0, atol=1e-12)
+        order = rng.permutation(cs.rows.shape[0])
+        shuffled = ConstraintSystem(cs.m, cs.rows[order], cs.n_pairs, cs.n_coupled_pairs)
+        assert np.allclose(_witness(_solve(shuffled, 1e-9), cs.m), witness, rtol=0, atol=1e-12)
+
+
 def test_single_state_and_empty_set():
     layout = PartyLayout(("A", "B"), (2, 2))
     single = StateSet(layout, (PureState(layout, [((0, 0), 1)], "x"),))
@@ -276,10 +296,10 @@ def test_orthogonality_rule_matches_pair_loop():
 
 def _reference_assemble(sset, cut, actor):
     """The pair-loop assembly: per-state dicts grouped by the non-actor index,
-    joined pair by pair, folded into Hermitian coordinates row by row."""
+    joined pair by pair, folded into Hermitian coordinates row by row, with
+    couplings and entries at or below 1e-12 dropped."""
     layout = sset.layout
     actor_parties = cut.left if set(actor) == set(cut.left) else cut.right
-    norms = [norm(s) for s in sset.states]
     actor_axes = [layout.axis(p) for p in actor_parties]
     other_axes = [a for a in range(len(layout.parties)) if a not in actor_axes]
     actor_dims = [layout.dims[a] for a in actor_axes]
@@ -299,7 +319,7 @@ def _reference_assemble(sset, cut, actor):
             groups.setdefault(v, []).append((u, amp))
         grouped.append(groups)
 
-    data, indices, indptr, provenance = [], [], [0], []
+    data, indices, indptr = [], [], [0]
     n_coupled = 0
     for i in range(len(sset)):
         gi = grouped[i]
@@ -317,8 +337,7 @@ def _reference_assemble(sset, cut, actor):
                     for (u_j, a_j) in tj:
                         key = (u_i, u_j)
                         couplings[key] = couplings.get(key, 0j) + conj_ai * a_j
-            scale = 1e-12 * norms[i] * norms[j]
-            if not any(abs(c) > scale for c in couplings.values()):
+            if not any(abs(c) > 1e-12 for c in couplings.values()):
                 continue
             re_row, im_row, folded = {}, {}, set()
             for (u, w), c in couplings.items():
@@ -340,29 +359,32 @@ def _reference_assemble(sset, cut, actor):
                 im_row[slot + 1] = im_row.get(slot + 1, 0.0) + s_dif.real / root2
             n_coupled += 1
             for row in (re_row, im_row):
-                entries = [(col, val) for col, val in sorted(row.items()) if abs(val) > scale]
+                entries = [(col, val) for col, val in sorted(row.items()) if abs(val) > 1e-12]
                 if not entries:
                     continue
                 for col, val in entries:
                     indices.append(col)
                     data.append(val)
                 indptr.append(len(data))
-                provenance.append((sset[i].label, sset[j].label))
     rows = scipy.sparse.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(indptr) - 1, m * m),
     )
     n_pairs = len(sset) * (len(sset) - 1) // 2
-    return ConstraintSystem(m, rows, tuple(provenance), n_pairs, n_coupled)
+    return ConstraintSystem(m, rows, n_pairs, n_coupled)
 
 
-def _power_of_two_scaled(sset):
+def _unit_scaled(sset):
     """Each state times the power of two that puts its largest real or
-    imaginary part in [1, 2): the states the assembly takes its rows from."""
+    imaginary part in [1, 2), then divided by its norm, the real and the
+    imaginary part apart: the states the assembly takes its rows from."""
     scaled = []
     for s in sset.states:
         peak = max(max(abs(a.real), abs(a.imag)) for _, a in s.terms)
-        scaled.append(s.scaled(2.0 ** (1 - math.frexp(peak)[1])))
+        s = s.scaled(2.0 ** (1 - math.frexp(peak)[1]))
+        n = norm(s)
+        terms = [(idx, complex(a.real / n, a.imag / n)) for idx, a in s.terms]
+        scaled.append(PureState(s.layout, terms, s.label))
     return StateSet(sset.layout, tuple(scaled))
 
 
@@ -407,14 +429,37 @@ def test_assembly_matches_pair_loop_bit_for_bit(build):
     sset = build()
     for cut, actor in standard_checks(sset.layout):
         got = assemble_constraints(sset, cut, actor)
-        want = _reference_assemble(_power_of_two_scaled(sset), cut, actor)
+        want = _reference_assemble(_unit_scaled(sset), cut, actor)
         assert got.m == want.m and got.rows.shape == want.rows.shape
         assert np.array_equal(got.rows.indptr, want.rows.indptr)
         assert np.array_equal(got.rows.indices, want.rows.indices)
         assert np.array_equal(got.rows.data, want.rows.data)
-        assert got.provenance == want.provenance
         assert got.n_pairs == want.n_pairs
         assert got.n_coupled_pairs == want.n_coupled_pairs
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_snoeb(4),
+        lambda: _seeded(build_snoeb(4), 67, phases=True),
+        ghz_basis,
+        set3_states,
+        lambda: _random_orthogonal_set(np.random.default_rng(83), _QUBITS3, 6),
+    ],
+    ids=["snoeb(4)", "phased-snoeb(4)", "ghz", "set3", "random6"],
+)
+def test_rows_do_not_see_state_scales(build):
+    # the rows come from unit-norm states: scaling each state by a positive
+    # real that is not a power of two moves them by roundoff only
+    sset = build()
+    factors = np.random.default_rng(89).uniform(0.1, 10.0, len(sset))
+    scaled = StateSet(sset.layout, tuple(s.scaled(f) for s, f in zip(sset.states, factors)))
+    for cut, actor in standard_checks(sset.layout):
+        got = assemble_constraints(scaled, cut, actor).rows.toarray()
+        want = assemble_constraints(sset, cut, actor).rows.toarray()
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 4 * np.finfo(float).eps
 
 
 def test_actor_must_be_a_side():
@@ -447,7 +492,6 @@ def test_reference_set_pair_statistics():
     assert cs.n_pairs == 276
     assert cs.n_coupled_pairs == dense_coupled_pairs(s24, ("A",))
     assert cs.n_coupled_pairs < cs.n_pairs / 2  # most pairs decouple
-    assert len(cs.provenance) == cs.rows.shape[0]
 
 
 def test_identity_always_in_solution_space():
@@ -633,6 +677,22 @@ def test_verify_requires_three_parties():
         verify_strong_nonlocality(bell)
 
 
+def _off_the_a0_face(sset):
+    """The states with no term on the a = 0 face of the cube."""
+    return StateSet(sset.layout, tuple(s for s in sset if all(idx[0] for idx in s.support)))
+
+
+def test_fallback_solution_dims_off_the_a0_face():
+    # five of the six checks are nontrivial, so the certificate declines them
+    # and the blockwise QR/SVD of all their rows decides
+    sset = _off_the_a0_face(build_snoeb(4))
+    report = verify_strong_nonlocality(sset)
+    assert [c.verdict.solution_dim for c in report.checks] == [8, 41, 1, 114, 2, 157]
+    for (cut, actor), check in zip(standard_checks(sset.layout), report.checks):
+        if check.verdict.witness is not None:
+            assert _residual(assemble_constraints(sset, cut, actor), check.verdict.witness) < 1e-9
+
+
 def test_blockwise_qr_nullspace_matches_dense_svd():
     rng = np.random.default_rng(41)
     left = rng.normal(size=(1000, 30))
@@ -645,14 +705,14 @@ def test_blockwise_qr_nullspace_matches_dense_svd():
 
 
 # ---------------------------------------------------------------------------
-# Cholesky certificate against the dedup + QR/SVD pipeline it short-cuts
+# Cholesky certificate against the QR/SVD pipeline it short-cuts
 # ---------------------------------------------------------------------------
 
 def _assert_agrees(cs, tol=1e-9):
     """The certificate never says Trivial where the pipeline finds more; when
     it does not decide, :func:`_solve` returns the pipeline's basis unchanged."""
-    certified = _gram_certifies_trivial(cs.rows, cs.m, tol, cs.weights)
-    basis = _nullspace(_dedup_rows(cs.rows), cs.m * cs.m, tol)
+    certified = _gram_certifies_trivial(cs.rows, cs.m, tol)
+    basis = _nullspace(cs.rows, cs.m * cs.m, tol)
     if certified:
         assert basis.shape[1] == 1
         assert np.array_equal(_solve(cs, tol), identity_coords(cs.m)[:, None] / np.sqrt(cs.m))
@@ -702,7 +762,7 @@ def test_cholesky_certificate_near_the_rank_cut(gap, certified):
     u = np.linalg.qr(rng.normal(size=(n_rows, m * m - 1)))[0]
     svals = np.geomspace(1.0, gap, m * m - 1)
     rows = scipy.sparse.csr_matrix(u @ np.diag(svals) @ q[:, 1:].T)
-    cs = ConstraintSystem(m=m, rows=rows, provenance=(), n_pairs=0, n_coupled_pairs=0)
+    cs = ConstraintSystem(m=m, rows=rows, n_pairs=0, n_coupled_pairs=0)
     assert _assert_agrees(cs) == (certified, 1 if certified else 2)
 
 
@@ -710,7 +770,7 @@ def test_cholesky_certificate_needs_identity_solution():
     # rows of full column rank: the pipeline finds no solution at all, so the
     # certificate must not report the identity
     rows = scipy.sparse.csr_matrix(np.random.default_rng(53).normal(size=(40, 9)))
-    cs = ConstraintSystem(m=3, rows=rows, provenance=(), n_pairs=0, n_coupled_pairs=0)
+    cs = ConstraintSystem(m=3, rows=rows, n_pairs=0, n_coupled_pairs=0)
     assert _assert_agrees(cs) == (False, 0)
 
 
@@ -745,8 +805,9 @@ def test_symmetry_block_sizes():
     "d, phases", [(4, False), (4, True), (5, False), (6, False)], ids=["4", "4-phased", "5", "6"]
 )
 def test_seeded_constructions_take_the_split_path(d, phases, monkeypatch):
-    # states permuted and scaled apart: the row weights keep the Gram matrix
-    # symmetric, so every check factors its four blocks and nothing larger
+    # states permuted and scaled apart: rows from unit-norm states keep the
+    # Gram matrix symmetric, so every check factors its four blocks and
+    # nothing larger
     sset = _seeded(build_snoeb(d), 71 + d, phases)
     sides = _record_cholesky(monkeypatch)
     for cut, actor in standard_checks(sset.layout):
@@ -767,5 +828,5 @@ def test_cholesky_certificate_sees_null_vectors_across_blocks():
     mixed[3] = mixed[4] = 1 / np.sqrt(2)
     keep = np.eye(m * m) - np.outer(ident, ident) - np.outer(mixed, mixed)
     rows = scipy.sparse.csr_matrix(np.random.default_rng(59).normal(size=(40, m * m)) @ keep)
-    cs = ConstraintSystem(m=m, rows=rows, provenance=(), n_pairs=0, n_coupled_pairs=0)
+    cs = ConstraintSystem(m=m, rows=rows, n_pairs=0, n_coupled_pairs=0)
     assert _assert_agrees(cs) == (False, 2)

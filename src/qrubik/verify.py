@@ -33,15 +33,21 @@ _SQRT2 = math.sqrt(2.0)
 # absolute cut serves every pair.
 _ROW_DROP = 1e-12
 
-# Largest side of a dense matrix the solver factors: a symmetry block of the
-# Cholesky certificate (every check up to d = 12 is within it) or, when the
-# blocks do not certify, the m^2 unknowns of the fallback; no large sparse
-# layout gets an identity or SVD basis it cannot hold.
+# Largest side of a dense matrix the solver factors: the smaller side,
+# min(m^2, N), of a basis's reduced-state certificate, a symmetry block of the
+# Gram certificate (every check up to d = 12 is within either), or, when
+# neither certifies, the m^2 unknowns of the fallback; no large sparse layout
+# gets an identity or SVD basis it cannot hold.
 _MAX_UNKNOWNS = 9**4
 
-# Multiple of the floating-error bound that the Cholesky certificate of
-# _gram_certifies_trivial subtracts from the Gram matrix.
+# Multiple of the floating-error bound that the Cholesky certificates of
+# _gram_certifies_trivial and _reduced_states_certify_trivial subtract.
 _CHOLESKY_C = 4.0
+
+
+def _pair_slot(k: np.ndarray, l: np.ndarray, m: int) -> np.ndarray:
+    """Slot of the upper-triangle pair (k, l), k < l, in :func:`_offdiagonal`."""
+    return m + 2 * (k * m - k * (k + 1) // 2 + l - k - 1)
 
 
 def _offdiagonal(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,9 +125,7 @@ def _symmetry_split(m: int) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
     """
     n = m * m
     k, l, slot = _offdiagonal(m)
-    # pair (m - 1 - l, m - 1 - k) in the k-then-l order of _offdiagonal
-    rk, rl = m - 1 - l, m - 1 - k
-    mirror = m + 2 * (rk * m - rk * (rk + 1) // 2 + rl - rk - 1)
+    mirror = _pair_slot(m - 1 - l, m - 1 - k, m)
     image = np.empty(n, dtype=np.int64)
     image[:m] = m - 1 - np.arange(m)
     image[slot], image[slot + 1] = mirror, mirror + 1
@@ -161,12 +165,21 @@ class ConstraintSystem:
     imaginary row, taken from the states each divided by its norm, so
     rescaling a state moves the rows by roundoff at most; identically zero
     rows are dropped.
+
+    For a set of as many states as the total dimension (a basis, once it has
+    passed the orthogonality check), ``reduced`` is the m^2 x N matrix M of
+    the Hermitian coordinates of the N unit states' reduced states on the
+    actor side, and ``gram_deviation`` is delta = ||G - I||_F for the Gram
+    matrix G of those states: with them :func:`_solve` certifies the system
+    without the rows' own Gram matrix.  Both are None for any other set.
     """
 
     m: int
     rows: scipy.sparse.csr_matrix
     n_pairs: int
     n_coupled_pairs: int
+    reduced: scipy.sparse.csr_matrix | None = None
+    gram_deviation: float | None = None
 
 
 @dataclass(frozen=True)
@@ -250,13 +263,18 @@ def _check_name(cut: Bipartition, actor: Sequence[str] | str) -> str:
 
 def _coupled_blocks(
     sset: StateSet, axes: list[int], m: int, tol: float
-) -> scipy.sparse.csr_matrix:
+) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix | None, float | None]:
     """The m x m coupling blocks c[u, w] = <i|(|u><w| x I)|j> of the pairs
     i < j with an entry above ``_ROW_DROP``, in pair order, folded by
     :func:`_fold`.  The states are taken at norm one (:func:`_unit_scaled`,
     an exact power of two first, so no product underflows or overflows), and
     one sparse product holds every block; the block traces are the Gram matrix
     the orthogonality check reads.
+
+    For a basis (as many states as the total dimension) the same product also
+    gives the fields ``reduced`` and ``gram_deviation`` of
+    :class:`ConstraintSystem`: block c_ii is the transpose of state i's
+    reduced state.  For any other set both are None.
     """
     n = len(sset)
     mat = _set_matrix(sset, axes, unit=True)
@@ -270,6 +288,11 @@ def _coupled_blocks(
         raise ValueError(
             f"input set is not mutually orthogonal ({sset[bad[0]].label}, {sset[bad[1]].label})"
         )
+    reduced = deviation = None
+    if n == sset.layout.total_dim:
+        deviation = float(np.linalg.norm((gram - scipy.sparse.identity(n, format="csr")).data))
+        reduced = _reduced_coords(blocks.data, i, j, u, w, m, n)
+    del gram, trace
     upper = i < j
     pairs, pair_of = np.unique(i[upper].astype(np.int64) * n + j[upper], return_inverse=True)
     coupled = scipy.sparse.csr_matrix(
@@ -277,7 +300,29 @@ def _coupled_blocks(
     )
     del blocks, i, u, j, w  # the product is the largest array here; fold without it
     keep = np.maximum.reduceat(np.abs(coupled.data), coupled.indptr[:-1]) > _ROW_DROP
-    return coupled[keep] @ _fold(m)
+    return coupled[keep] @ _fold(m), reduced, deviation
+
+
+def _reduced_coords(
+    c: np.ndarray, i: np.ndarray, j: np.ndarray, u: np.ndarray, w: np.ndarray, m: int, n: int
+) -> scipy.sparse.csr_matrix:
+    """The m^2 x n matrix whose column s holds the Hermitian coordinates of
+    the reduced state rho_s, read off the entries c = c_ij[u, w] of the
+    coupling product: the diagonal block c_ss is conj(rho_s), so rho_s[u, w],
+    u < w, has real part Re c and imaginary part -Im c."""
+    own = np.flatnonzero((i == j) & (u <= w))
+    c, state, u, w = c[own], i[own], u[own], w[own]
+    diag = u == w
+    off = ~diag
+    slot = _pair_slot(u[off], w[off], m)
+    return scipy.sparse.csr_matrix(
+        (
+            np.concatenate([c.real[diag], _SQRT2 * c.real[off], -_SQRT2 * c.imag[off]]),
+            (np.concatenate([u[diag], slot, slot + 1]),
+             np.concatenate([state[diag], state[off], state[off]])),
+        ),
+        shape=(m * m, n),
+    )
 
 
 def _real_rows(folded: scipy.sparse.csr_matrix, m: int) -> scipy.sparse.csr_matrix:
@@ -312,12 +357,14 @@ def assemble_constraints(
     Hermitian coordinates, gives a real and an imaginary row, in pair order.
     """
     m, axes = _actor_side(sset, cut, actor)
-    folded = _coupled_blocks(sset, axes, m, tol)
+    folded, reduced, deviation = _coupled_blocks(sset, axes, m, tol)
     return ConstraintSystem(
         m=m,
         rows=_real_rows(folded, m),
         n_pairs=len(sset) * (len(sset) - 1) // 2,
         n_coupled_pairs=folded.shape[0],
+        reduced=reduced,
+        gram_deviation=deviation,
     )
 
 
@@ -346,6 +393,117 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
         return np.eye(dim)
     rank = int(np.sum(svals > tol * svals[0]))
     return vt[rank:].T
+
+
+def _identity_within_cut(
+    rows: scipy.sparse.csr_matrix, m: int, tol: float, floor: float
+) -> bool:
+    """Whether the identity passes the rank cut of :func:`_nullspace`:
+    ||R i||^2 <= tol^2 ``floor`` for the unit identity coordinate vector i,
+    where ``floor`` is a lower bound on sigma_max(R)^2."""
+    residual = rows @ identity_coords(m)
+    return float(np.dot(residual, residual)) / m <= tol * tol * floor
+
+
+def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
+    """Whether one Cholesky factorisation built from a basis's reduced states
+    proves that the identity is the only solution; False for any other set.
+
+    Let the N = D states be psi_i, each taken at norm one, with Gram matrix
+    G = I + Delta, delta = ||Delta||_F, P = sum_i |psi_i><psi_i|, rho_i the
+    reduced state of psi_i on the actor side, M the m^2 x N matrix of their
+    coordinates, r = D / m and i the unit identity coordinate vector.  For a
+    Hermitian E with coordinates x and X = E (x) I, the rows give
+
+        2 ||R x||^2 = sum_{i != j} |<i|X|j>|^2 = tr(X P X P) - ||M^T x||^2,
+
+    and for an orthonormal basis (P = I) tr(X P X P) = tr(X^2) = r ||x||^2,
+    so 2 R^T R = r I - M M^T (Parseval).  P has the spectrum of G, so
+    ||P - I||_2 <= delta, and with P = I + Q, tr(X P X P) - tr(X^2) =
+    2 tr(X^2 Q) + tr(X Q X Q) is at most (2 delta + delta^2) r ||x||^2 in
+    size.  Hence 2 R^T R >= r I - M M^T - (2 delta + delta^2) r I, and
+    lambda_max(R^T R) <= (1 + delta)^2 r / 2 =: lambda.
+
+    The smaller side n_f = min(m^2, N) is factored once, shifted by s:
+
+        r I - M M^T + r i i^T - s I    when m^2 <= N (one-party checks),
+        r I - M^T M + (1/m) 1 1^T - s I  otherwise (joint checks),
+
+    where M^T i = 1 / sqrt(m) (each rho_i has trace one), so either rank-one
+    term lifts the identity direction by r.  M M^T and M^T M have the same
+    nonzero spectrum, and as s < r the eigenvalues at most s of r I - M M^T
+    and of r I - M^T M are the same.  A rank-one positive term moves at most
+    one eigenvalue past s (interlacing), so success means r I - M M^T has at
+    most one eigenvalue at or below s - e, with e the floating error below,
+    and then lambda_2(R^T R) > (s - e - (2 delta + delta^2) r) / 2.
+
+    The rows R' that :func:`_nullspace` reads differ from the exact rows R
+    of the unit states by the entries dropped at ``_ROW_DROP`` = p (at most
+    N^2 m^2 values, none above sqrt(2) p) and by rounding, in all at most
+    eta = sqrt(2) p N m + 6 (r + 2) eps N in 2-norm.  With
+
+        s = c [(2 delta + delta^2) r + 2 tol^2 lambda + 2 (1 + tol)^2 eta^2 + e],
+
+    and c = 4, lambda_2(R^T R) > 2 tol^2 lambda + 2 (1 + tol)^2 eta^2 >=
+    (tol sigma_max(R) + (1 + tol) eta)^2, so sigma_2(R') >= sigma_2(R) -
+    eta > tol (sigma_max(R) + eta) >= tol sigma_max(R').  To first order in
+    eps, e covers forming M from the coupling product (each column within
+    3 (r + 2) eps, which moves M M^T by at most 6 (1 + delta) (r + 2)
+    r sqrt(m) eps in 2-norm), forming the product of M with itself (k eps N,
+    with k = m^2 + N - n_f its inner length, as ||M||_F^2 <= N), adding the
+    other terms (8 r eps) and a Cholesky factorisation that runs to completion,
+    exact for a matrix within (n_f + 1) eps tr <= 2 n_f (n_f + 1) r eps
+    (Demmel's bound); delta itself is read from the computed G, each entry
+    within 2 (r + m + 2) eps, and is raised by that bound times N.  So
+    success proves that sigma_2(R') is above the rank cut of
+    :func:`_nullspace`.  The identity must also pass that cut, ||R' i|| <=
+    tol ||R'||_F / m (the mean column norm, a lower bound on sigma_max), or
+    the answer is left to the other certificate and the full pipeline.
+    """
+    reduced, m = cs.reduced, cs.m
+    if reduced is None:
+        return False
+    n = reduced.shape[1]
+    side = min(m * m, n)
+    if side > _MAX_UNKNOWNS:
+        return False
+    eps = np.finfo(float).eps
+    r = n / m
+    delta = cs.gram_deviation + 2 * (r + m + 2) * eps * n
+    eta = _SQRT2 * _ROW_DROP * n * m + 6 * (r + 2) * eps * n
+    error = eps * (
+        6 * (1 + delta) * (r + 2) * r * math.sqrt(m)
+        + (m * m + n - side) * n
+        + 8 * r
+        + 2 * side * (side + 1) * r
+    )
+    shift = _CHOLESKY_C * (
+        (2 * delta + delta * delta) * r
+        + tol * tol * (1 + delta) ** 2 * r
+        + 2 * (1 + tol) ** 2 * eta * eta
+        + error
+    )
+    if not shift < r:
+        return False
+    # the mean squared column norm of the rows bounds sigma_max^2 from below
+    fro2 = float(np.dot(cs.rows.data, cs.rows.data))
+    if not _identity_within_cut(cs.rows, m, tol, fro2 / (m * m)):
+        return False
+    # Fortran order lets LAPACK factor the matrix in place
+    if side == m * m:
+        dense = (reduced @ reduced.T).toarray(order="F")
+        dense *= -1.0
+        dense[:m, :m] += r / m
+    else:
+        dense = (reduced.T @ reduced).toarray(order="F")
+        dense *= -1.0
+        dense += 1.0 / m
+    dense.flat[:: side + 1] += r - shift
+    try:
+        scipy.linalg.cholesky(dense, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -> bool:
@@ -391,8 +549,7 @@ def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -
     if not 0.0 < fro2 < math.inf:
         return False
     gram = rows.T @ rows
-    residual = rows @ identity_coords(m)
-    if float(np.dot(residual, residual)) / m > tol * tol * float(gram.diagonal().max()):
+    if not _identity_within_cut(rows, m, tol, float(gram.diagonal().max())):
         return False
     k = int(np.bincount(rows.indices, minlength=n).max())
     tau = _CHOLESKY_C * max((n + k + 8) * np.finfo(float).eps, tol * tol) * fro2
@@ -434,12 +591,16 @@ def _solve(
 ) -> np.ndarray:
     """Orthonormal nullspace basis (columns, in coordinates) of a constraint system.
 
-    A system the Cholesky test certifies trivial gets exactly the unit
-    identity; any other goes through the blockwise QR/SVD of all its rows,
-    whose m^2 x m^2 basis must be within the solver limit.
+    A basis's system is first offered to the reduced-state certificate, one
+    Cholesky factorisation of side min(m^2, N); a system it does not certify,
+    and any system of a set that is not a basis, goes to the Cholesky test of
+    the rows' Gram matrix in symmetry blocks.  A system either certifies
+    trivial gets exactly the unit identity; any other goes through the
+    blockwise QR/SVD of all its rows, whose m^2 x m^2 basis must be within the
+    solver limit.
     """
     _check_unknowns(cs.m, check)
-    if _gram_certifies_trivial(cs.rows, cs.m, tol):
+    if _reduced_states_certify_trivial(cs, tol) or _gram_certifies_trivial(cs.rows, cs.m, tol):
         return identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
     if cs.m * cs.m > _MAX_UNKNOWNS:
         raise ValueError(
@@ -451,9 +612,10 @@ def _solve(
 
 def solution_space(cs: ConstraintSystem, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Frobenius-orthonormal Hermitian basis of the constraint nullspace: the
-    identity over sqrt(m) alone when the Cholesky certificate decides the
-    system, else the SVD basis of :func:`_nullspace`, which is fixed only up
-    to a rotation within the space (:func:`_witness` is not)."""
+    identity over sqrt(m) alone when a Cholesky certificate (from a basis's
+    reduced states, or from the rows' Gram matrix) decides the system, else
+    the SVD basis of :func:`_nullspace`, which is fixed only up to a rotation
+    within the space (:func:`_witness` is not)."""
     basis = _solve(cs, tol)
     return [hermitian_from_coords(basis[:, k], cs.m) for k in range(basis.shape[1])]
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from qrubik.verify import (
     _gram_certifies_trivial,
     _largest_block,
     _nullspace,
+    _reduced_states_certify_trivial,
     _solve,
     _symmetry_split,
     _witness,
@@ -580,16 +582,8 @@ def _haar_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-@pytest.mark.parametrize(
-    "build, isotropic_singles",
-    [(lambda: build_snoes(3), False), (lambda: build_snoeb(3), False), (ghz_basis, True)],
-    ids=["snoes(3)", "snoeb(3)", "ghz"],
-)
-@pytest.mark.parametrize("seed", [41, 43])
-def test_local_unitary_invariance_of_solution_dims(build, isotropic_singles, seed, monkeypatch):
-    # U_A (x) U_B (x) U_C maps the solutions E of each check to U E U^dagger,
-    # so no check's solution space may change dimension
-    sset = build()
+def _rotated(sset, seed):
+    """The set under a Haar-random local unitary U_A (x) U_B (x) U_C."""
     dims = sset.layout.dims
     rng = np.random.default_rng(seed)
     unitaries = [_haar_unitary(rng, d) for d in dims]
@@ -599,20 +593,46 @@ def test_local_unitary_invariance_of_solution_dims(build, isotropic_singles, see
             "ai,bj,ck,ijk->abc", *unitaries, s.to_vector().reshape(dims)
         )
         rotated.append(PureState(sset.layout, list(np.ndenumerate(tensor)), s.label))
+    return StateSet(sset.layout, tuple(rotated))
+
+
+def _actor_dim(sset, actor):
+    return int(np.prod([sset.layout.dim_of(p) for p in actor]))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: build_snoes(3), lambda: build_snoeb(3), ghz_basis], ids=["snoes(3)", "snoeb(3)", "ghz"]
+)
+@pytest.mark.parametrize("seed", [41, 43])
+def test_local_unitary_invariance_of_solution_dims(build, seed, monkeypatch):
+    # U_A (x) U_B (x) U_C maps the solutions E of each check to U E U^dagger,
+    # so no check's solution space may change dimension
+    sset = build()
+    dims = sset.layout.dims
+    basis = len(sset) == sset.layout.total_dim
     sides = _record_cholesky(monkeypatch)
     base = verify_strong_nonlocality(sset)
-    # the constructions and the GHZ basis are closed under conjugation and
-    # index reversal, so every check splits into blocks
-    assert sides and max(sides) <= _largest_block(dims[0] * dims[1])
-    moved = StateSet(sset.layout, tuple(rotated))
+    if not basis:
+        # snoes is closed under conjugation and index reversal, so every
+        # check splits into blocks
+        assert sides and max(sides) <= _largest_block(dims[0] * dims[1])
+    moved = _rotated(sset, seed)
     for (cut, actor), check in zip(standard_checks(sset.layout), base.checks):
         sides.clear()
         assert certify_triviality(moved, cut, actor).solution_dim == check.verdict.solution_dim
-        # the rotated sets lack the symmetry, so each check factors its whole
-        # Gram matrix once; only the GHZ one-party Gram matrices, multiples of
-        # the projector off the identity, commute with every rotation and split
-        m = int(np.prod([sset.layout.dim_of(p) for p in actor]))
-        if not (isotropic_singles and len(actor) == 1):
+        m = _actor_dim(sset, actor)
+        if basis:
+            # a basis stays a basis, though it loses the symmetry: one
+            # factorisation of side min(m^2, N) from its reduced states
+            # decides every trivial check; a GHZ joint check fails it, and
+            # then its whole Gram matrix is factored once
+            expected = [min(m * m, len(sset))]
+            if check.verdict.solution_dim > 1:
+                expected.append(m * m)
+            assert sides == expected, (cut.name, actor)
+        else:
+            # the rotated set lacks the symmetry, so each check factors its
+            # whole Gram matrix once
             assert sides == [m * m], (cut.name, actor)
 
 
@@ -806,15 +826,137 @@ def test_symmetry_block_sizes():
 )
 def test_seeded_constructions_take_the_split_path(d, phases, monkeypatch):
     # states permuted and scaled apart: rows from unit-norm states keep the
-    # Gram matrix symmetric, so every check factors its four blocks and
-    # nothing larger
+    # Gram matrix symmetric, so every check of snoes (not a basis) factors
+    # its four blocks and nothing larger
+    sset = _seeded(build_snoes(d), 71 + d, phases)
+    sides = _record_cholesky(monkeypatch)
+    for cut, actor in standard_checks(sset.layout):
+        sides.clear()
+        assert certify_triviality(sset, cut, actor).solution_dim == 1
+        m = _actor_dim(sset, actor)
+        assert sides == [int(c) for c in np.bincount(_symmetry_split(m)[1]) if c]
+
+
+@pytest.mark.parametrize(
+    "d, phases", [(4, False), (4, True), (5, False), (6, False)], ids=["4", "4-phased", "5", "6"]
+)
+def test_seeded_bases_take_the_reduced_state_path(d, phases, monkeypatch):
+    # a basis, permuted and scaled apart: each check factors one matrix, of
+    # the smaller side min(m^2, N), and nothing else
     sset = _seeded(build_snoeb(d), 71 + d, phases)
     sides = _record_cholesky(monkeypatch)
     for cut, actor in standard_checks(sset.layout):
         sides.clear()
         assert certify_triviality(sset, cut, actor).solution_dim == 1
-        m = int(np.prod([sset.layout.dim_of(p) for p in actor]))
-        assert sides == [int(c) for c in np.bincount(_symmetry_split(m)[1]) if c]
+        m = _actor_dim(sset, actor)
+        assert sides == [min(m * m, len(sset))], (cut.name, actor)
+
+
+def _basis_inputs():
+    cases = {}
+    for d in (3, 4, 5, 6):
+        cases[f"snoeb({d})"] = lambda d=d: build_snoeb(d)
+        cases[f"seeded-snoeb({d})"] = lambda d=d: _seeded(build_snoeb(d), 97 + d, phases=False)
+        cases[f"phased-snoeb({d})"] = lambda d=d: _seeded(build_snoeb(d), 101 + d, phases=True)
+    cases["ghz"] = ghz_basis
+    return cases
+
+
+@pytest.mark.parametrize("build", _basis_inputs().values(), ids=_basis_inputs().keys())
+def test_basis_gram_matrix_from_reduced_states(build):
+    # Parseval over a basis: R^T R = (r I - M M^T) / 2 with r = D / m, for
+    # the assembled rows R and the reduced-state coordinates M
+    sset = build()
+    for cut, actor in standard_checks(sset.layout):
+        cs = assemble_constraints(sset, cut, actor)
+        assert cs.reduced.shape == (cs.m * cs.m, len(sset))
+        assert cs.gram_deviation < 1e-12
+        r = len(sset) / cs.m
+        gram = (cs.rows.T @ cs.rows).toarray()
+        closed = 0.5 * (r * np.eye(cs.m * cs.m) - (cs.reduced @ cs.reduced.T).toarray())
+        assert np.max(np.abs(gram - closed)) < 1e-12, (cut.name, actor)
+        # each reduced state has trace one
+        assert np.allclose(cs.reduced.T @ identity_coords(cs.m), 1.0, rtol=0, atol=1e-12)
+
+
+def test_non_bases_carry_no_reduced_states(monkeypatch):
+    # one state dropped from a basis: the system has no reduced-state
+    # certificate, and as the set is no longer closed under index reversal,
+    # the Gram certificate factors the whole m^2 x m^2 matrix
+    full = build_snoeb(4)
+    sset = StateSet(full.layout, full.states[1:])
+    sides = _record_cholesky(monkeypatch)
+    for cut, actor in standard_checks(sset.layout):
+        cs = assemble_constraints(sset, cut, actor)
+        assert cs.reduced is None and cs.gram_deviation is None
+        sides.clear()
+        assert certify_triviality(sset, cut, actor).solution_dim == 1
+        m = _actor_dim(sset, actor)
+        assert sides == [m * m], (cut.name, actor)
+
+
+def _boosted(sset, overlap, pairs):
+    """States 2k and 2k + 1, k < pairs, replaced by cosh(a) x + sinh(a) y and
+    sinh(a) x + cosh(a) y: each such pair then has normalised overlap
+    tanh(2 a) = ``overlap``, and every other pair stays orthogonal."""
+    a = np.arctanh(overlap) / 2
+    vecs = [s.to_vector() for s in sset.states]
+    for k in range(pairs):
+        x, y = vecs[2 * k], vecs[2 * k + 1]
+        vecs[2 * k] = np.cosh(a) * x + np.sinh(a) * y
+        vecs[2 * k + 1] = np.sinh(a) * x + np.cosh(a) * y
+    layout = sset.layout
+    return StateSet(
+        layout,
+        tuple(
+            PureState(layout, list(np.ndenumerate(v.reshape(layout.dims))), s.label)
+            for v, s in zip(vecs, sset.states)
+        ),
+    )
+
+
+@pytest.mark.parametrize("tol, pairs, reduced", [(1e-9, 13, True), (0.05, 4, False)])
+def test_spoiled_basis_keeps_the_pipeline_verdict(tol, pairs, reduced):
+    # orthogonality spoiled at 0.5 tol in several pairs: the set passes the
+    # orthogonality check, and every verdict is that of the rank cut on the
+    # assembled rows.  At tol = 1e-9 delta is far below the spectral gap and
+    # the reduced states still certify; at tol = 0.05 the bound
+    # (2 delta + delta^2) r leaves no proof, so the certificate must decline
+    sset = _boosted(build_snoeb(3), 0.5 * tol, pairs)
+    for cut, actor in standard_checks(sset.layout):
+        cs = assemble_constraints(sset, cut, actor, tol)
+        assert cs.gram_deviation == pytest.approx(0.5 * tol * np.sqrt(2 * pairs), rel=1e-6)
+        assert _reduced_states_certify_trivial(cs, tol) == reduced, (cut.name, actor)
+        pipeline = _nullspace(cs.rows, cs.m * cs.m, tol).shape[1]
+        assert certify_triviality(sset, cut, actor, tol).solution_dim == pipeline == 1
+
+
+# sha256 of the witness bytes of each GHZ joint check, as the split path and
+# the pipeline give them
+_GHZ_WITNESS_SHA256 = {
+    "A|BC": "81990fafbc9544e5ff3662a8b9af58f254f7be6d318ea54517f925fa5e48408a",
+    "B|AC": "be1eca24b4351da0d9db9accd01d252694b56660989968968c1e56430667c2f1",
+    "C|AB": "137c7a6f83aaac4bd3b1723480f0bcb0a9add0a65204c388ae809c33a0ebbe77",
+}
+
+
+def test_ghz_checks_fall_back_with_the_same_witness(monkeypatch):
+    # one-party checks certify from the reduced states (all I / 2); the joint
+    # checks have two solutions, fail that factorisation of side N = 8 and
+    # reach the split path and the pipeline, whose witness bytes are pinned
+    ghz = ghz_basis()
+    sides = _record_cholesky(monkeypatch)
+    for cut, actor in standard_checks(ghz.layout):
+        sides.clear()
+        verdict = certify_triviality(ghz, cut, actor)
+        m = _actor_dim(ghz, actor)
+        if len(actor) == 1:
+            assert (verdict.solution_dim, sides) == (1, [m * m])
+        else:
+            assert verdict.solution_dim == 2
+            assert sides[0] == len(ghz) and len(sides) > 1
+            digest = hashlib.sha256(verdict.witness.tobytes()).hexdigest()
+            assert digest == _GHZ_WITNESS_SHA256[cut.name], (cut.name, digest)
 
 
 def test_cholesky_certificate_sees_null_vectors_across_blocks():

@@ -320,21 +320,27 @@ def _flat_index(idx: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np
 
 
 def _set_matrix(
-    sset: StateSet, row_axes: Sequence[int] = (), unit: bool = False
+    sset: StateSet, row_axes: Sequence[int] = (), unit: bool = False, per_state: bool = False
 ) -> scipy.sparse.csr_matrix:
     """The set as a sparse matrix with row (state, index on ``row_axes``) and
     column the index on the other axes; with no row axes, one state per row.
-    With ``unit``, every state is taken at norm one (:func:`_unit_scaled`)."""
+    With ``unit``, every state is taken at norm one (:func:`_unit_scaled`).
+    With ``per_state``, the column is (state, index on the other axes), so
+    the matrix times its conjugate transpose holds only each state's own
+    block."""
     dims = sset.layout.dims
     col_axes = [a for a in range(len(dims)) if a not in row_axes]
     m = math.prod(dims[a] for a in row_axes)
     state, idx, amps = _term_arrays(sset.layout, sset.states)
     if unit:
         amps = _unit_scaled(state, amps, len(sset))
+    width = sset.layout.total_dim // m
     rows = state * m + _flat_index(idx, dims, row_axes)
     cols = _flat_index(idx, dims, col_axes)
-    shape = (len(sset) * m, sset.layout.total_dim // m)
-    return scipy.sparse.csr_matrix((amps, (rows, cols)), shape=shape)
+    if per_state:
+        cols = cols + state * width
+        width *= len(sset)
+    return scipy.sparse.csr_matrix((amps, (rows, cols)), shape=(len(sset) * m, width))
 
 
 def _key_positions(block: np.ndarray, key: np.ndarray, n_blocks: int):

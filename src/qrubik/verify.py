@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -34,10 +34,10 @@ _SQRT2 = math.sqrt(2.0)
 _ROW_DROP = 1e-12
 
 # Largest side of a dense matrix the solver factors: the smaller side,
-# min(m^2, N), of a basis's reduced-state certificate, a symmetry block of the
-# Gram certificate (every check up to d = 12 is within either), or, when
-# neither certifies, the m^2 unknowns of the fallback; no large sparse layout
-# gets an identity or SVD basis it cannot hold.
+# min(m^2, N), of a basis's reduced-state certificate (every basis check up to
+# d = 18 is within it), a symmetry block of the Gram certificate (every check
+# up to d = 12), or, when neither certifies, the m^2 unknowns of the fallback;
+# no large sparse layout gets an identity or SVD basis it cannot hold.
 _MAX_UNKNOWNS = 9**4
 
 # Multiple of the floating-error bound that the Cholesky certificates of
@@ -157,7 +157,6 @@ def _largest_block(m: int) -> int:
     return (m + m % 2 + pairs + m // 2) // 2
 
 
-@dataclass(frozen=True)
 class ConstraintSystem:
     """Real linear constraints on the actor-side Hermitian element.
 
@@ -169,17 +168,47 @@ class ConstraintSystem:
     For a set of as many states as the total dimension (a basis, once it has
     passed the orthogonality check), ``reduced`` is the m^2 x N matrix M of
     the Hermitian coordinates of the N unit states' reduced states on the
-    actor side, and ``gram_deviation`` is delta = ||G - I||_F for the Gram
-    matrix G of those states: with them :func:`_solve` certifies the system
-    without the rows' own Gram matrix.  Both are None for any other set.
+    actor side, and for the Gram matrix G of those states ``gram_deviation``
+    is delta = ||G - I||_F and ``pair_overlap`` the root of the sum of
+    |G_ij|^2 over the pairs i < j: with them :func:`_solve` certifies the
+    system without its rows.  So the rows and ``n_coupled_pairs`` of a basis
+    are built by ``assemble`` (which returns the folded blocks of
+    :func:`_coupled_blocks`) when first read, which only the fallbacks do.
+    For any other set the rows are given and the three fields are None.
     """
 
-    m: int
-    rows: scipy.sparse.csr_matrix
-    n_pairs: int
-    n_coupled_pairs: int
-    reduced: scipy.sparse.csr_matrix | None = None
-    gram_deviation: float | None = None
+    def __init__(
+        self,
+        m: int,
+        rows: scipy.sparse.csr_matrix | None,
+        n_pairs: int,
+        n_coupled_pairs: int | None,
+        reduced: scipy.sparse.csr_matrix | None = None,
+        gram_deviation: float | None = None,
+        pair_overlap: float | None = None,
+        assemble: Callable[[], scipy.sparse.csr_matrix] | None = None,
+    ) -> None:
+        self.m = m
+        self.n_pairs = n_pairs
+        self.reduced = reduced
+        self.gram_deviation = gram_deviation
+        self.pair_overlap = pair_overlap
+        self._assemble = assemble
+        if assemble is None:
+            self._assembled = rows, n_coupled_pairs
+
+    @functools.cached_property
+    def _assembled(self) -> tuple[scipy.sparse.csr_matrix, int]:
+        folded = self._assemble()
+        return _real_rows(folded, self.m), folded.shape[0]
+
+    @property
+    def rows(self) -> scipy.sparse.csr_matrix:
+        return self._assembled[0]
+
+    @property
+    def n_coupled_pairs(self) -> int:
+        return self._assembled[1]
 
 
 @dataclass(frozen=True)
@@ -248,8 +277,17 @@ def _actor_side(
     return m, [sset.layout.axis(p) for p in actor_parties]
 
 
-def _check_unknowns(m: int, check: str) -> None:
-    """Refuse a check whose largest symmetry block the dense solver cannot take on."""
+def _basis_size(sset: StateSet) -> int | None:
+    """N for a set of as many states N as the total dimension, else None."""
+    return len(sset) if len(sset) == sset.layout.total_dim else None
+
+
+def _check_unknowns(m: int, basis: int | None, check: str) -> None:
+    """Refuse a check whose largest symmetry block the dense solver cannot
+    take on, unless it is a check of a basis of ``basis`` states whose
+    reduced-state certificate, of side min(m^2, N), it can."""
+    if basis is not None and min(m * m, basis) <= _MAX_UNKNOWNS:
+        return
     if _largest_block(m) > _MAX_UNKNOWNS:
         raise ValueError(
             f"{check} has m^2 = {m * m} unknowns, and its largest symmetry block "
@@ -261,20 +299,23 @@ def _check_name(cut: Bipartition, actor: Sequence[str] | str) -> str:
     return f"check {cut.name}:{''.join(actor)}"
 
 
+def _check_orthogonal(sset: StateSet, gram: scipy.sparse.csr_matrix, tol: float) -> None:
+    bad = _first_nonorthogonal_pair(gram, tol)
+    if bad is not None:
+        raise ValueError(
+            f"input set is not mutually orthogonal ({sset[bad[0]].label}, {sset[bad[1]].label})"
+        )
+
+
 def _coupled_blocks(
     sset: StateSet, axes: list[int], m: int, tol: float
-) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix | None, float | None]:
+) -> scipy.sparse.csr_matrix:
     """The m x m coupling blocks c[u, w] = <i|(|u><w| x I)|j> of the pairs
     i < j with an entry above ``_ROW_DROP``, in pair order, folded by
     :func:`_fold`.  The states are taken at norm one (:func:`_unit_scaled`,
     an exact power of two first, so no product underflows or overflows), and
     one sparse product holds every block; the block traces are the Gram matrix
     the orthogonality check reads.
-
-    For a basis (as many states as the total dimension) the same product also
-    gives the fields ``reduced`` and ``gram_deviation`` of
-    :class:`ConstraintSystem`: block c_ii is the transpose of state i's
-    reduced state.  For any other set both are None.
     """
     n = len(sset)
     mat = _set_matrix(sset, axes, unit=True)
@@ -282,17 +323,10 @@ def _coupled_blocks(
     i, u = np.divmod(blocks.row, m)
     j, w = np.divmod(blocks.col, m)
     trace = u == w
-    gram = scipy.sparse.csr_matrix((blocks.data[trace], (i[trace], j[trace])), shape=(n, n))
-    bad = _first_nonorthogonal_pair(gram, tol)
-    if bad is not None:
-        raise ValueError(
-            f"input set is not mutually orthogonal ({sset[bad[0]].label}, {sset[bad[1]].label})"
-        )
-    reduced = deviation = None
-    if n == sset.layout.total_dim:
-        deviation = float(np.linalg.norm((gram - scipy.sparse.identity(n, format="csr")).data))
-        reduced = _reduced_coords(blocks.data, i, j, u, w, m, n)
-    del gram, trace
+    _check_orthogonal(
+        sset, scipy.sparse.csr_matrix((blocks.data[trace], (i[trace], j[trace])), shape=(n, n)), tol
+    )
+    del trace
     upper = i < j
     pairs, pair_of = np.unique(i[upper].astype(np.int64) * n + j[upper], return_inverse=True)
     coupled = scipy.sparse.csr_matrix(
@@ -300,18 +334,21 @@ def _coupled_blocks(
     )
     del blocks, i, u, j, w  # the product is the largest array here; fold without it
     keep = np.maximum.reduceat(np.abs(coupled.data), coupled.indptr[:-1]) > _ROW_DROP
-    return coupled[keep] @ _fold(m), reduced, deviation
+    return coupled[keep] @ _fold(m)
 
 
-def _reduced_coords(
-    c: np.ndarray, i: np.ndarray, j: np.ndarray, u: np.ndarray, w: np.ndarray, m: int, n: int
-) -> scipy.sparse.csr_matrix:
-    """The m^2 x n matrix whose column s holds the Hermitian coordinates of
-    the reduced state rho_s, read off the entries c = c_ij[u, w] of the
-    coupling product: the diagonal block c_ss is conj(rho_s), so rho_s[u, w],
-    u < w, has real part Re c and imaginary part -Im c."""
-    own = np.flatnonzero((i == j) & (u <= w))
-    c, state, u, w = c[own], i[own], u[own], w[own]
+def _reduced_coords(sset: StateSet, axes: list[int], m: int) -> scipy.sparse.csr_matrix:
+    """The m^2 x N matrix whose column s holds the Hermitian coordinates of
+    the reduced state rho_s of unit state s on ``axes``.  One sparse product
+    with rows (state, actor index) and columns (state, other index) forms
+    only each state's own coupling block c_ss = conj(rho_s), so rho_s[u, w],
+    u < w, has real part Re c_ss[u, w] and imaginary part -Im c_ss[u, w]."""
+    mat = _set_matrix(sset, axes, unit=True, per_state=True)
+    blocks = (mat.conj() @ mat.T).tocoo()
+    state, u = np.divmod(blocks.row, m)
+    w = blocks.col % m
+    own = np.flatnonzero(u <= w)
+    c, state, u, w = blocks.data[own], state[own], u[own], w[own]
     diag = u == w
     off = ~diag
     slot = _pair_slot(u[off], w[off], m)
@@ -321,7 +358,7 @@ def _reduced_coords(
             (np.concatenate([u[diag], slot, slot + 1]),
              np.concatenate([state[diag], state[off], state[off]])),
         ),
-        shape=(m * m, n),
+        shape=(m * m, len(sset)),
     )
 
 
@@ -355,16 +392,28 @@ def assemble_constraints(
     The unknown is an m x m Hermitian element on the actor side (m = product
     of the actor dims).  Each coupled state pair's block, folded into
     Hermitian coordinates, gives a real and an imaginary row, in pair order.
+
+    For a basis, only the Gram matrix of the unit states (one sparse product,
+    read by the same orthogonality check) and the reduced states are formed
+    here; the rows are built when first read.
     """
     m, axes = _actor_side(sset, cut, actor)
-    folded, reduced, deviation = _coupled_blocks(sset, axes, m, tol)
+    n_pairs = len(sset) * (len(sset) - 1) // 2
+    if _basis_size(sset) is None:
+        folded = _coupled_blocks(sset, axes, m, tol)
+        return ConstraintSystem(m, _real_rows(folded, m), n_pairs, folded.shape[0])
+    unit = _set_matrix(sset, unit=True)
+    gram = unit.conj() @ unit.T
+    _check_orthogonal(sset, gram, tol)
     return ConstraintSystem(
-        m=m,
-        rows=_real_rows(folded, m),
-        n_pairs=len(sset) * (len(sset) - 1) // 2,
-        n_coupled_pairs=folded.shape[0],
-        reduced=reduced,
-        gram_deviation=deviation,
+        m,
+        rows=None,
+        n_pairs=n_pairs,
+        n_coupled_pairs=None,
+        reduced=_reduced_coords(sset, axes, m),
+        gram_deviation=float(np.linalg.norm((gram - scipy.sparse.identity(len(sset))).data)),
+        pair_overlap=float(np.linalg.norm(scipy.sparse.triu(gram, k=1).data)),
+        assemble=functools.partial(_coupled_blocks, sset, axes, m, tol),
     )
 
 
@@ -393,16 +442,6 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
         return np.eye(dim)
     rank = int(np.sum(svals > tol * svals[0]))
     return vt[rank:].T
-
-
-def _identity_within_cut(
-    rows: scipy.sparse.csr_matrix, m: int, tol: float, floor: float
-) -> bool:
-    """Whether the identity passes the rank cut of :func:`_nullspace`:
-    ||R i||^2 <= tol^2 ``floor`` for the unit identity coordinate vector i,
-    where ``floor`` is a lower bound on sigma_max(R)^2."""
-    residual = rows @ identity_coords(m)
-    return float(np.dot(residual, residual)) / m <= tol * tol * floor
 
 
 def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
@@ -447,18 +486,30 @@ def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
     and c = 4, lambda_2(R^T R) > 2 tol^2 lambda + 2 (1 + tol)^2 eta^2 >=
     (tol sigma_max(R) + (1 + tol) eta)^2, so sigma_2(R') >= sigma_2(R) -
     eta > tol (sigma_max(R) + eta) >= tol sigma_max(R').  To first order in
-    eps, e covers forming M from the coupling product (each column within
+    eps, e covers forming M from the per-state product (each column within
     3 (r + 2) eps, which moves M M^T by at most 6 (1 + delta) (r + 2)
     r sqrt(m) eps in 2-norm), forming the product of M with itself (k eps N,
     with k = m^2 + N - n_f its inner length, as ||M||_F^2 <= N), adding the
     other terms (8 r eps) and a Cholesky factorisation that runs to completion,
     exact for a matrix within (n_f + 1) eps tr <= 2 n_f (n_f + 1) r eps
     (Demmel's bound); delta itself is read from the computed G, each entry
-    within 2 (r + m + 2) eps, and is raised by that bound times N.  So
-    success proves that sigma_2(R') is above the rank cut of
-    :func:`_nullspace`.  The identity must also pass that cut, ||R' i|| <=
-    tol ||R'||_F / m (the mean column norm, a lower bound on sigma_max), or
-    the answer is left to the other certificate and the full pipeline.
+    the inner product of two computed unit states of at most D terms and so
+    within g = 2 (D + 3) eps, and is raised by g N.  So success proves that
+    sigma_2(R') is above the rank cut of :func:`_nullspace`.
+
+    The identity must also pass that cut, and this too is read off G and M
+    without the rows.  Its coordinates meet each pair's block in its trace, so ||R i||^2 =
+    sum_{i<j} |G_ij|^2 / m, and the root of that sum is read from the
+    computed G and raised by g N.  As R has m^2 columns, sigma_max(R)^2 >=
+    ||R||_F^2 / m^2, and the trace of the bound on 2 R^T R above gives
+    2 ||R||_F^2 >= (1 - 2 delta - delta^2) r m^2 - ||M||_F^2, where ||M||_F^2
+    is raised by (6 (r + 2) + nnz(M)) N eps for the error of M and of its
+    sum.  ||R i|| <= tol sigma_max(R) holds if the first bound is at most
+    tol^2 times the second over m^2; if not, the answer is left to the other
+    certificate and the full pipeline.  This is shown for the exact rows R:
+    R' differs from them by up to eta, which at tol = 1e-9 is larger than
+    tol sigma_max, so the entries dropped at ``_ROW_DROP`` are taken as the
+    roundoff they stand for, as the orthogonality check takes them.
     """
     reduced, m = cs.reduced, cs.m
     if reduced is None:
@@ -469,7 +520,8 @@ def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
         return False
     eps = np.finfo(float).eps
     r = n / m
-    delta = cs.gram_deviation + 2 * (r + m + 2) * eps * n
+    gram_error = 2 * (n + 3) * eps * n
+    delta = cs.gram_deviation + gram_error
     eta = _SQRT2 * _ROW_DROP * n * m + 6 * (r + 2) * eps * n
     error = eps * (
         6 * (1 + delta) * (r + 2) * r * math.sqrt(m)
@@ -485,9 +537,10 @@ def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
     )
     if not shift < r:
         return False
-    # the mean squared column norm of the rows bounds sigma_max^2 from below
-    fro2 = float(np.dot(cs.rows.data, cs.rows.data))
-    if not _identity_within_cut(cs.rows, m, tol, fro2 / (m * m)):
+    mass = float(np.dot(reduced.data, reduced.data)) + (6 * (r + 2) + reduced.nnz) * eps * n
+    floor = ((1 - 2 * delta - delta * delta) * r * m * m - mass) / (2 * m * m)
+    overlap = cs.pair_overlap + gram_error
+    if not overlap * overlap / m <= tol * tol * floor:
         return False
     # Fortran order lets LAPACK factor the matrix in place
     if side == m * m:
@@ -549,7 +602,9 @@ def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -
     if not 0.0 < fro2 < math.inf:
         return False
     gram = rows.T @ rows
-    if not _identity_within_cut(rows, m, tol, float(gram.diagonal().max())):
+    # the largest squared column norm bounds sigma_max^2 from below
+    residual = rows @ identity_coords(m)
+    if not float(np.dot(residual, residual)) / m <= tol * tol * float(gram.diagonal().max()):
         return False
     k = int(np.bincount(rows.indices, minlength=n).max())
     tau = _CHOLESKY_C * max((n + k + 8) * np.finfo(float).eps, tol * tol) * fro2
@@ -597,15 +652,21 @@ def _solve(
     the rows' Gram matrix in symmetry blocks.  A system either certifies
     trivial gets exactly the unit identity; any other goes through the
     blockwise QR/SVD of all its rows, whose m^2 x m^2 basis must be within the
-    solver limit.
+    solver limit.  Where the symmetry blocks are above it too, a basis the
+    first certificate declines stops before its rows are built.
     """
-    _check_unknowns(cs.m, check)
-    if _reduced_states_certify_trivial(cs, tol) or _gram_certifies_trivial(cs.rows, cs.m, tol):
-        return identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
+    basis = None if cs.reduced is None else cs.reduced.shape[1]
+    _check_unknowns(cs.m, basis, check)
+    ident = identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
+    if _reduced_states_certify_trivial(cs, tol):
+        return ident
+    if _largest_block(cs.m) <= _MAX_UNKNOWNS and _gram_certifies_trivial(cs.rows, cs.m, tol):
+        return ident
     if cs.m * cs.m > _MAX_UNKNOWNS:
         raise ValueError(
-            f"{check} has m^2 = {cs.m * cs.m} unknowns, and its symmetry blocks did "
-            f"not certify it: the dense fallback is above the solver limit of {_MAX_UNKNOWNS}"
+            f"{check} has m^2 = {cs.m * cs.m} unknowns, and the certificates within the "
+            f"limit did not certify it: the dense fallback is above the solver limit of "
+            f"{_MAX_UNKNOWNS}"
         )
     return _nullspace(cs.rows, cs.m * cs.m, tol)
 
@@ -655,7 +716,7 @@ def certify_triviality(
     nontrivial measurement.
     """
     name = _check_name(cut, actor)
-    _check_unknowns(_actor_side(sset, cut, actor)[0], name)
+    _check_unknowns(_actor_side(sset, cut, actor)[0], _basis_size(sset), name)
     cs = assemble_constraints(sset, cut, actor, tol)
     basis = _solve(cs, tol, name)
     dim = basis.shape[1]
@@ -685,7 +746,7 @@ def verify_strong_nonlocality(sset: StateSet, tol: float = DEFAULT_TOL) -> Nonlo
     """
     checks = standard_checks(sset.layout)
     for cut, actor in checks:
-        _check_unknowns(_actor_side(sset, cut, actor)[0], _check_name(cut, actor))
+        _check_unknowns(_actor_side(sset, cut, actor)[0], _basis_size(sset), _check_name(cut, actor))
     results = [
         CheckResult(
             cut=cut.name,

@@ -265,3 +265,14 @@ def test_stretch_certification_d10():
     assert report.strongly_nonlocal
     assert all(c.verdict.solution_dim == 1 for c in report.checks)
     print("\n[stretch] certification d=10 (basis): PASS")
+
+
+@_stretch
+def test_stretch_certification_d16():
+    # 4096 states: the joint checks have m^2 = 65536 unknowns and symmetry
+    # blocks of up to 16512, above the solver limit; as a basis each is
+    # decided by one factorisation of side N = 4096 from its reduced states
+    report = verify_strong_nonlocality(build_snoeb(16), tol=TOL)
+    assert report.strongly_nonlocal
+    assert all(c.verdict.solution_dim == 1 for c in report.checks)
+    print("\n[stretch] certification d=16 (basis): PASS")

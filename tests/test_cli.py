@@ -359,6 +359,40 @@ def test_solver_size_budget_is_checked_before_assembly(tmp_path, capsys, monkeyp
     assert err.startswith("error:") and "check A|BC:BC has m^2 = 26244 unknowns" in err
 
 
+def test_basis_past_the_block_limit_exits_2_before_its_rows(tmp_path, capsys, monkeypatch):
+    # the computational basis of 2 x 2 x 82: the A|BC:BC check has m = 164,
+    # whose largest symmetry block of 6806 is above the 9^4 limit, but as a
+    # basis of N = 328 states it passes the size check on min(m^2, N).  It
+    # is not trivial, so the reduced-state certificate declines, and the
+    # check must stop before its rows are built
+    layout = PartyLayout(("A", "B", "C"), (2, 2, 82))
+    sset = StateSet(
+        layout,
+        tuple(
+            PureState(layout, [((a, b, c), 1)], f"e{a}{b}{c}")
+            for a in range(2) for b in range(2) for c in range(82)
+        ),
+    )
+    path = str(tmp_path / "wide-basis.json")
+    save_state_set(sset, path)
+    assembled = []
+    couple = verify._coupled_blocks
+
+    def recording(sset, axes, m, tol):
+        assert m != 164, "rows of the m = 164 check built"
+        assembled.append(m)
+        return couple(sset, axes, m, tol)
+
+    monkeypatch.setattr(verify, "_coupled_blocks", recording)
+    code, out, err = _run(capsys, "verify", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "check A|BC:BC has m^2 = 26896 unknowns" in err
+    assert "the dense fallback is above the solver limit" in err
+    # only the A|BC:A check before it, which is not trivial either, built rows
+    assert assembled == [2]
+
+
 # sha256 of json.dumps(result, sort_keys=True) for each shipped protocol and
 # its state set; the simulator's output must not change by a single byte
 SIMULATE_RESULT_SHA256 = {

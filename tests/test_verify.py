@@ -21,6 +21,7 @@ from qrubik import (
     identity_coords,
     inner_product,
     norm,
+    save_state_set,
     solution_space,
     validate_set,
     verify_strong_nonlocality,
@@ -36,6 +37,9 @@ from qrubik.verify import (
     _witness,
     standard_checks,
 )
+
+from qrubik import verify
+from qrubik.cli import main
 
 from reference_data import bell_states, ghz_basis, reducible_five_states, set3_states
 
@@ -940,23 +944,118 @@ _GHZ_WITNESS_SHA256 = {
 }
 
 
+def _record_assemblies(monkeypatch):
+    """The actor dimension m of every row assembly, in call order."""
+    assembled = []
+    couple = verify._coupled_blocks
+
+    def recording(sset, axes, m, tol):
+        assembled.append(m)
+        return couple(sset, axes, m, tol)
+
+    monkeypatch.setattr(verify, "_coupled_blocks", recording)
+    return assembled
+
+
 def test_ghz_checks_fall_back_with_the_same_witness(monkeypatch):
-    # one-party checks certify from the reduced states (all I / 2); the joint
-    # checks have two solutions, fail that factorisation of side N = 8 and
-    # reach the split path and the pipeline, whose witness bytes are pinned
+    # one-party checks certify from the reduced states (all I / 2) and build
+    # no rows; the joint checks have two solutions, fail that factorisation
+    # of side N = 8, build their rows and reach the split path and the
+    # pipeline, whose witness bytes are pinned
     ghz = ghz_basis()
     sides = _record_cholesky(monkeypatch)
+    assembled = _record_assemblies(monkeypatch)
     for cut, actor in standard_checks(ghz.layout):
         sides.clear()
+        assembled.clear()
         verdict = certify_triviality(ghz, cut, actor)
         m = _actor_dim(ghz, actor)
         if len(actor) == 1:
-            assert (verdict.solution_dim, sides) == (1, [m * m])
+            assert (verdict.solution_dim, sides, assembled) == (1, [m * m], [])
         else:
-            assert verdict.solution_dim == 2
+            assert verdict.solution_dim == 2 and assembled == [m]
             assert sides[0] == len(ghz) and len(sides) > 1
             digest = hashlib.sha256(verdict.witness.tobytes()).hexdigest()
             assert digest == _GHZ_WITNESS_SHA256[cut.name], (cut.name, digest)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _seeded(build_snoeb(4), 83, phases=True), lambda: _rotated(build_snoeb(3), 47)],
+    ids=["seeded-snoeb(4)", "rotated-snoeb(3)"],
+)
+def test_trivial_basis_checks_build_no_rows(build, monkeypatch):
+    # the reduced states and the Gram matrix decide every check of a basis
+    # that is strongly nonlocal; neither the coupling product nor a row is
+    # formed, rotated or not
+    sset = build()
+
+    def refuse(*args):
+        raise AssertionError("constraint rows built")
+
+    monkeypatch.setattr(verify, "_coupled_blocks", refuse)
+    monkeypatch.setattr(verify, "_real_rows", refuse)
+    report = verify_strong_nonlocality(sset)
+    assert [c.verdict.solution_dim for c in report.checks] == [1] * 6
+
+
+def test_basis_spoiled_above_tol_names_the_first_pair(tmp_path, capsys):
+    # one pair of a basis at overlap 2 tol: the Gram matrix of the unit
+    # states names the pair the pair loop finds, and the CLI exits 2
+    sset = _boosted(build_snoeb(3), 2e-9, 1)
+    i, j = _reference_first_bad_pair(sset)
+    text = f"input set is not mutually orthogonal ({sset[i].label}, {sset[j].label})"
+    for cut, actor in standard_checks(sset.layout):
+        with pytest.raises(ValueError) as caught:
+            assemble_constraints(sset, cut, actor)
+        assert str(caught.value) == text
+    path = str(tmp_path / "spoiled.json")
+    save_state_set(sset, path)
+    assert main(["verify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and text in captured.err
+
+
+def _skewed(sset, overlap, seed):
+    """The unit states of ``sset`` mixed by I + e H, with H symmetric, zero on
+    the diagonal and +-1 off it: every pair then has a normalised overlap of
+    about 2 e, and e is set so that the largest is ``overlap``."""
+    vecs = np.array([s.to_vector() / norm(s) for s in sset.states])
+    n = len(vecs)
+    h = np.triu(np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, n)), 1)
+    h = h + h.T
+
+    def mixed(e):
+        v = (np.eye(n) + e * h) @ vecs
+        gram = v.conj() @ v.T
+        scale = np.sqrt(gram.diagonal().real)
+        return v, np.max(np.abs(gram - np.diag(gram.diagonal())) / np.outer(scale, scale))
+
+    e = overlap / 2
+    v, top = mixed(e * overlap / mixed(e)[1])
+    assert overlap * (1 - 1e-6) < top < overlap * (1 + 1e-6)
+    layout = sset.layout
+    return StateSet(
+        layout,
+        tuple(
+            PureState(layout, list(np.ndenumerate(x.reshape(layout.dims))), s.label)
+            for x, s in zip(v, sset.states)
+        ),
+    )
+
+
+def test_basis_with_the_identity_outside_the_cut():
+    # every pair at overlap 0.9 tol: the set passes the orthogonality check,
+    # but ||R i|| = (sum_{i<j} |G_ij|^2 / m)^(1/2) is far above tol
+    # sigma_max(R), so the identity fails the rank cut; the certificate must
+    # read that off G and decline, and the pipeline finds no solution at all
+    tol = 1e-9
+    sset = _skewed(build_snoeb(3), 0.9 * tol, 5)
+    for cut, actor in standard_checks(sset.layout):
+        cs = assemble_constraints(sset, cut, actor, tol)
+        assert not _reduced_states_certify_trivial(cs, tol), (cut.name, actor)
+        assert _nullspace(cs.rows, cs.m * cs.m, tol).shape[1] == 0
+        assert certify_triviality(sset, cut, actor, tol).solution_dim == 0
 
 
 def test_cholesky_certificate_sees_null_vectors_across_blocks():

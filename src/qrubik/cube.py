@@ -14,7 +14,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .states import PartyLayout, PureState, StateSet
+import numpy as np
+
+from .states import (
+    PartyLayout,
+    PureState,
+    StateSet,
+    _canonical_set,
+    _canonical_states,
+    _checked_index,
+)
 
 Cell = tuple[int, int, int]
 
@@ -143,11 +152,26 @@ def ghz_like_states(
         raise ValueError("need at least one cell")
     if len(set(cells)) != len(cells):
         raise ValueError("cells must be pairwise distinct")
-    n = len(cells)
-    return [
-        PureState(layout, [(cell, root_of_unity(n, j * k)) for j, cell in enumerate(cells)])
-        for k in range(n)
-    ]
+    run = tuple(_checked_index(layout, c) for c in cells)
+    states, _ = _canonical_states(layout, [None] * len(run), *_family_terms([run]))
+    return list(states)
+
+
+def _family_terms(runs: list[tuple[Cell, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of the phase-cycled family of each of ``runs`` (checked
+    multi-indices, distinct within a run), run after run, as the (state,
+    index, amplitude) arrays that :func:`states._canonical_states` takes."""
+    owner, idx, amps = [], [], []
+    start = 0
+    for n, group in itertools.groupby(runs, key=len):
+        cells = np.array(list(group), dtype=np.int64)
+        count = len(cells) * n
+        phases = np.array([[root_of_unity(n, j * k) for j in range(n)] for k in range(n)])
+        owner.append(start + np.repeat(np.arange(count), n))
+        idx.append(np.repeat(cells, n, axis=0).reshape(count * n, -1))
+        amps.append(np.tile(phases.ravel(), len(cells)))
+        start += count
+    return np.concatenate(owner), np.concatenate(idx), np.concatenate(amps)
 
 
 def _shifted(cells: tuple[Cell, ...], offset: int) -> tuple[Cell, ...]:
@@ -164,6 +188,41 @@ def layer_sizes(d: int) -> list[int]:
     return sizes
 
 
+def _run_cells(d: int) -> list[tuple[Cell, ...]]:
+    """Every face-block run of every peel, outside-in: layer, then block,
+    then run translate t."""
+    if d < 3:
+        raise ValueError("construction needs d >= 3")
+    runs = []
+    for size in layer_sizes(d):
+        offset = (d - size) // 2
+        for family in range(6):
+            for t in range(size - 1):
+                runs.append(_shifted(_family_run(size, family, t), offset))
+    return runs
+
+
+def _completion_cells(d: int) -> list[tuple[Cell, ...]]:
+    """The main diagonal, then for even d the three off-diagonal pairs of the
+    central 2 x 2 x 2 region."""
+    runs = [tuple((j, j, j) for j in range(d))]
+    if d % 2 == 0:
+        m = d // 2
+        runs += [
+            ((m - 1, m, m), (m, m - 1, m - 1)),
+            ((m - 1, m - 1, m), (m, m, m - 1)),
+            ((m - 1, m, m - 1), (m, m - 1, m)),
+        ]
+    return runs
+
+
+def _cube_set(d: int, runs: list[tuple[Cell, ...]]) -> StateSet:
+    """The phase-cycled families of ``runs``, labelled psi1, psi2, ... in order."""
+    owner, idx, amps = _family_terms(runs)
+    labels = [f"psi{i + 1}" for i in range(sum(map(len, runs)))]
+    return _canonical_set(tripartite_layout(d), labels, owner, idx, amps)
+
+
 def build_snoes(d: int) -> StateSet:
     """The entangled set over all face-block runs of every peel, outside-in.
 
@@ -171,18 +230,7 @@ def build_snoes(d: int) -> StateSet:
     index k, which fixes a canonical order for the small-d families.  Size
     is d^3 - d for odd d and d^3 - d - 6 for even d.
     """
-    if d < 3:
-        raise ValueError("construction needs d >= 3")
-    layout = tripartite_layout(d)
-    states: list[PureState] = []
-    for size in layer_sizes(d):
-        offset = (d - size) // 2
-        for family in range(6):
-            for t in range(size - 1):
-                run = _shifted(_family_run(size, family, t), offset)
-                states.extend(ghz_like_states(layout, run))
-    labeled = [s.relabeled(f"psi{i + 1}") for i, s in enumerate(states)]
-    return StateSet(layout, tuple(labeled))
+    return _cube_set(d, _run_cells(d))
 
 
 def completion_states(d: int) -> list[PureState]:
@@ -193,23 +241,9 @@ def completion_states(d: int) -> list[PureState]:
     central 2 x 2 x 2 region.
     """
     layout = tripartite_layout(d)
-    diagonal = tuple((j, j, j) for j in range(d))
-    states = ghz_like_states(layout, diagonal)
-    if d % 2 == 0:
-        m = d // 2
-        for pair in (
-            ((m - 1, m, m), (m, m - 1, m - 1)),
-            ((m - 1, m - 1, m), (m, m, m - 1)),
-            ((m - 1, m, m - 1), (m, m - 1, m)),
-        ):
-            states.extend(ghz_like_states(layout, pair))
-    return states
+    return [s for run in _completion_cells(d) for s in ghz_like_states(layout, run)]
 
 
 def build_snoeb(d: int) -> StateSet:
     """Full orthogonal entangled basis: the run states plus the completions."""
-    base = build_snoes(d)
-    extra = completion_states(d)
-    start = len(base)
-    labeled = [s.relabeled(f"psi{start + i + 1}") for i, s in enumerate(extra)]
-    return StateSet(base.layout, base.states + tuple(labeled))
+    return _cube_set(d, _run_cells(d) + _completion_cells(d))

@@ -29,9 +29,15 @@ class EntanglementProfile:
 
 
 def _schmidt_ranks(
-    layout: PartyLayout, states: Sequence[PureState], cuts: Sequence[Bipartition], tol: float
+    layout: PartyLayout,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    count: int,
+    cuts: Sequence[Bipartition],
+    tol: float,
 ) -> np.ndarray:
-    """Schmidt rank of every state (rows) across every cut (columns).
+    """Schmidt rank of every state (rows) across every cut (columns), for
+    ``count`` states given by the (state, index, amplitude) arrays of their
+    terms (:func:`states._term_arrays`).
 
     A state's coefficient matrix across a cut is taken over its support only,
     with a row per distinct left index and a column per distinct right index
@@ -40,15 +46,15 @@ def _schmidt_ranks(
     stacked by shape into batched SVDs, and singular values below ``tol``
     times a state's largest are treated as zero.
     """
-    if any(s.is_zero() for s in states):
+    state, idx, amps = terms
+    if not np.bincount(state, minlength=count).all():
         raise ValueError("Schmidt rank of the zero state is undefined")
-    state, idx, amps = _term_arrays(layout, states)
-    ranks = np.empty((len(states), len(cuts)), dtype=np.int64)
+    ranks = np.empty((count, len(cuts)), dtype=np.int64)
     for k, cut in enumerate(cuts):
         cut.validate_for(layout)
         left = _flat_index(idx, layout.dims, [layout.axis(p) for p in cut.left])
         right = _flat_index(idx, layout.dims, [layout.axis(p) for p in cut.right])
-        for ids, svals in _block_singular_values(state, left, right, amps, len(states)):
+        for ids, svals in _block_singular_values(state, left, right, amps, count):
             ranks[ids, k] = np.sum(svals > tol * svals[:, :1], axis=1)
     return ranks
 
@@ -56,11 +62,11 @@ def _schmidt_ranks(
 def schmidt_rank(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank of the coefficient matrix across a bipartition, over the
     state's support; see ``_schmidt_ranks``."""
-    return int(_schmidt_ranks(s.layout, [s], [cut], tol)[0, 0])
+    return int(_schmidt_ranks(s.layout, _term_arrays(s.layout, [s]), 1, [cut], tol)[0, 0])
 
 
 def _profiles(
-    layout: PartyLayout, states: Sequence[PureState], tol: float
+    layout: PartyLayout, terms: tuple[np.ndarray, np.ndarray, np.ndarray], count: int, tol: float
 ) -> list[EntanglementProfile]:
     """Profiles of tripartite states across the three one-party-vs-rest cuts."""
     if len(layout.parties) != 3:
@@ -73,13 +79,13 @@ def _profiles(
             entangled=any(r > 1 for r in row),
             genuine=all(r > 1 for r in row),
         )
-        for row in _schmidt_ranks(layout, states, cuts, tol).tolist()
+        for row in _schmidt_ranks(layout, terms, count, cuts, tol).tolist()
     ]
 
 
 def entanglement_profile(s: PureState, tol: float = DEFAULT_TOL) -> EntanglementProfile:
     """Ranks for the three one-party-vs-rest cuts of a tripartite state."""
-    return _profiles(s.layout, [s], tol)[0]
+    return _profiles(s.layout, _term_arrays(s.layout, [s]), 1, tol)[0]
 
 
 def profile_rows(sset: StateSet, tol: float = DEFAULT_TOL) -> list[dict]:
@@ -91,5 +97,5 @@ def profile_rows(sset: StateSet, tol: float = DEFAULT_TOL) -> list[dict]:
             "entangled": prof.entangled,
             "genuine": prof.genuine,
         }
-        for s, prof in zip(sset.states, _profiles(sset.layout, sset.states, tol))
+        for s, prof in zip(sset.states, _profiles(sset.layout, sset.term_arrays, len(sset), tol))
     ]

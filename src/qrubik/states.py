@@ -7,6 +7,7 @@ Born-rule ratios, so normalization only ever happens inside the simulator.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -108,17 +109,23 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     return ints
 
 
+def _checked_index(layout: PartyLayout, idx: Sequence[int]) -> Index:
+    """``idx`` as a tuple of ints, refused unless it is a multi-index of ``layout``."""
+    key = _integers(idx, "index entries")
+    if len(key) != len(layout.parties):
+        raise ValueError(f"index {key} has wrong arity for layout {layout.parties}")
+    for component, d in zip(key, layout.dims):
+        if not 0 <= component < d:
+            raise ValueError(f"index {key} out of range for dims {layout.dims}")
+    return key
+
+
 def _canonical_terms(
     layout: PartyLayout, terms: Iterable[tuple[Sequence[int], complex]]
 ) -> tuple[tuple[Index, complex], ...]:
     merged: dict[Index, complex] = {}
     for idx, amp in terms:
-        key = _integers(idx, "index entries")
-        if len(key) != len(layout.parties):
-            raise ValueError(f"index {key} has wrong arity for layout {layout.parties}")
-        for component, d in zip(key, layout.dims):
-            if not 0 <= component < d:
-                raise ValueError(f"index {key} out of range for dims {layout.dims}")
+        key = _checked_index(layout, idx)
         merged[key] = merged.get(key, 0j) + complex(amp)
     for key, amp in merged.items():
         if not cmath.isfinite(amp):
@@ -142,6 +149,18 @@ class PureState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _canonical_terms(self.layout, self.terms))
 
+    @classmethod
+    def _canonical(
+        cls, layout: PartyLayout, terms: tuple[tuple[Index, complex], ...], label: str | None
+    ) -> "PureState":
+        """The state of ``terms`` that are canonical already (as
+        :func:`_canonical_terms` returns them), taken as they are."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "terms", terms)
+        object.__setattr__(state, "label", label)
+        return state
+
     @property
     def support(self) -> tuple[Index, ...]:
         return tuple(idx for idx, _ in self.terms)
@@ -153,7 +172,7 @@ class PureState:
         return PureState(self.layout, [(i, a * factor) for i, a in self.terms], self.label)
 
     def relabeled(self, label: str) -> "PureState":
-        return PureState(self.layout, self.terms, label)
+        return PureState._canonical(self.layout, self.terms, label)
 
     def to_vector(self) -> np.ndarray:
         """Dense coefficient vector over the full Hilbert space, lexicographic order."""
@@ -252,6 +271,11 @@ class StateSet:
     def subset(self, count: int) -> "StateSet":
         return StateSet(self.layout, self.states[:count])
 
+    @functools.cached_property
+    def term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_term_arrays` of the set's states, formed once, read-only."""
+        return _read_only(_term_arrays(self.layout, self.states))
+
 
 def _power_of_two_scaled(owner: np.ndarray, amps: np.ndarray, count: int) -> np.ndarray:
     """``amps`` with the entries of each state (``owner``, 0 <= owner < count)
@@ -313,6 +337,79 @@ def _term_arrays(
     return state, idx.reshape(-1, len(layout.dims)), amps
 
 
+def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _canonical_states(
+    layout: PartyLayout,
+    labels: Sequence[str | None],
+    owner: np.ndarray,
+    idx: np.ndarray,
+    amps: np.ndarray,
+) -> tuple[tuple[PureState, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    """The states ``labels[k]`` whose terms are the (``idx[t]``, ``amps[t]``)
+    with ``owner[t] == k``, all canonicalised at once as
+    :func:`_canonical_terms` canonicalises each, and the (state, index,
+    amplitude) arrays of their terms, as :func:`_term_arrays` gives them.
+
+    Returns None unless ``idx`` holds an int multi-index of ``layout`` per
+    row, ``amps`` complex amplitudes and every merged amplitude is finite,
+    so that the caller can take :func:`_canonical_terms` per state instead,
+    which raises the error.  Duplicate indices are summed from 0j in the
+    order given, as ``merged.get(key, 0j) + amp`` sums them (which also
+    turns a -0.0 part into +0.0), and exact zeros are dropped.
+    """
+    dims = layout.dims
+    if (
+        idx.dtype.kind != "i"
+        or amps.dtype.kind != "c"
+        or idx.ndim != 2
+        or idx.shape[1] != len(dims)
+        or not owner.shape == amps.shape == idx.shape[:1]
+        or ((idx < 0) | (idx >= dims)).any()
+    ):
+        return None
+    order = np.lexsort((*idx.T[::-1], owner))
+    owner, idx, amps = owner[order], idx[order], amps[order]
+    new = np.ones(owner.size, dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (idx[1:] != idx[:-1]).any(axis=1)
+    merged = np.zeros(np.count_nonzero(new), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        np.add.at(merged, np.cumsum(new) - 1, amps)
+    if not np.isfinite(merged).all():
+        return None
+    keep = merged != 0
+    owner, idx, amps = owner[new][keep], idx[new][keep], merged[keep]
+    keys = list(zip(*idx.T.tolist()))
+    values = amps.tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=len(labels))).tolist()
+    states = tuple(
+        PureState._canonical(layout, tuple(zip(keys[start:end], values[start:end])), label)
+        for label, start, end in zip(labels, [0] + ends, ends)
+    )
+    return states, (owner, idx, amps)
+
+
+def _canonical_set(
+    layout: PartyLayout,
+    labels: Sequence[str],
+    owner: np.ndarray,
+    idx: np.ndarray,
+    amps: np.ndarray,
+) -> StateSet | None:
+    """The set of :func:`_canonical_states`, keeping its term arrays, or None."""
+    built = _canonical_states(layout, labels, owner, idx, amps)
+    if built is None:
+        return None
+    states, arrays = built
+    sset = StateSet(layout, states)
+    sset.__dict__["term_arrays"] = _read_only(arrays)  # the cached property's slot
+    return sset
+
+
 def _flat_index(idx: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """C-order index of each row of ``idx`` on the given axes, in that order."""
     axes = list(axes)
@@ -331,7 +428,7 @@ def _set_matrix(
     dims = sset.layout.dims
     col_axes = [a for a in range(len(dims)) if a not in row_axes]
     m = math.prod(dims[a] for a in row_axes)
-    state, idx, amps = _term_arrays(sset.layout, sset.states)
+    state, idx, amps = sset.term_arrays
     if unit:
         amps = _unit_scaled(state, amps, len(sset))
     width = sset.layout.total_dim // m
@@ -499,9 +596,44 @@ def _amplitude(pair: Sequence[float]) -> complex:
     return complex(pair[0], pair[1])
 
 
+def _document_set(layout: PartyLayout, entries) -> StateSet | None:
+    """The set of a document's state entries through :func:`_canonical_set`,
+    or None when its labels are not strings, its indices not int rows, its
+    amplitudes not numeric [re, im] pairs or :func:`_canonical_states`
+    refuses them."""
+    try:
+        labels = [entry["label"] for entry in entries]
+        terms = [entry["terms"] for entry in entries]
+        idx = np.array([t["idx"] for ts in terms for t in ts])
+        pairs = np.array([t["amp"] for ts in terms for t in ts])
+        counts = [len(ts) for ts in terms]
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError):
+        return None
+    if (
+        not all(isinstance(label, str) for label in labels)
+        or pairs.dtype.kind not in "bif"
+        or pairs.shape != (len(idx), 2)
+    ):
+        return None
+    amps = np.empty(len(pairs), dtype=complex)
+    amps.real, amps.imag = pairs[:, 0], pairs[:, 1]
+    owner = np.repeat(np.arange(len(labels)), counts)
+    return _canonical_set(layout, labels, owner, idx, amps)
+
+
 def state_set_from_dict(doc: Mapping) -> StateSet:
+    """The set of a document as :func:`state_set_to_dict` writes it.
+
+    The whole document is canonicalised at once (:func:`_document_set`);
+    when that refuses it, every state is read through :class:`PureState`,
+    which raises the error or, for an index written as 1.0 or true, reads it
+    as that int.
+    """
     try:
         layout = PartyLayout(tuple(doc["parties"]), tuple(doc["dims"]))
+        sset = _document_set(layout, doc["states"])
+        if sset is not None:
+            return sset
         states = []
         for entry in doc["states"]:
             terms = [(t["idx"], _amplitude(t["amp"])) for t in entry["terms"]]
@@ -509,7 +641,7 @@ def state_set_from_dict(doc: Mapping) -> StateSet:
             if not isinstance(label, str):
                 raise ValueError(f"state label {label!r} is not a string")
             states.append(PureState(layout, terms, label))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed state-set document: {exc}") from exc
     return StateSet(layout, tuple(states))
 

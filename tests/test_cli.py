@@ -287,6 +287,24 @@ def test_malformed_state_set_exits_2(tmp_path, capsys, case, command):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "simulate"])
+def test_amplitude_beyond_float_range_exits_2(tmp_path, capsys, command):
+    # an integer amplitude of 400 digits used to raise OverflowError out of main
+    doc = _packaged_doc("bell.json" if command == "simulate" else "b3.json")
+    doc["states"][0]["terms"][0]["amp"] = [10**400, 0]
+    path = str(tmp_path / "huge.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc))
+    if command == "simulate":
+        argv = ["simulate", "--protocol", "example1", "--states", path]
+    else:
+        argv = [command, "--input", path]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "malformed state-set document" in err
+
+
 def test_analyze_takes_ranks_over_the_support(tmp_path, capsys):
     # a dense coefficient matrix per cut would take 3000 x 9e6 amplitudes
     layout = PartyLayout(("A", "B", "C"), (3000, 3000, 3000))
@@ -452,6 +470,34 @@ def test_construct_and_analyze_bytes_are_pinned(tmp_path, capsys):
         save_state_set(sset, path)
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == json.dumps(state_set_to_dict(sset), indent=1) + "\n"
+
+
+# sha256 of the file `construct --d D --basis` writes and of the `analyze`
+# result of that file; the d = 4 and d = 9 files hold the amplitude -1j,
+# whose real part is written 0.0, not -0.0
+BASIS_FILE_AND_ANALYZE_SHA256 = {
+    4: (
+        "67c2ba3fb2028db221faf70f4af488ca1bb952ca48adf5ea2bf8940a54138f6b",
+        "e9eae6de8a971d977d3f3e8f38bf2c2b985e931ba4b0b9e0b01372113b8bcc15",
+    ),
+    9: (
+        "7a7683018755ac9e7ded29d611652957a7264750a56de89dc79bef66f8b31d70",
+        "d844249a5c92914c2c793c8335d52f94d5362894cf21aafe9b1eab72e0d82f7b",
+    ),
+}
+
+
+@pytest.mark.parametrize("d", list(BASIS_FILE_AND_ANALYZE_SHA256))
+def test_basis_file_and_analyze_bytes_are_pinned(tmp_path, capsys, d):
+    path = str(tmp_path / f"b{d}_basis.json")
+    code, _, _ = _run(capsys, "construct", "--d", str(d), "--basis", "--output", path)
+    assert code == 0
+    file_sha, analyze_sha = BASIS_FILE_AND_ANALYZE_SHA256[d]
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == file_sha
+    code, out, _ = _run(capsys, "analyze", "--input", path)
+    assert code == 0
+    result = json.dumps(_payload(out)["result"], sort_keys=True)
+    assert hashlib.sha256(result.encode()).hexdigest() == analyze_sha
 
 
 @pytest.mark.parametrize("factor", [1e-170, 1e170])

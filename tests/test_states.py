@@ -1,6 +1,8 @@
 import cmath
+import copy
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,14 +13,20 @@ from qrubik import (
     PureState,
     StateSet,
     build_snoeb,
+    build_snoes,
+    completion_states,
     flatten,
     inner_product,
+    load_state_set,
     norm,
+    save_state_set,
     state_set_from_dict,
     state_set_to_dict,
     validate_set,
+    verify_strong_nonlocality,
 )
-from qrubik.states import _set_matrix
+from qrubik import states
+from qrubik.states import _set_matrix, _term_arrays
 
 from reference_data import completion3_states, set3_states
 
@@ -264,3 +272,176 @@ def test_validate_set_takes_no_whole_set_svd(monkeypatch):
     report = validate_set(build_snoeb(16))
     assert report.span_rank == 4096 and report.pairwise_orthogonal
     assert shapes and max(max(shape) for shape in shapes) <= 16
+
+
+def _random_document(rng, dims, spelling):
+    """A state-set document with unsorted terms, duplicate indices that merge
+    (some to exactly zero), -0.0 parts, zero terms and states scaled by
+    2^-170 or 2^170; ``spelling`` writes some index entries as floats
+    ("float") or as booleans ("bool")."""
+    entries = []
+    for k in range(12):
+        scale = 2.0 ** float(rng.choice([-170, 0, 170]))
+        terms = []
+        for _ in range(int(rng.integers(1, 7))):
+            idx = [int(rng.integers(0, d)) for d in dims]
+            amp = [float(rng.normal()) * scale, float(rng.normal()) * scale]
+            terms.append({"idx": idx, "amp": amp})
+            kind = rng.random()
+            if kind < 0.2:
+                terms.append({"idx": list(idx), "amp": [-amp[0], -amp[1]]})
+            elif kind < 0.4:
+                terms.append({"idx": list(idx), "amp": [float(rng.normal()) * scale, -0.0]})
+            elif kind < 0.5:
+                terms.append({"idx": [int(rng.integers(0, d)) for d in dims], "amp": [-0.0, -0.0]})
+            elif kind < 0.7:
+                terms.append({"idx": [int(rng.integers(0, d)) for d in dims], "amp": [-0.0, amp[1]]})
+        rng.shuffle(terms)
+        for t in terms:
+            if spelling == "float" and rng.random() < 0.3:
+                t["idx"][0] = float(t["idx"][0])
+            if spelling == "bool" and rng.random() < 0.3:
+                t["idx"] = [bool(i) if i < 2 else i for i in t["idx"]]
+        entries.append({"label": f"s{k}", "terms": terms})
+    return {"dims": list(dims), "parties": ["A", "B", "C"][: len(dims)], "states": entries}
+
+
+def _reference_states(doc):
+    layout = PartyLayout(tuple(doc["parties"]), tuple(doc["dims"]))
+    return [
+        PureState(layout, [(t["idx"], complex(*t["amp"])) for t in e["terms"]], e["label"])
+        for e in doc["states"]
+    ]
+
+
+def _bits(sset_states):
+    """Every term with its index entries' types and its amplitude's parts in hex,
+    which tells -0.0 from 0.0."""
+    return [
+        (s.label, [(i, [type(c) for c in i], a.real.hex(), a.imag.hex()) for i, a in s.terms])
+        for s in sset_states
+    ]
+
+
+@pytest.mark.parametrize("spelling", ["int", "float", "bool"])
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 5, 4), (7, 2)])
+def test_document_canonicalised_at_once_matches_pure_state(dims, spelling):
+    rng = np.random.default_rng([*dims, ["int", "float", "bool"].index(spelling)])
+    for _ in range(5):
+        doc = _random_document(rng, dims, spelling)
+        reference = _reference_states(doc)
+        layout = reference[0].layout
+        batch = states._document_set(layout, doc["states"])
+        # only an index written as a float sends the loader to PureState
+        assert (batch is None) == (spelling == "float")
+        loaded = state_set_from_dict(doc)
+        assert _bits(loaded.states) == _bits(reference)
+        assert loaded.states == tuple(reference)
+        for kept, formed in zip(loaded.term_arrays, _term_arrays(layout, reference)):
+            assert kept.dtype == formed.dtype and kept.tobytes() == formed.tobytes()
+
+
+def _spoil_term(key, value):
+    def spoil(doc):
+        doc["states"][1]["terms"][0][key] = value
+    return spoil
+
+
+def _spoil_state(key, value):
+    def spoil(doc):
+        doc["states"][1][key] = value
+    return spoil
+
+
+def _overflowing_merge(doc):
+    term = doc["states"][1]["terms"][0]
+    term["amp"] = [1e308, 0.0]
+    doc["states"][1]["terms"].append(copy.deepcopy(term))
+
+
+def _duplicate_label(doc):
+    doc["states"][1]["label"] = doc["states"][0]["label"]
+
+
+MALFORMED_DOCUMENTS = {
+    "fractional-idx": _spoil_term("idx", [0.9, 0, 0]),
+    "fraction-above-one-idx": _spoil_term("idx", [1.2, 0, 0]),
+    "string-idx": _spoil_term("idx", ["1", 0, 0]),
+    "null-idx": _spoil_term("idx", [None, 0, 0]),
+    "huge-idx": _spoil_term("idx", [10**30, 0, 0]),
+    "idx-out-of-range": _spoil_term("idx", [3, 0, 0]),
+    "negative-idx": _spoil_term("idx", [-1, 0, 0]),
+    "short-idx": _spoil_term("idx", [0, 0]),
+    "nested-idx": _spoil_term("idx", [[0], 0, 0]),
+    "three-entry-amp": _spoil_term("amp", [1, 0, 7]),
+    "short-amp": _spoil_term("amp", [1]),
+    "string-amp": _spoil_term("amp", "ab"),
+    "string-part-amp": _spoil_term("amp", ["1", 0]),
+    "nan-amp": _spoil_term("amp", [math.nan, 0]),
+    "inf-amp": _spoil_term("amp", [0, -math.inf]),
+    "huge-int-amp": _spoil_term("amp", [10**400, 0]),
+    "overflowing-merge": _overflowing_merge,
+    "no-idx": lambda doc: doc["states"][1]["terms"][0].pop("idx"),
+    "list-term": lambda doc: doc["states"][1]["terms"].append([0, 0, 0]),
+    "string-terms": _spoil_state("terms", "x"),
+    "label-list": _spoil_state("label", ["psi2"]),
+    "label-null": _spoil_state("label", None),
+    "no-label": lambda doc: doc["states"][1].pop("label"),
+    "duplicate-label": _duplicate_label,
+    "empty-entry": lambda doc: doc["states"].append({}),
+    "list-entry": lambda doc: doc["states"].append([]),
+    "fractional-dim": lambda doc: doc["dims"].__setitem__(1, 2.5),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+def test_malformed_document_raises_as_the_per_state_path(monkeypatch, case):
+    doc = json.loads(resources.files("qrubik").joinpath("data", "b3.json").read_text())
+    MALFORMED_DOCUMENTS[case](doc)
+    with pytest.raises(Exception) as batch:
+        state_set_from_dict(doc)
+    monkeypatch.setattr(states, "_document_set", lambda layout, entries: None)
+    with pytest.raises(Exception) as per_state:
+        state_set_from_dict(doc)
+    assert batch.type is per_state.type is ValueError
+    assert str(batch.value) == str(per_state.value)
+
+
+def test_cube_sets_and_their_files_skip_the_per_state_canonicaliser(tmp_path, monkeypatch):
+    path = str(tmp_path / "b5_basis.json")
+    save_state_set(build_snoeb(5), path)
+
+    def refuse(layout, terms):
+        raise AssertionError("terms canonicalised one state at a time")
+
+    monkeypatch.setattr(states, "_canonical_terms", refuse)
+    built = build_snoeb(5)
+    assert len(built) == 125 and len(build_snoes(5)) == 120
+    assert len(completion_states(6)) == 12
+    renamed = built[0].relabeled("first")
+    assert renamed.label == "first" and renamed.terms is built[0].terms
+    assert load_state_set(path) == built
+
+
+def test_verify_forms_the_term_arrays_once_per_set(tmp_path, monkeypatch):
+    calls = []
+    form = states._term_arrays
+
+    def counting(layout, sset_states):
+        calls.append(len(sset_states))
+        return form(layout, sset_states)
+
+    monkeypatch.setattr(states, "_term_arrays", counting)
+    basis = build_snoeb(4)
+    sset = StateSet(basis.layout, tuple(s.scaled(1.5 ** (i % 3)) for i, s in enumerate(basis)))
+    report = verify_strong_nonlocality(sset)
+    assert report.strongly_nonlocal and len(report.checks) == 6
+    assert calls == [64]
+    with pytest.raises(ValueError):
+        sset.term_arrays[2][0] = 0
+
+    path = str(tmp_path / "basis.json")
+    save_state_set(sset, path)
+    calls.clear()
+    assert verify_strong_nonlocality(load_state_set(path)).strongly_nonlocal
+    assert len(calls) <= 1

@@ -24,10 +24,19 @@ _PRUNE = 1e-12
 # the most levels a measurement step may act on: its operators are held
 # dense, 16 MiB each at the limit
 _MAX_STEP_LEVELS = 2**10
+# the most entries one stack of steps holds while their operators are
+# compiled, 16 MiB of complex numbers (a larger group is split)
+_MAX_GROUP_ENTRIES = 2**20
 
 
 class ProtocolError(ValueError):
     """Malformed or physically inconsistent protocol document."""
+
+
+def _is_dim(value: object) -> bool:
+    """True for an integer >= 1 that is not a bool: a fraction or a numeric
+    string is refused, not truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -45,18 +54,22 @@ class RegisterTable:
         names = [r.name for r in self.registers]
         if len(set(names)) != len(names):
             raise ProtocolError("register names must be unique")
-        if any(not isinstance(r.dim, (int, np.integer)) or r.dim < 1 for r in self.registers):
+        if not all(_is_dim(r.dim) for r in self.registers):
             raise ProtocolError("register dims must be integers >= 1")
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.registers)
 
+    @functools.cached_property
+    def _by_name(self) -> dict[str, Register]:
+        return {r.name: r for r in self.registers}
+
     def get(self, name: str) -> Register:
-        for r in self.registers:
-            if r.name == name:
-                return r
-        raise ProtocolError(f"unknown register {name!r}")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):  # unknown, or not a name at all
+            raise ProtocolError(f"unknown register {name!r}") from None
 
     def dims(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.get(n).dim for n in names)
@@ -128,21 +141,43 @@ class MeasurementOperator:
     matrix: np.ndarray
     touches: frozenset[str] = field(default=frozenset())
 
-    @functools.cached_property
-    def _gather(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """The matrix's diagonal if nothing lies off it, and the rows that
-        hold a nonzero."""
-        diagonal = self.matrix.diagonal().copy()
-        if np.count_nonzero(self.matrix) != np.count_nonzero(diagonal):
-            diagonal = None
-        return diagonal, np.flatnonzero(self.matrix.any(axis=1))
-
 
 @dataclass(frozen=True)
 class MeasurementStep:
+    """One local measurement; its operators all act on the same registers."""
+
     party: str
     operators: tuple[MeasurementOperator, ...]
     branches: Mapping[str, object]
+
+    @functools.cached_property
+    def _kernel(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """The operators stacked for :meth:`_Joint.measure` (see :func:`_kernels`)."""
+        return _kernels(np.array([[op.matrix for op in self.operators]]))[0]
+
+
+def _kernels(
+    stacks: np.ndarray,
+) -> list[tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
+    """The operators of each step of ``stacks``, (steps, k, L, L), as
+    :meth:`_Joint.measure` reads them: the diagonals, (k, L), if nothing lies
+    off any of them; else the rows where any of them holds a nonzero, and the
+    operators at those rows, (k, rows, L), a view when that is every row."""
+    nonzero = stacks != 0
+    diagonal = np.diagonal(stacks, axis1=2, axis2=3)
+    dense = np.count_nonzero(nonzero, axis=(1, 2, 3)) != np.count_nonzero(diagonal, axis=(1, 2))
+    rows = nonzero.any(axis=(1, 3))
+    every = np.arange(rows.shape[1])
+    kernels = []
+    for s, (off, full) in enumerate(zip(dense.tolist(), rows.all(axis=1).tolist())):
+        if not off:
+            kernels.append((diagonal[s], None, None))
+        elif full:
+            kernels.append((None, every, stacks[s]))
+        else:
+            held = np.flatnonzero(rows[s])
+            kernels.append((None, held, stacks[s][:, held]))
+    return kernels
 
 
 @dataclass(frozen=True)
@@ -231,29 +266,35 @@ def _acts_on(
     return np.abs(stack - factored).max(axis=(1, 2)) > tol * scale
 
 
-def _parse_operator_docs(
-    docs: Sequence[Mapping],
-    table: RegisterTable,
-    by_reg: Mapping[str, ResourceDecl],
-    tol: float,
-) -> tuple[MeasurementOperator, ...]:
-    """The operators of one step, each dense on all the step's registers (in
-    table order) and marked with the resources whose registers it does not
-    leave as N (x) I."""
+@dataclass
+class _StepParts:
+    """A measurement step as the tree pass of :func:`_compile` reads it: the
+    operator names, the position of the complement operator, the ``proj``
+    and ``matrix`` parts (position, registers, levels or matrix) and the
+    union of their registers in table order."""
+
+    names: list[str]
+    complement: int | None
+    parts: list[tuple[int, tuple[str, ...], object]]
+    union: tuple[str, ...]
+
+
+def _step_parts(docs: Sequence[Mapping], table: RegisterTable) -> _StepParts:
+    """The operator documents of one step, checked and read, not yet embedded."""
     names: list[str] = []
-    complements: list[str] = []
-    parts: list[tuple[str, tuple[str, ...], object]] = []
+    complements: list[int] = []
+    parts: list[tuple[int, tuple[str, ...], object]] = []
     for doc in docs:
         name = doc.get("name")
         if not isinstance(name, str) or not name:
             raise ProtocolError("measurement operator without a name")
-        names.append(name)
         if doc.get("complement"):
-            complements.append(name)
+            complements.append(len(names))
         elif "proj" in doc:
             items = [_proj_levels(item, table, name) for item in doc["proj"]]
-            regs = tuple(r for r in table.names if any(r in iregs for iregs, _ in items))
-            parts.append((name, regs, items))
+            used = {r for iregs, _ in items for r in iregs}
+            regs = tuple(r for r in table.names if r in used)
+            parts.append((len(names), regs, items))
         elif "matrix" in doc:
             regs = _distinct_regs(doc["regs"], name)
             mat = _matrix_from_json(doc["matrix"], name)
@@ -262,17 +303,19 @@ def _parse_operator_docs(
                 raise ProtocolError(
                     f"operator {name!r} matrix shape {mat.shape} does not match regs {regs}"
                 )
-            if not np.all(np.isfinite(mat)):
+            if not np.isfinite(mat).all():
                 raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
-            parts.append((name, regs, mat))
+            parts.append((len(names), regs, mat))
         else:
             raise ProtocolError(f"operator {name!r} needs 'proj', 'matrix' or 'complement'")
+        names.append(name)
 
     if len(names) != len(set(names)):
         raise ProtocolError("operator names within a step must be unique")
     if len(complements) > 1:
         raise ProtocolError("at most one complement operator per step")
-    union = tuple(r for r in table.names if any(r in regs for _, regs, _ in parts))
+    used = {r for _, regs, _ in parts for r in regs}
+    union = tuple(r for r in table.names if r in used)
     if not union:
         raise ProtocolError("measurement step acts on no registers")
     full = math.prod(table.dims(union))
@@ -281,36 +324,101 @@ def _parse_operator_docs(
             f"measurement step on {union} has {full} levels, above the limit of "
             f"{_MAX_STEP_LEVELS} for a dense operator"
         )
+    return _StepParts(names, complements[0] if complements else None, parts, union)
 
-    def embed(mat: np.ndarray, regs: tuple[str, ...]) -> np.ndarray:
-        sub, rest = table._index_map(union, regs)
-        return mat[sub[:, None], sub] * (rest[:, None] == rest)
 
-    mats = {}
-    for name, regs, part in parts:
-        if isinstance(part, np.ndarray):
-            mats[name] = embed(part, regs)
-        else:
-            mats[name] = np.zeros((full, full))
+def _compile_steps(
+    steps: Sequence[tuple[_StepParts, MeasurementStep]],
+    table: RegisterTable,
+    by_reg: Mapping[str, ResourceDecl],
+    tol: float,
+) -> None:
+    """Set the operators of each step node from its parts, one stack per
+    group of steps with the same registers and number of outcomes (split so
+    that a stack holds at most ``_MAX_GROUP_ENTRIES``).  Raises unless every
+    step satisfies completeness."""
+    groups: dict[tuple[tuple[str, ...], int], list[tuple[_StepParts, MeasurementStep]]] = {}
+    for step, node in steps:
+        groups.setdefault((step.union, len(step.names)), []).append((step, node))
+    for (union, k), pairs in groups.items():
+        full = math.prod(table.dims(union))
+        per = max(1, _MAX_GROUP_ENTRIES // (k * full * full))
+        for start in range(0, len(pairs), per):
+            _compile_group(union, k, pairs[start : start + per], table, by_reg, tol)
+
+
+def _compile_group(
+    union: tuple[str, ...],
+    k: int,
+    pairs: Sequence[tuple[_StepParts, MeasurementStep]],
+    table: RegisterTable,
+    by_reg: Mapping[str, ResourceDecl],
+    tol: float,
+) -> None:
+    """The operators of steps on ``union`` with ``k`` outcomes each, in one
+    stack: each operator dense on the step's registers (in table order), the
+    complement as the identity minus the others, and marked with the
+    resources whose registers it does not leave as N (x) I."""
+    full = math.prod(table.dims(union))
+    stack = np.zeros((len(pairs), k, full, full), dtype=complex)
+    ops = stack.reshape(-1, full, full)  # operator j of step s at s * k + j
+    matrices: dict[tuple[str, ...], tuple[list[int], list[np.ndarray]]] = {}
+    levels: dict[tuple[str, ...], tuple[list[int], list[np.ndarray]]] = {}
+    projectors = []
+    for s, (step, _) in enumerate(pairs):
+        for j, regs, part in step.parts:
+            if isinstance(part, np.ndarray):
+                ids, mats = matrices.setdefault(regs, ([], []))
+                ids.append(s * k + j)
+                mats.append(part)
+                continue
+            projectors.append(s * k + j)
             for iregs, flat in part:
-                counts = np.bincount(flat, minlength=math.prod(table.dims(iregs)))
-                mats[name] += embed(np.diag(counts), iregs)
-    if complements:
-        mats[complements[0]] = np.eye(full) - sum(mats.values())
-    stack = np.array([mats[name] for name in names], dtype=complex)
-    completeness = sum(m.conj().T @ m for m in stack)
-    if np.max(np.abs(completeness - np.eye(full))) > tol:
+                ids, flats = levels.setdefault(iregs, ([], []))
+                ids.append(s * k + j)
+                flats.append(flat)
+    for regs, (ids, mats) in matrices.items():
+        sub, rest = table._index_map(union, regs)
+        ops[ids] = np.array(mats)[:, sub[:, None], sub] * (rest[:, None] == rest)
+    if projectors:
+        # a proj operator is diagonal: the number of times each level is listed
+        counts = np.zeros((len(ops), full), dtype=np.int64)
+        for iregs, (ids, flats) in levels.items():
+            sub, _ = table._index_map(union, iregs)
+            width = math.prod(table.dims(iregs))
+            key = np.repeat(ids, [f.size for f in flats]) * width + np.concatenate(flats)
+            counts += np.bincount(key, minlength=len(ops) * width).reshape(-1, width)[:, sub]
+        diagonal = np.arange(full)
+        ops[np.array(projectors)[:, None], diagonal, diagonal] = counts[projectors]
+    owing = [(s, step.complement) for s, (step, _) in enumerate(pairs) if step.complement is not None]
+    if owing:
+        at, complement = np.array(owing).T
+        others = np.array([[j for j in range(k) if j != c] for c in complement.tolist()])
+        total = 0  # summed from 0 in operator order, as sum() does
+        for j in range(k - 1):
+            total = total + stack[at, others[:, j]]
+        stack[at, complement] = np.eye(full) - total
+
+    # a step's sum of M^H M is A^H A, A its operators stacked as rows
+    a = stack.reshape(len(pairs), k * full, full)
+    deviation = np.abs(a.conj().transpose(0, 2, 1) @ a - np.eye(full))
+    if np.any(deviation.max(axis=(1, 2)) > tol):
         raise ProtocolError("measurement operators do not satisfy completeness")
 
-    touches: list[set[str]] = [set() for _ in names]
-    for r in union:
-        if r in by_reg:
-            for k in np.flatnonzero(_acts_on(stack, union, r, table, tol)):
-                touches[k].add(by_reg[r].name)
-    return tuple(
-        MeasurementOperator(name, union, mat, frozenset(touched))
-        for name, mat, touched in zip(names, stack, touches)
-    )
+    # the resources whose registers each operator does not leave as N (x) I
+    shared = [r for r in union if r in by_reg]
+    acts = np.zeros((len(ops), len(shared)), dtype=bool)
+    for c, r in enumerate(shared):
+        acts[:, c] = _acts_on(ops, union, r, table, tol)
+    flags = list(map(tuple, acts.tolist()))
+    touched = {f: frozenset(by_reg[r].name for r, on in zip(shared, f) if on) for f in set(flags)}
+    for s, ((step, node), kernel) in enumerate(zip(pairs, _kernels(stack))):
+        operators = tuple(
+            MeasurementOperator(name, union, stack[s, j], touched[flags[s * k + j]])
+            for j, name in enumerate(step.names)
+        )
+        object.__setattr__(node, "operators", operators)  # the node is still being built
+        node.__dict__["_kernel"] = kernel  # the cached property's slot
 
 
 def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
@@ -341,9 +449,11 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
         res = ResourceDecl(
             name=r["name"],
             pair=tuple(r["pair"]),
-            dim=int(r["dim"]),
+            dim=r["dim"],
             registers=tuple(r["registers"]),
         )
+        if not _is_dim(res.dim):
+            raise ProtocolError(f"resource {res.name!r} dim must be an integer >= 1")
         if res.name in seen:
             raise ProtocolError(f"duplicate resource {res.name!r}")
         seen.add(res.name)
@@ -370,8 +480,11 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
 
     parties = {r.owner for r in table.registers}
     teleports_used: set[str] = set()
-
-    def parse_node(node: Mapping, owners: dict[str, str]) -> object:
+    # the tree pass checks structure and reads each step into ``steps``; their
+    # operators are compiled once it is done.  (``steps`` is passed, not
+    # closed over, so that parse_node's reference to itself keeps no step
+    # alive after the pass.)
+    def parse_node(node: Mapping, owners: dict[str, str], steps: list) -> object:
         kind = node.get("type")
         if kind == "leaf":
             answer = node.get("answer")
@@ -403,31 +516,40 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
                 )
             new_owners = dict(owners)
             new_owners[src] = dest
-            return Teleport(source=src, resource=res.name, to=dest, then=parse_node(node["then"], new_owners))
+            then = parse_node(node["then"], new_owners, steps)
+            return Teleport(source=src, resource=res.name, to=dest, then=then)
         if kind == "measure":
             party = node["party"]
             if party not in parties:
                 raise ProtocolError(f"unknown measuring party {party!r}")
-            ops = _parse_operator_docs(node["operators"], table, by_reg, tol)
-            for reg in ops[0].regs:
+            step = _step_parts(node["operators"], table)
+            measured = MeasurementStep(party=party, operators=(), branches={})
+            steps.append((step, measured))
+            for reg in step.union:
                 if owners[reg] != party:
                     raise ProtocolError(
                         f"party {party!r} measures register {reg!r} owned by {owners[reg]!r}"
                     )
             branch_docs = node.get("branches", {})
-            names = {op.name for op in ops}
-            if set(branch_docs) != names:
+            if set(branch_docs) != set(step.names):
                 raise ProtocolError(
-                    f"branches {sorted(branch_docs)} do not match outcomes {sorted(names)}"
+                    f"branches {sorted(branch_docs)} do not match outcomes {sorted(step.names)}"
                 )
-            branches = {
-                name: parse_node(branch_docs[name], owners) for name in branch_docs
-            }
-            return MeasurementStep(party=party, operators=ops, branches=branches)
+            for name in branch_docs:
+                measured.branches[name] = parse_node(branch_docs[name], owners, steps)
+            return measured
         raise ProtocolError(f"unknown node type {kind!r}")
 
     owners0 = {r.name: r.owner for r in table.registers}
-    root = parse_node(root_doc, owners0)
+    steps: list[tuple[_StepParts, MeasurementStep]] = []
+    try:
+        root = parse_node(root_doc, owners0, steps)
+    except Exception:
+        # the steps read so far come before the fault in depth-first order,
+        # so a completeness fault among them is reported first
+        _compile_steps(steps, table, by_reg, tol)
+        raise
+    _compile_steps(steps, table, by_reg, tol)
     return ProtocolSpec(
         name=doc.get("name", "protocol"),
         table=table,
@@ -484,40 +606,73 @@ class _Joint:
     pos: np.ndarray
     amp: np.ndarray
 
-    def _entries(self, pos: np.ndarray, amp: np.ndarray) -> "_Joint":
-        return _Joint(self.table, self.live, self.owners, self.consumed, self.count, pos, amp)
-
     @functools.cached_property
     def norm2(self) -> np.ndarray:
         """|psi|^2 of each candidate."""
         return np.bincount(self.pos // self.table.size, _abs2(self.amp), minlength=self.count)
 
-    def measure(self, op: MeasurementOperator) -> tuple["_Joint", np.ndarray]:
-        """Apply one outcome operator to every candidate; returns the
-        unnormalized post-states and the Born probabilities |M psi|^2 / |psi|^2."""
-        for r in op.regs:
+    def measure(self, step: MeasurementStep) -> list[tuple[np.ndarray, np.ndarray, "_Joint"]]:
+        """Apply every outcome operator of ``step`` to every candidate.
+
+        Returns, for each operator in order, the Born probabilities
+        |M psi|^2 / |psi|^2, the mask of the candidates above the pruning
+        cutoff, and their unnormalized post-states, renumbered, with the
+        resources the operator touches consumed.  All outcomes are formed in
+        one pass, outcome o's entries at keys ``o * count * size + pos``.
+        """
+        regs = step.operators[0].regs
+        for r in regs:
             if r not in self.live:
-                raise ValueError(f"operator {op.name!r} acts on {r!r}, which is no longer live")
+                raise ValueError(
+                    f"operator {step.operators[0].name!r} acts on {r!r}, which is no longer live"
+                )
         if not self.norm2.all():
             raise ValueError("cannot measure the zero state")
-        strides, dims, inner, offset = self.table._layout(op.regs)
-        diagonal, rows = op._gather
-        # each entry's index on op.regs picks the operator column it meets
+        size, k = self.table.size, len(step.operators)
+        strides, dims, inner, offset = self.table._layout(regs)
+        diagonal, rows, held = step._kernel
+        # each entry's index on the step's registers picks the operator column it meets
         sub = (self.pos[:, None] // strides % dims) @ inner
         if diagonal is not None:
-            amp = diagonal[sub] * self.amp
-            nonzero = amp != 0
-            post = self._entries(self.pos[nonzero], amp[nonzero])
+            value = diagonal[:, sub] * self.amp
+            outcome, entry = np.nonzero(value)
+            key, amp = outcome * (self.count * size) + self.pos[entry], value[outcome, entry]
         else:
-            # gather the column at the rows that hold a nonzero, and scatter
-            # the nonzero products to the entry's position with that index
-            # replaced by their rows
-            value = op.matrix[rows[:, None], sub].T * self.amp[:, None]
-            src, k = np.nonzero(value)
-            post = self._entries(
-                *_coalesced((self.pos - offset[sub])[src] + offset[rows[k]], value[src, k])
+            # the column at the rows where any operator holds a nonzero; the
+            # nonzero products go to the entry's position with that index
+            # replaced by their rows, and those that land together are summed
+            value = (held[:, :, sub] * self.amp).transpose(0, 2, 1)
+            outcome, entry, at = np.nonzero(value)  # in (outcome, entry, row) order
+            key, amp = _coalesced(
+                outcome * (self.count * size) + (self.pos - offset[sub])[entry] + offset[rows[at]],
+                value[outcome, entry, at],
             )
-        return post, post.norm2 / self.norm2
+        cell = key // size  # outcome * count + candidate
+        norm2 = np.bincount(cell, _abs2(amp), minlength=k * self.count)
+        born = norm2.reshape(k, self.count) / self.norm2
+        keep = born > _PRUNE
+        entry = keep.reshape(-1)[cell]
+        cell = cell[entry]
+        pos = (np.cumsum(keep, axis=1) - 1).reshape(-1)[cell] * size + key[entry] % size
+        amp, norm2 = amp[entry], norm2[keep.reshape(-1)]
+        # each outcome's survivors are a contiguous run of entries and of norms
+        ends = np.searchsorted(cell, self.count * np.arange(1, k + 1)).tolist()
+        counts = np.cumsum(keep.sum(axis=1)).tolist()
+        children = []
+        for o, op in enumerate(step.operators):
+            start, first = (ends[o - 1], counts[o - 1]) if o else (0, 0)
+            child = _Joint(
+                self.table,
+                self.live,
+                self.owners,
+                self.consumed | op.touches,
+                counts[o] - first,
+                pos[start : ends[o]],
+                amp[start : ends[o]],
+            )
+            child.__dict__["norm2"] = norm2[first : counts[o]]  # the cached property's slot
+            children.append((born[o], keep[o], child))
+        return children
 
     def teleport(
         self, source: str, resource: ResourceDecl, to: str, tol: float
@@ -559,21 +714,6 @@ class _Joint:
             self.count,
             key[nonzero],
             v[nonzero],
-        )
-
-    def take(self, keep: np.ndarray, touches: frozenset[str]) -> "_Joint":
-        """The candidates flagged in ``keep``, with ``touches`` consumed."""
-        size = self.table.size
-        row, flat = np.divmod(self.pos, size)
-        entry = keep[row]
-        return _Joint(
-            self.table,
-            self.live,
-            self.owners,
-            self.consumed | touches,
-            int(keep.sum()),
-            (np.cumsum(keep) - 1)[row[entry]] * size + flat[entry],
-            self.amp[entry],
         )
 
     def gram(self) -> np.ndarray:
@@ -640,22 +780,20 @@ class ExecutionReport:
     total_ebits: float
 
 
-def _initial(spec: ProtocolSpec, states: Sequence) -> _Joint:
+def _initial(spec: ProtocolSpec, sset: StateSet) -> _Joint:
     """The candidates with every shared pair in sum_k |k,k>, each scaled by a
     power of two (:func:`_power_of_two_scaled`), which leaves every Born ratio
     as it is."""
     table = spec.table
     strides = table.strides
     principal = np.array([strides[r.name] for r in spec.principal_registers], dtype=np.int64)
-    row = np.array([k for k, s in enumerate(states) for _ in s.terms], dtype=np.int64)
-    idx = np.array([i for s in states for i, _ in s.terms], dtype=np.int64)
-    amp = np.array([a for s in states for _, a in s.terms], dtype=complex)
-    amp = _power_of_two_scaled(row, amp, len(states))
+    row, idx, amp = sset.term_arrays
+    amp = _power_of_two_scaled(row, amp, len(sset))
     pairs = np.zeros(1, dtype=np.int64)
     for res in spec.resources:
         step = strides[res.registers[0]] + strides[res.registers[1]]
         pairs = (pairs[:, None] + step * np.arange(res.dim)).reshape(-1)
-    pos = row * table.size + idx.reshape(row.size, principal.size) @ principal
+    pos = row * table.size + idx @ principal
     pos = (pos[:, None] + pairs).reshape(-1)
     order = np.argsort(pos)
     return _Joint(
@@ -663,7 +801,7 @@ def _initial(spec: ProtocolSpec, states: Sequence) -> _Joint:
         table.names,
         {r.name: r.owner for r in table.registers},
         frozenset(),
-        len(states),
+        len(sset),
         pos[order],
         np.repeat(amp, pairs.size)[order],
     )
@@ -698,19 +836,14 @@ def _groups(
             res = spec.resource(node.resource)
             yield from walk(node.then, index, prob, joint.teleport(node.source, res, node.to, tol))
         elif isinstance(node, MeasurementStep):
-            for op in node.operators:
-                post, born = joint.measure(op)
-                keep = born > _PRUNE
-                if keep.any():
+            for op, (born, keep, child) in zip(node.operators, joint.measure(node)):
+                if child.count:
                     yield from walk(
-                        node.branches[op.name],
-                        index[keep],
-                        prob[keep] * born[keep],
-                        post.take(keep, op.touches),
+                        node.branches[op.name], index[keep], prob[keep] * born[keep], child
                     )
 
     n = len(sset)
-    yield from walk(spec.root, np.arange(n), np.ones(n), _initial(spec, sset.states))
+    yield from walk(spec.root, np.arange(n), np.ones(n), _initial(spec, sset))
 
 
 def run_protocol(

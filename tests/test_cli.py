@@ -205,6 +205,16 @@ def _setter(*path, value):
     return spoil
 
 
+def _true_dim_pair(protocol, states):
+    protocol["registers"] += [
+        {"name": "x", "owner": "Alice", "dim": True},
+        {"name": "y", "owner": "Bob", "dim": True},
+    ]
+    protocol["resources"].append(
+        {"name": "r1", "pair": ["Alice", "Bob"], "dim": 1, "registers": ["x", "y"]}
+    )
+
+
 # Each spoils example1.json or bell.json; each used to end in a traceback, a
 # giant allocation or a wrong answer with exit 0
 MALFORMED_SIMULATE_INPUTS = {
@@ -232,6 +242,17 @@ MALFORMED_SIMULATE_INPUTS = {
         _setter("protocol", "registers", 0, "dim", value=10**6),
         "2000000 levels, above the limit",
     ),
+    # read as dim 2, so the pair was reported as 1 ebit
+    "fractional-resource-dim": (
+        _setter("protocol", "resources", 0, "dim", value=2.9),
+        "resource 'phi2_ab' dim must be an integer >= 1",
+    ),
+    "string-resource-dim": (
+        _setter("protocol", "resources", 0, "dim", value="2"),
+        "resource 'phi2_ab' dim must be an integer >= 1",
+    ),
+    # a pair of dim-true registers read as a dim-1 resource
+    "bool-register-dim": (_true_dim_pair, "register dims must be integers >= 1"),
     "label-list": (_setter("states", "states", 0, "label", value=["psi1"]), "not a string"),
     # exit 0 with "correct: true" about no states
     "no-states": (_setter("states", "states", value=[]), "no states"),

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -24,6 +25,7 @@ from qrubik.locc import (
     BranchOutcome,
     Leaf,
     MeasurementOperator,
+    MeasurementStep,
     StateOutcome,
     Teleport,
     RegisterTable,
@@ -180,33 +182,45 @@ def test_parse_rejects_resource_reuse_and_dim_mismatch():
         parse_protocol(doc)
 
 
+def _one(state):
+    """A one-state set."""
+    return StateSet(state.layout, (state,))
+
+
+def _step(*operators):
+    """A measurement step on ``operators``, each branch a leaf."""
+    return MeasurementStep("Alice", operators, {op.name: Leaf(op.name) for op in operators})
+
+
 def test_apply_measurement_born_rule():
     spec = parse_protocol(example1_protocol())
     bell = bell_state_set()
-    joint = _initial(spec, [bell[0]])  # |00>+|11> with the shared pair
+    joint = _initial(spec, _one(bell[0]))  # |00>+|11> with the shared pair
     n1 = spec.root.operators[0]
-    post, prob = joint.measure(n1)
+    (prob, keep, post), *_ = joint.measure(spec.root)
     assert prob[0] == pytest.approx(0.5)
+    assert keep.tolist() == [True]
     # surviving components are |0,0,0,0> and |1,1,1,1> on (A, B, a, b)
     nz = {tuple(int(x) for x in idx) for idx in np.argwhere(np.abs(_dense(post).vector) > 1e-12)}
     assert nz == {(0, 0, 0, 0), (1, 1, 1, 1)}
 
     ident = type(n1)(name="I", regs=("A",), matrix=np.eye(2, dtype=complex))
-    same, prob = joint.measure(ident)
+    [(prob, keep, same)] = joint.measure(_step(ident))
     assert prob[0] == pytest.approx(1.0)
     assert np.allclose(_dense(same).vector, _dense(joint).vector)
 
     nothing = type(n1)(
         name="Z", regs=("A", "a"), matrix=np.zeros((4, 4), dtype=complex)
     )
-    _, prob = joint.measure(nothing)
+    [(prob, keep, gone)] = joint.measure(_step(nothing))
     assert prob[0] == 0.0
+    assert keep.tolist() == [False] and gone.count == 0 and gone.pos.size == 0
 
 
 def test_teleport_moves_ownership_and_consumes():
     spec = parse_protocol(prop1_protocol())
     b3 = build_snoes(3)
-    joint = _initial(spec, [b3[0]])
+    joint = _initial(spec, _one(b3[0]))
     res = spec.resource("phi3_bc")
     moved = joint.teleport("C", res, "Bob", DEFAULT_TOL)
     assert moved.owners["C"] == "Bob"
@@ -224,7 +238,7 @@ def test_teleport_grid_mapping_matches_reference_bipartite_set():
     b3 = build_snoes(3)
     res = spec.resource("phi3_bc")
     for k, s in enumerate(b3.states):
-        sim = _dense(_initial(spec, [s]).teleport("C", res, "Bob", DEFAULT_TOL))
+        sim = _dense(_initial(spec, _one(s)).teleport("C", res, "Bob", DEFAULT_TOL))
         # project out the untouched dim-2 pairs and read the (A, B, C) part
         axes = [sim.live.index(r) for r in ("A", "B", "C")]
         vec = sim.vector
@@ -625,7 +639,7 @@ def test_one_candidate_kernels_match_dense_reference():
     # and 4, as the sign dances use, whose zero rows make the row map count
     spec = parse_protocol(prop1_protocol())
     rng = np.random.default_rng(5)
-    entangled = _initial(spec, [build_snoes(3)[4]])
+    entangled = _initial(spec, _one(build_snoes(3)[4]))
     sim = _dense(entangled)
     vector = rng.normal(size=sim.vector.shape) + 1j * rng.normal(size=sim.vector.shape)
     vector[rng.random(vector.shape) < 0.3] = 0
@@ -633,17 +647,22 @@ def test_one_candidate_kernels_match_dense_reference():
     regs = ("b", "B")
     sign = np.zeros(6)
     sign[[1, 4]] = 1, -1
-    for matrix in (
-        rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
-        np.outer(sign, sign) / 2,
-    ):
-        op = MeasurementOperator(name="M", regs=regs, matrix=matrix)
-        post, prob = _joint(sim).measure(op)
-        post = _dense(post)
-        want, want_prob = _dense_apply_measurement(sim, op)
-        assert post.live == want.live
-        assert np.allclose(post.vector, want.vector, rtol=1e-14, atol=1e-14)
-        assert prob[0] == pytest.approx(want_prob, rel=1e-14)
+    ops = [
+        MeasurementOperator(name=name, regs=regs, matrix=matrix)
+        for name, matrix in (
+            ("M", rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))),
+            ("P", np.outer(sign, sign) / 2),
+        )
+    ]
+    # each operator alone, and both as the outcomes of one step
+    for step in (_step(ops[0]), _step(ops[1]), _step(*ops)):
+        for op, (prob, keep, post) in zip(step.operators, _joint(sim).measure(step)):
+            post = _dense(post)
+            want, want_prob = _dense_apply_measurement(sim, op)
+            assert keep.tolist() == [True]
+            assert post.live == want.live
+            assert np.allclose(post.vector, want.vector, rtol=1e-14, atol=1e-14)
+            assert prob[0] == pytest.approx(want_prob, rel=1e-14)
 
     res = spec.resource("phi3_bc")
     moved = _dense(entangled.teleport("C", res, "Bob", DEFAULT_TOL))
@@ -652,6 +671,173 @@ def test_one_candidate_kernels_match_dense_reference():
         reference.live, reference.owners, reference.consumed
     )
     assert np.array_equal(moved.vector, reference.vector)
+
+
+def _apply_one(joint, op):
+    """One outcome operator applied on its own and its survivors taken, one
+    operator at a time: the reference for the step kernel of
+    ``_Joint.measure``.  Returns the Born ratios, the survivors' mask and
+    their post-state arrays (candidate renumbered, position, amplitude)."""
+    size = joint.table.size
+    strides, dims, inner, offset = joint.table._layout(op.regs)
+    sub = (joint.pos[:, None] // strides % dims) @ inner
+    diagonal = op.matrix.diagonal()
+    if np.count_nonzero(op.matrix) == np.count_nonzero(diagonal):
+        amp = diagonal[sub] * joint.amp
+        pos, amp = joint.pos[amp != 0], amp[amp != 0]
+    else:
+        rows = np.flatnonzero(op.matrix.any(axis=1))
+        value = op.matrix[rows[:, None], sub].T * joint.amp[:, None]
+        src, k = np.nonzero(value)
+        pos, inverse = np.unique((joint.pos - offset[sub])[src] + offset[rows[k]], return_inverse=True)
+        amp = np.zeros(pos.size, dtype=complex)
+        np.add.at(amp, inverse, value[src, k])  # in input order, from 0j
+        pos, amp = pos[amp != 0], amp[amp != 0]
+    row = pos // size
+    born = np.bincount(row, amp.real**2 + amp.imag**2, minlength=joint.count) / joint.norm2
+    keep = born > _PRUNE
+    entry = keep[row]
+    return born, keep, (np.cumsum(keep) - 1)[row[entry]] * size + pos[entry] % size, amp[entry]
+
+
+def _random_operator(rng, name, regs, size, kind):
+    """A random operator with exact zeros: some rows all zero, some entries
+    zero, and for ``diagonal`` nothing off the diagonal."""
+    matrix = np.round(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)), 2)
+    matrix[rng.random((size, size)) < 0.4] = 0
+    matrix[rng.random(size) < 0.3] = 0
+    if kind == "diagonal":
+        matrix = np.diag(np.diag(matrix))
+    return MeasurementOperator(name, regs, matrix, frozenset({f"t{name}"}))
+
+
+@pytest.mark.parametrize("kinds", [("dense",) * 3, ("diagonal",) * 4, ("diagonal", "dense")])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_step_kernel_matches_one_operator_at_a_time(seed, kinds):
+    # all 24 candidates of b3 with prop1's five shared pairs, so that the
+    # operators meet several candidates and entries per fibre; the step's
+    # registers are listed out of table order; columns of zeros make one
+    # outcome lose some candidates, and a zero operator loses them all
+    rng = np.random.default_rng(seed)
+    spec = parse_protocol(prop1_protocol())
+    joint = _initial(spec, build_snoes(3))
+    regs = tuple(rng.permutation(["B", "b", "A"]).tolist())
+    size = math.prod(spec.table.dims(regs))
+    ops = [_random_operator(rng, f"M{k}", regs, size, kind) for k, kind in enumerate(kinds)]
+    # the first operator sees only level 0 of A: candidates without it drop out
+    level_a = np.unravel_index(np.arange(size), spec.table.dims(regs))[regs.index("A")]
+    ops[0].matrix[:, level_a != 0] = 0
+    ops.append(MeasurementOperator("Z", regs, np.zeros((size, size), dtype=complex)))
+    counts = []
+    for op, (born, keep, child) in zip(ops, joint.measure(_step(*ops))):
+        want_born, want_keep, want_pos, want_amp = _apply_one(joint, op)
+        assert np.array_equal(born, want_born), op.name
+        assert np.array_equal(keep, want_keep), op.name
+        assert np.array_equal(child.pos, want_pos), op.name
+        assert np.array_equal(child.amp, want_amp), op.name
+        assert child.count == keep.sum()
+        assert child.consumed == joint.consumed | op.touches
+        # the norms handed to the child are the ones it would compute
+        abs2 = child.amp.real**2 + child.amp.imag**2
+        fresh = np.bincount(child.pos // spec.table.size, abs2, minlength=child.count)
+        assert np.array_equal(child.norm2, fresh), op.name
+        counts.append(child.count)
+    # some outcome keeps only part of the candidates, and "Z" none of them
+    assert any(0 < c < joint.count for c in counts) and counts[-1] == 0
+
+
+def _node(doc, *branches):
+    """The node of a protocol document reached through ``branches``."""
+    node = doc["root"]
+    for name in branches:
+        node = node["branches"][name]
+    return node
+
+
+def _overcounted(*branches):
+    # a level listed twice: the proj operator has a 2 on its diagonal
+    def spoil(doc):
+        _node(doc, *branches)["operators"][0]["proj"][0]["levels"].insert(0, [0, 0])
+    return spoil
+
+
+def _spoiled(*edits):
+    def spoil(doc):
+        for edit in edits:
+            edit(doc)
+    return spoil
+
+
+def _set(*path, value):
+    def spoil(doc):
+        node = _node(doc, *path[:-2])
+        node[path[-2]] = value if path[-1] is None else {**node[path[-2]], path[-1]: value}
+    return spoil
+
+
+def _foreign_regs(doc):
+    # Bob's step below N1 measures Alice's registers
+    _node(doc, "N1")["operators"][0]["proj"][0]["regs"] = ["A", "a"]
+
+
+def _deep_incomplete(doc):
+    # a 4 x 4 matrix operator three steps down, with one entry doubled
+    _node(doc, "N1", "N2")["operators"][0]["matrix"][0][0] = [2.0, 0.0]
+
+
+def _bad_level(*branches):
+    def spoil(doc):
+        _node(doc, *branches)["operators"].insert(
+            1, {"name": "X", "proj": [{"regs": ["A", "a"], "levels": [[0, 7]]}]}
+        )
+    return spoil
+
+
+# Documents with two faults.  The numeric checks of a step (completeness) ran
+# as soon as its operators were read, before its ownership and branch checks
+# and before any later step: the first fault in depth-first order is reported
+TWO_FAULT_DOCUMENTS = {
+    "incomplete-then-foreign-register": (_spoiled(_overcounted(), _foreign_regs), "completeness"),
+    "incomplete-and-branch-mismatch": (
+        _spoiled(_overcounted(), lambda doc: doc["root"]["branches"].pop("N1bar")),
+        "completeness",
+    ),
+    "incomplete-and-own-foreign-party": (
+        _spoiled(_overcounted(), lambda doc: doc["root"].update(party="Bob")),
+        "completeness",
+    ),
+    "deep-incomplete-then-bad-level": (
+        _spoiled(_deep_incomplete, _bad_level("N1bar")),
+        "completeness",
+    ),
+    "deep-incomplete-then-unknown-node": (
+        _spoiled(_deep_incomplete, lambda doc: _node(doc, "N1bar", "N2").update(type="dance")),
+        "completeness",
+    ),
+    "missing-key-then-incomplete": (
+        _spoiled(lambda doc: _node(doc, "N1").pop("party"), _overcounted("N1bar")),
+        "malformed protocol document",
+    ),
+    "bad-level-in-an-incomplete-step": (
+        _spoiled(_overcounted(), _bad_level()),
+        "level [0, 7] is outside dims",
+    ),
+    "leaf-without-answer-then-incomplete": (
+        _spoiled(
+            lambda doc: _node(doc, "N1", "N2", "m0p12S0r").pop("answer"), _overcounted("N1bar")
+        ),
+        "leaf without an answer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_FAULT_DOCUMENTS))
+def test_first_fault_in_depth_first_order_is_reported(case):
+    spoil, message = TWO_FAULT_DOCUMENTS[case]
+    doc = copy.deepcopy(example1_protocol())
+    spoil(doc)
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        parse_protocol(doc)
 
 
 def _pair_doc(root):
@@ -920,6 +1106,30 @@ def test_parsed_operators_match_dense_reference(name):
 
     doc = json.loads(resources.files("qrubik").joinpath("data", f"{name}.json").read_text())
     assert _assert_matches_reference(doc, parse_protocol(doc)) > 0
+
+
+@pytest.mark.parametrize("name", ["example1", "prop1", "prop2"])
+def test_split_groups_compile_the_same_operators(name, monkeypatch):
+    # one stack per step instead of one per group of steps: the same bytes,
+    # touches and walk kernels, and those kernels as a step formed outside
+    # the parser computes them from its operators
+    from importlib import resources
+    from qrubik import locc
+
+    doc = json.loads(resources.files("qrubik").joinpath("data", f"{name}.json").read_text())
+    grouped = parse_protocol(doc)
+    monkeypatch.setattr(locc, "_MAX_GROUP_ENTRIES", 1)
+    alone = parse_protocol(doc)
+    pairs = list(zip(_steps(doc["root"], grouped.root), _steps(doc["root"], alone.root)))
+    assert pairs
+    for (_, a), (_, b) in pairs:
+        assert [op.name for op in a.operators] == [op.name for op in b.operators] != []
+        for x, y in zip(a.operators, b.operators):
+            assert (x.name, x.regs, x.touches) == (y.name, y.regs, y.touches)
+            assert x.matrix.tobytes() == y.matrix.tobytes()
+        for kernel in (b._kernel, replace(a)._kernel):
+            for x, y in zip(a._kernel, kernel):
+                assert (x is None and y is None) or np.array_equal(x, y)
 
 
 def _random_unitary(rng, n):

@@ -688,6 +688,49 @@ def test_permutation_covariance():
         assert _residual(cs_moved, conj) < 1e-9
 
 
+def _parties_reordered(sset, order):
+    """``sset`` with its parties, and every index's columns, in ``order``."""
+    layout = PartyLayout(
+        tuple(sset.layout.parties[i] for i in order), tuple(sset.layout.dims[i] for i in order)
+    )
+    return StateSet(
+        layout,
+        tuple(
+            PureState(layout, [(tuple(idx[i] for i in order), amp) for idx, amp in s.terms], s.label)
+            for s in sset.states
+        ),
+    )
+
+
+def _verdicts_by_check(sset):
+    """Each check's (trivial, solution_dim), keyed by the party sets of its
+    left side and of its actor, which do not depend on the party order."""
+    report = verify_strong_nonlocality(sset)
+    return {
+        (frozenset(cut.left), frozenset(actor)): (c.verdict.trivial, c.verdict.solution_dim)
+        for (cut, actor), c in zip(standard_checks(sset.layout), report.checks)
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_snoes(3),
+        lambda: build_snoeb(4),
+        ghz_basis,
+        # nontrivial, and unlike the others not alike in its three parties
+        lambda: _off_the_a0_face(build_snoeb(4)),
+    ],
+    ids=["snoes(3)", "snoeb(4)", "ghz", "snoeb(4)-off-a0"],
+)
+def test_verdicts_permute_with_the_parties(build):
+    sset = build()
+    base = _verdicts_by_check(sset)
+    assert len(base) == 6
+    for order in itertools.permutations(range(3)):
+        assert _verdicts_by_check(_parties_reordered(sset, order)) == base, order
+
+
 def test_strong_nonlocality_of_small_sets():
     report = verify_strong_nonlocality(build_snoes(3))
     assert report.strongly_nonlocal

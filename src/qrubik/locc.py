@@ -169,10 +169,10 @@ def _kernels(
     rows = nonzero.any(axis=(1, 3))
     every = np.arange(rows.shape[1])
     kernels = []
-    for s, (off, full) in enumerate(zip(dense.tolist(), rows.all(axis=1).tolist())):
+    for s, (off, all_rows) in enumerate(zip(dense.tolist(), rows.all(axis=1).tolist())):
         if not off:
             kernels.append((diagonal[s], None, None))
-        elif full:
+        elif all_rows:
             kernels.append((None, every, stacks[s]))
         else:
             held = np.flatnonzero(rows[s])
@@ -363,8 +363,7 @@ def _compile_group(
     stack = np.zeros((len(pairs), k, full, full), dtype=complex)
     ops = stack.reshape(-1, full, full)  # operator j of step s at s * k + j
     matrices: dict[tuple[str, ...], tuple[list[int], list[np.ndarray]]] = {}
-    levels: dict[tuple[str, ...], tuple[list[int], list[np.ndarray]]] = {}
-    projectors = []
+    diagonal = np.arange(full)
     for s, (step, _) in enumerate(pairs):
         for j, regs, part in step.parts:
             if isinstance(part, np.ndarray):
@@ -372,25 +371,17 @@ def _compile_group(
                 ids.append(s * k + j)
                 mats.append(part)
                 continue
-            projectors.append(s * k + j)
+            # a proj operator is diagonal: the number of times each level is listed
             for iregs, flat in part:
-                ids, flats = levels.setdefault(iregs, ([], []))
-                ids.append(s * k + j)
-                flats.append(flat)
+                sub, _ = table._index_map(union, iregs)
+                counts = np.bincount(flat, minlength=math.prod(table.dims(iregs)))
+                ops[s * k + j, diagonal, diagonal] += counts[sub]
     for regs, (ids, mats) in matrices.items():
         sub, rest = table._index_map(union, regs)
         ops[ids] = np.array(mats)[:, sub[:, None], sub] * (rest[:, None] == rest)
-    if projectors:
-        # a proj operator is diagonal: the number of times each level is listed
-        counts = np.zeros((len(ops), full), dtype=np.int64)
-        for iregs, (ids, flats) in levels.items():
-            sub, _ = table._index_map(union, iregs)
-            width = math.prod(table.dims(iregs))
-            key = np.repeat(ids, [f.size for f in flats]) * width + np.concatenate(flats)
-            counts += np.bincount(key, minlength=len(ops) * width).reshape(-1, width)[:, sub]
-        diagonal = np.arange(full)
-        ops[np.array(projectors)[:, None], diagonal, diagonal] = counts[projectors]
-    owing = [(s, step.complement) for s, (step, _) in enumerate(pairs) if step.complement is not None]
+    owing = [
+        (s, step.complement) for s, (step, _) in enumerate(pairs) if step.complement is not None
+    ]
     if owing:
         at, complement = np.array(owing).T
         others = np.array([[j for j in range(k) if j != c] for c in complement.tolist()])
@@ -544,12 +535,10 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
     steps: list[tuple[_StepParts, MeasurementStep]] = []
     try:
         root = parse_node(root_doc, owners0, steps)
-    except Exception:
-        # the steps read so far come before the fault in depth-first order,
-        # so a completeness fault among them is reported first
+    finally:
+        # also when the tree pass fails: the steps read so far come before
+        # its fault in depth-first order, so their completeness is checked first
         _compile_steps(steps, table, by_reg, tol)
-        raise
-    _compile_steps(steps, table, by_reg, tol)
     return ProtocolSpec(
         name=doc.get("name", "protocol"),
         table=table,
@@ -642,7 +631,8 @@ class _Joint:
             # nonzero products go to the entry's position with that index
             # replaced by their rows, and those that land together are summed
             value = (held[:, :, sub] * self.amp).transpose(0, 2, 1)
-            outcome, entry, at = np.nonzero(value)  # in (outcome, entry, row) order
+            # row-major over (outcome, entry, row): the order of the sums below
+            outcome, entry, at = np.nonzero(value)
             key, amp = _coalesced(
                 outcome * (self.count * size) + (self.pos - offset[sub])[entry] + offset[rows[at]],
                 value[outcome, entry, at],
@@ -659,18 +649,19 @@ class _Joint:
         ends = np.searchsorted(cell, self.count * np.arange(1, k + 1)).tolist()
         counts = np.cumsum(keep.sum(axis=1)).tolist()
         children = []
-        for o, op in enumerate(step.operators):
-            start, first = (ends[o - 1], counts[o - 1]) if o else (0, 0)
+        for o, (op, start, end, first, last) in enumerate(
+            zip(step.operators, [0, *ends], ends, [0, *counts], counts)
+        ):
             child = _Joint(
                 self.table,
                 self.live,
                 self.owners,
                 self.consumed | op.touches,
-                counts[o] - first,
-                pos[start : ends[o]],
-                amp[start : ends[o]],
+                last - first,
+                pos[start:end],
+                amp[start:end],
             )
-            child.__dict__["norm2"] = norm2[first : counts[o]]  # the cached property's slot
+            child.__dict__["norm2"] = norm2[first:last]  # the cached property's slot
             children.append((born[o], keep[o], child))
         return children
 

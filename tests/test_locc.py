@@ -689,7 +689,8 @@ def _apply_one(joint, op):
         rows = np.flatnonzero(op.matrix.any(axis=1))
         value = op.matrix[rows[:, None], sub].T * joint.amp[:, None]
         src, k = np.nonzero(value)
-        pos, inverse = np.unique((joint.pos - offset[sub])[src] + offset[rows[k]], return_inverse=True)
+        key = (joint.pos - offset[sub])[src] + offset[rows[k]]
+        pos, inverse = np.unique(key, return_inverse=True)
         amp = np.zeros(pos.size, dtype=complex)
         np.add.at(amp, inverse, value[src, k])  # in input order, from 0j
         pos, amp = pos[amp != 0], amp[amp != 0]

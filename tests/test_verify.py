@@ -696,7 +696,9 @@ def _parties_reordered(sset, order):
     return StateSet(
         layout,
         tuple(
-            PureState(layout, [(tuple(idx[i] for i in order), amp) for idx, amp in s.terms], s.label)
+            PureState(
+                layout, [(tuple(idx[i] for i in order), amp) for idx, amp in s.terms], s.label
+            )
             for s in sset.states
         ),
     )

@@ -563,8 +563,12 @@ def _summed(inverse: np.ndarray, amp: np.ndarray, size: int) -> np.ndarray:
 def _bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values, sorted, and the bin of each value: np.unique's
     inverse without its overhead, which dominates on arrays this small."""
-    distinct = np.unique(values)
-    return distinct, np.searchsorted(distinct, values)
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, distinct.searchsorted(values)
 
 
 def _coalesced(pos: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

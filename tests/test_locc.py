@@ -674,10 +674,11 @@ def test_one_candidate_kernels_match_dense_reference():
 
 
 def _apply_one(joint, op):
-    """One outcome operator applied on its own and its survivors taken, one
-    operator at a time: the reference for the step kernel of
-    ``_Joint.measure``.  Returns the Born ratios, the survivors' mask and
-    their post-state arrays (candidate renumbered, position, amplitude)."""
+    """One outcome operator applied on its own and its survivors taken: the
+    one-operator-at-a-time reference for the step kernel of
+    ``_Joint.measure``.  Returns the Born ratios, the survivors' mask, and
+    the survivors' entries: positions, with the candidates renumbered, and
+    amplitudes."""
     size = joint.table.size
     strides, dims, inner, offset = joint.table._layout(op.regs)
     sub = (joint.pos[:, None] // strides % dims) @ inner
@@ -769,13 +770,6 @@ def _spoiled(*edits):
     return spoil
 
 
-def _set(*path, value):
-    def spoil(doc):
-        node = _node(doc, *path[:-2])
-        node[path[-2]] = value if path[-1] is None else {**node[path[-2]], path[-1]: value}
-    return spoil
-
-
 def _foreign_regs(doc):
     # Bob's step below N1 measures Alice's registers
     _node(doc, "N1")["operators"][0]["proj"][0]["regs"] = ["A", "a"]
@@ -794,9 +788,9 @@ def _bad_level(*branches):
     return spoil
 
 
-# Documents with two faults.  The numeric checks of a step (completeness) ran
-# as soon as its operators were read, before its ownership and branch checks
-# and before any later step: the first fault in depth-first order is reported
+# Documents with two faults: the one met first in depth-first order is
+# reported, a step's completeness counting as met as soon as its operators
+# are read, before its ownership and branch checks
 TWO_FAULT_DOCUMENTS = {
     "incomplete-then-foreign-register": (_spoiled(_overcounted(), _foreign_regs), "completeness"),
     "incomplete-and-branch-mismatch": (

@@ -33,6 +33,7 @@ from qrubik.locc import (
     _Joint,
 )
 from qrubik.states import DEFAULT_TOL, _strides
+from qrubik.locc import matrix_to_json
 from qrubik.protocols import (
     SNAKE_3,
     bell_state_set,
@@ -1178,6 +1179,87 @@ def test_random_matrix_operators_match_dense_reference(seed, factored):
     assert spec.root.operators[0].regs == ("A", "c", "a")
     touched = frozenset() if factored else frozenset({"r"})
     assert [op.touches for op in spec.root.operators] == [touched, touched]
+
+
+def _random_document(seed):
+    """A three-level tree of random complete steps.  Each splits the levels
+    of one or two of a party's registers, in random order, into ``proj``
+    operators and dense sign-dance projectors onto (|u> +- |v>) / sqrt 2, and
+    puts the complement, when there is one, at a random position; ``a`` and
+    ``b`` are a shared pair."""
+    rng = np.random.default_rng(seed)
+    dims = {"A": 2, "B": 3, "a": 2, "b": 2, "c": 3}
+    owned = {"Alice": ["A", "a", "c"], "Bob": ["B", "b"]}
+
+    def step(depth):
+        party = ["Alice", "Bob"][rng.integers(2)]
+        regs = [str(r) for r in rng.permutation(owned[party])[: rng.integers(1, 3)]]
+        levels = [list(map(int, l)) for l in itertools.product(*(range(dims[r]) for r in regs))]
+        order = rng.permutation(len(levels))
+        ops, used = [], 0
+        while used < len(levels) and len(ops) < 3:
+            chunk = [levels[i] for i in order[used : used + rng.integers(1, 3)]]
+            used += len(chunk)
+            name = f"o{rng.integers(10**9)}"
+            if len(chunk) == 2 and rng.random() < 0.6:
+                u, v = (int(np.ravel_multi_index(l, [dims[r] for r in regs])) for l in chunk)
+                matrix = np.zeros((len(levels),) * 2)
+                matrix[[u, v, u, v], [u, v, v, u]] = 0.5, 0.5, rng.choice([0.5, -0.5]), 0
+                matrix[v, u] = matrix[u, v]
+                ops.append({"name": name, "regs": regs, "matrix": matrix_to_json(matrix)})
+            else:
+                ops.append({"name": name, "proj": [{"regs": regs, "levels": chunk}]})
+        if used < len(levels) or any("matrix" in op for op in ops):
+            ops.insert(int(rng.integers(len(ops) + 1)), {"name": "rest", "complement": True})
+        branches = {
+            op["name"]: step(depth - 1) if depth and rng.random() < 0.7
+            else {"type": "leaf", "answer": "x"}
+            for op in ops
+        }
+        return {"type": "measure", "party": party, "operators": ops, "branches": branches}
+
+    return {
+        "name": "random",
+        "registers": [
+            {"name": n, "owner": o, "dim": dims[n]}
+            for n, o in (("A", "Alice"), ("B", "Bob"), ("a", "Alice"), ("b", "Bob"), ("c", "Alice"))
+        ],
+        "resources": [{"name": "r", "pair": ["Alice", "Bob"], "dim": 2, "registers": ["a", "b"]}],
+        "root": step(3),
+    }
+
+
+def test_random_documents_match_dense_reference():
+    # many steps per group of steps on the same registers, with the
+    # complement at different positions, against the dense re-layout and
+    # the per-candidate walk
+    layout = PartyLayout(("A", "B", "C"), (2, 3, 3))
+    sset = StateSet(
+        layout,
+        (
+            PureState(layout, [((0, 0, 0), 1), ((1, 2, 1), 1)], "p"),
+            PureState(layout, [((0, 1, 2), 1), ((1, 0, 1), -1j)], "q"),
+            PureState(layout, [((1, 1, 1), 1), ((0, 2, 0), 0.5)], "r"),
+        ),
+    )
+    positions, steps = {}, 0
+    for seed in range(12):
+        doc = _random_document(seed)
+        spec = parse_protocol(doc)
+        steps += _assert_matches_reference(doc, spec)
+        for step_doc, _ in _steps(doc["root"], spec.root):
+            names = [op["name"] for op in step_doc["operators"]]
+            if "rest" in names:
+                positions.setdefault(len(names), set()).add(names.index("rest"))
+        walk, reference = run_protocol(spec, sset).outcomes, _reference_outcomes(spec, sset)
+        assert len(walk) == len(reference)
+        for got, want in zip(walk, reference):
+            assert [(b.answer, b.resources) for b in got.branches] == [
+                (b.answer, b.resources) for b in want.branches
+            ]
+            for b, ref in zip(got.branches, want.branches):
+                assert abs(b.probability - ref.probability) <= 1e-15
+    assert steps > 50 and any(len(p) > 1 for p in positions.values())
 
 
 def test_identity_factor_detection_drives_touching():

@@ -20,9 +20,10 @@ from .states import (
     PartyLayout,
     PureState,
     StateSet,
+    _canonical_arrays,
     _canonical_set,
-    _canonical_states,
     _checked_index,
+    _pure_states,
 )
 
 Cell = tuple[int, int, int]
@@ -153,14 +154,14 @@ def ghz_like_states(
     if len(set(cells)) != len(cells):
         raise ValueError("cells must be pairwise distinct")
     run = tuple(_checked_index(layout, c) for c in cells)
-    states, _ = _canonical_states(layout, [None] * len(run), *_family_terms([run]))
-    return list(states)
+    arrays = _canonical_arrays(layout, *_family_terms([run]))
+    return list(_pure_states(layout, [None] * len(run), arrays))
 
 
 def _family_terms(runs: list[tuple[Cell, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms of the phase-cycled family of each of ``runs`` (checked
     multi-indices, distinct within a run), run after run, as the (state,
-    index, amplitude) arrays that :func:`states._canonical_states` takes."""
+    index, amplitude) arrays that :func:`states._canonical_arrays` takes."""
     owner, idx, amps = [], [], []
     start = 0
     for n, group in itertools.groupby(runs, key=len):

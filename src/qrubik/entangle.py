@@ -90,12 +90,13 @@ def entanglement_profile(s: PureState, tol: float = DEFAULT_TOL) -> Entanglement
 
 def profile_rows(sset: StateSet, tol: float = DEFAULT_TOL) -> list[dict]:
     """JSON-ready profile rows, one per state."""
+    profiles = _profiles(sset.layout, sset.term_arrays, len(sset), tol)
     return [
         {
-            "label": s.label,
+            "label": label,
             "ranks": dict(prof.ranks),
             "entangled": prof.entangled,
             "genuine": prof.genuine,
         }
-        for s, prof in zip(sset.states, _profiles(sset.layout, sset.term_arrays, len(sset), tol))
+        for label, prof in zip(sset.labels, profiles)
     ]

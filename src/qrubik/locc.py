@@ -845,7 +845,7 @@ def run_protocol(
     spec: ProtocolSpec, sset: StateSet, tol: float = DEFAULT_TOL
 ) -> ExecutionReport:
     """Traverse the tree for every candidate state and account the resources."""
-    branches: list[list[BranchOutcome]] = [[] for _ in sset.states]
+    branches: list[list[BranchOutcome]] = [[] for _ in range(len(sset))]
     for node, index, prob, joint in _groups(spec, sset, tol):
         if isinstance(node, Leaf):
             resources = tuple(sorted(joint.consumed))
@@ -855,15 +855,15 @@ def run_protocol(
     outcomes = []
     copies = {res.name: 0.0 for res in spec.resources}
     weight = 1.0 / len(sset)
-    for state, found in zip(sset.states, branches):
+    for label, found in zip(sset.labels, branches):
         total = sum(b.probability for b in found)
-        correct = bool(found) and all(b.answer == state.label for b in found)
+        correct = bool(found) and all(b.answer == label for b in found)
         for b in found:
             for name in b.resources:
                 copies[name] += weight * b.probability
         outcomes.append(
             StateOutcome(
-                label=state.label,
+                label=label,
                 branches=tuple(found),
                 probability_total=total,
                 correct=correct,

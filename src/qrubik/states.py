@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -230,27 +231,58 @@ def flatten(s: PureState, cut: Bipartition) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
 class StateSet:
-    """An ordered collection of states sharing one layout, with unique labels."""
+    """An ordered collection of states sharing one layout, with unique labels.
 
-    layout: PartyLayout
-    states: tuple[PureState, ...]
+    A set is held as its layout, its labels and the read-only (state, index,
+    amplitude) arrays of its terms (:attr:`term_arrays`).  A set built from
+    arrays (:func:`_canonical_set`, as the loader and the cube builders build
+    them) makes the :class:`PureState` of each state only when :attr:`states`
+    is first read.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        labels = []
-        for i, s in enumerate(self.states):
-            if s.layout != self.layout:
+    def __init__(self, layout: PartyLayout, states: Iterable[PureState]) -> None:
+        states = tuple(states)
+        for i, s in enumerate(states):
+            if s.layout != layout:
                 raise ValueError(f"state {i} does not share the set layout")
             if s.label is None:
                 raise ValueError(f"state {i} has no label")
-            labels.append(s.label)
-        if len(set(labels)) != len(labels):
-            raise ValueError("state labels must be unique")
+        labels = _unique_labels(s.label for s in states)
+        self.__dict__.update(layout=layout, labels=labels, states=states)
+
+    @classmethod
+    def _of_arrays(
+        cls,
+        layout: PartyLayout,
+        labels: Sequence[str],
+        arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> "StateSet":
+        """The set whose state k is labelled ``labels[k]`` and has the terms
+        ``arrays`` holds for it, canonical as :func:`_canonical_arrays` gives them."""
+        sset = object.__new__(cls)
+        labels = _unique_labels(labels)
+        sset.__dict__.update(layout=layout, labels=labels, term_arrays=_read_only(arrays))
+        return sset
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable StateSet")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StateSet):
+            return NotImplemented
+        return (self.layout, self.labels) == (other.layout, other.labels) and all(
+            np.array_equal(a, b) for a, b in zip(self.term_arrays, other.term_arrays)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.layout, self.labels))
+
+    def __repr__(self) -> str:
+        return f"StateSet({self.layout!r}, {len(self)} states)"
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.states)
@@ -258,23 +290,54 @@ class StateSet:
     def __getitem__(self, key: int) -> PureState:
         return self.states[key]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.states)
+    @functools.cached_property
+    def states(self) -> tuple[PureState, ...]:
+        return _pure_states(self.layout, self.labels, self.term_arrays)
 
     def by_label(self, label: str) -> PureState:
-        for s in self.states:
-            if s.label == label:
-                return s
-        raise KeyError(f"no state labeled {label!r}")
+        try:
+            return self.states[self.labels.index(label)]
+        except ValueError:
+            raise KeyError(f"no state labeled {label!r}") from None
 
     def subset(self, count: int) -> "StateSet":
-        return StateSet(self.layout, self.states[:count])
+        state, idx, amps = self.term_arrays
+        labels = self.labels[:count]
+        end = int(np.searchsorted(state, len(labels)))
+        return StateSet._of_arrays(self.layout, labels, (state[:end], idx[:end], amps[:end]))
 
     @functools.cached_property
     def term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_term_arrays` of the set's states, formed once, read-only."""
         return _read_only(_term_arrays(self.layout, self.states))
+
+    @functools.cached_property
+    def _unit_amplitudes(self) -> np.ndarray:
+        """:func:`_unit_scaled` of the amplitudes of :attr:`term_arrays`,
+        formed once, read-only."""
+        state, _, amps = self.term_arrays
+        return _read_only((_unit_scaled(state, amps, len(self)),))[0]
+
+    @functools.cached_property
+    def _unit_gram(self) -> tuple[scipy.sparse.csr_matrix, float, float]:
+        """The Gram matrix G of the unit states, formed once, its arrays
+        read-only, with delta = ||G - I||_F and the root of the sum of
+        |G_ij|^2 over the pairs i < j."""
+        unit = _set_matrix(self, unit=True)
+        gram = unit.conj() @ unit.T
+        _read_only((gram.data, gram.indices, gram.indptr))
+        return (
+            gram,
+            float(np.linalg.norm((gram - scipy.sparse.identity(len(self))).data)),
+            float(np.linalg.norm(scipy.sparse.triu(gram, k=1).data)),
+        )
+
+
+def _unique_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("state labels must be unique")
+    return labels
 
 
 def _power_of_two_scaled(owner: np.ndarray, amps: np.ndarray, count: int) -> np.ndarray:
@@ -343,24 +406,62 @@ def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _canonical_states(
+def _state_ranges(owner: np.ndarray, count: int) -> Iterator[tuple[int, int]]:
+    """The (start, end) of the terms of each of ``count`` states in the
+    ascending ``owner`` of :func:`_term_arrays`."""
+    ends = np.cumsum(np.bincount(owner, minlength=count)).tolist()
+    return zip([0] + ends, ends)
+
+
+def _pure_states(
     layout: PartyLayout,
     labels: Sequence[str | None],
-    owner: np.ndarray,
-    idx: np.ndarray,
-    amps: np.ndarray,
-) -> tuple[tuple[PureState, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-    """The states ``labels[k]`` whose terms are the (``idx[t]``, ``amps[t]``)
-    with ``owner[t] == k``, all canonicalised at once as
-    :func:`_canonical_terms` canonicalises each, and the (state, index,
-    amplitude) arrays of their terms, as :func:`_term_arrays` gives them.
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[PureState, ...]:
+    """The states ``labels[k]`` whose terms are the rows of the canonical
+    (state, index, amplitude) ``arrays`` (:func:`_canonical_arrays`) with
+    state k, taken as they are."""
+    owner, idx, amps = arrays
+    keys = list(zip(*idx.T.tolist()))
+    values = amps.tolist()
+    return tuple(
+        PureState._canonical(layout, tuple(zip(keys[start:end], values[start:end])), label)
+        for label, (start, end) in zip(labels, _state_ranges(owner, len(labels)))
+    )
+
+
+def _is_canonical(owner: np.ndarray, idx: np.ndarray, amps: np.ndarray) -> bool:
+    """Whether the terms are as :func:`_canonical_arrays` returns them: owners
+    ascending, indices strictly increasing within each state, and every
+    amplitude nonzero and finite, with no -0.0 part."""
+    step = np.diff(idx, axis=0)
+    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    ordered = np.where(owner[1:] == owner[:-1], lead > 0, owner[1:] > owner[:-1])
+    parts = np.stack([amps.real, amps.imag])
+    return bool(
+        ordered.all()
+        and (amps != 0).all()
+        and np.isfinite(parts).all()
+        and not ((parts == 0) & np.signbit(parts)).any()
+    )
+
+
+def _canonical_arrays(
+    layout: PartyLayout, owner: np.ndarray, idx: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The terms (``owner[t]``, ``idx[t]``, ``amps[t]``) of states numbered by
+    ``owner``, canonicalised at once as :func:`_canonical_terms` canonicalises
+    each state's, as the (state, index, amplitude) arrays of
+    :func:`_term_arrays`.
 
     Returns None unless ``idx`` holds an int multi-index of ``layout`` per
     row, ``amps`` complex amplitudes and every merged amplitude is finite,
     so that the caller can take :func:`_canonical_terms` per state instead,
     which raises the error.  Duplicate indices are summed from 0j in the
     order given, as ``merged.get(key, 0j) + amp`` sums them (which also
-    turns a -0.0 part into +0.0), and exact zeros are dropped.
+    turns a -0.0 part into +0.0), and exact zeros are dropped; terms that
+    are canonical already (:func:`_is_canonical`, as every saved file's
+    are) are returned as they are, which is what that pass would give.
     """
     dims = layout.dims
     if (
@@ -372,6 +473,8 @@ def _canonical_states(
         or ((idx < 0) | (idx >= dims)).any()
     ):
         return None
+    if _is_canonical(owner, idx, amps):
+        return owner, idx, amps
     order = np.lexsort((*idx.T[::-1], owner))
     owner, idx, amps = owner[order], idx[order], amps[order]
     new = np.ones(owner.size, dtype=bool)
@@ -382,15 +485,7 @@ def _canonical_states(
     if not np.isfinite(merged).all():
         return None
     keep = merged != 0
-    owner, idx, amps = owner[new][keep], idx[new][keep], merged[keep]
-    keys = list(zip(*idx.T.tolist()))
-    values = amps.tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=len(labels))).tolist()
-    states = tuple(
-        PureState._canonical(layout, tuple(zip(keys[start:end], values[start:end])), label)
-        for label, start, end in zip(labels, [0] + ends, ends)
-    )
-    return states, (owner, idx, amps)
+    return owner[new][keep], idx[new][keep], merged[keep]
 
 
 def _canonical_set(
@@ -400,14 +495,10 @@ def _canonical_set(
     idx: np.ndarray,
     amps: np.ndarray,
 ) -> StateSet | None:
-    """The set of :func:`_canonical_states`, keeping its term arrays, or None."""
-    built = _canonical_states(layout, labels, owner, idx, amps)
-    if built is None:
-        return None
-    states, arrays = built
-    sset = StateSet(layout, states)
-    sset.__dict__["term_arrays"] = _read_only(arrays)  # the cached property's slot
-    return sset
+    """The set of the states ``labels[k]`` whose terms have ``owner`` k,
+    through :func:`_canonical_arrays`, or None where that refuses them."""
+    arrays = _canonical_arrays(layout, owner, idx, amps)
+    return None if arrays is None else StateSet._of_arrays(layout, labels, arrays)
 
 
 def _flat_index(idx: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
@@ -430,7 +521,7 @@ def _set_matrix(
     m = math.prod(dims[a] for a in row_axes)
     state, idx, amps = sset.term_arrays
     if unit:
-        amps = _unit_scaled(state, amps, len(sset))
+        amps = sset._unit_amplitudes
     width = sset.layout.total_dim // m
     rows = state * m + _flat_index(idx, dims, row_axes)
     cols = _flat_index(idx, dims, col_axes)
@@ -550,8 +641,9 @@ def _first_nonorthogonal_pair(
     """
     norms = np.sqrt(gram.diagonal().real)
     if scipy.sparse.issparse(gram):
-        upper = scipy.sparse.triu(gram, k=1, format="coo")
-        i, j, value = upper.row, upper.col, upper.data
+        coo = gram.tocoo()
+        upper = coo.row < coo.col
+        i, j, value = coo.row[upper], coo.col[upper], coo.data[upper]
     else:
         i, j = np.nonzero(gram)
         upper = i < j
@@ -599,7 +691,7 @@ def _amplitude(pair: Sequence[float]) -> complex:
 def _document_set(layout: PartyLayout, entries) -> StateSet | None:
     """The set of a document's state entries through :func:`_canonical_set`,
     or None when its labels are not strings, its indices not int rows, its
-    amplitudes not numeric [re, im] pairs or :func:`_canonical_states`
+    amplitudes not numeric [re, im] pairs or :func:`_canonical_arrays`
     refuses them."""
     try:
         labels = [entry["label"] for entry in entries]
@@ -646,10 +738,6 @@ def state_set_from_dict(doc: Mapping) -> StateSet:
     return StateSet(layout, tuple(states))
 
 
-def _json_scalar(value) -> str:
-    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
-
-
 def _json_container(open_: str, close: str, items: Sequence[str], depth: int) -> str:
     """Encoded items in a JSON list or object at nesting ``depth``, laid out
     as ``json.dump(..., indent=1)`` lays them out."""
@@ -657,6 +745,38 @@ def _json_container(open_: str, close: str, items: Sequence[str], depth: int) ->
         return open_ + close
     inner = "\n" + " " * (depth + 1)
     return open_ + inner + ("," + inner).join(items) + "\n" + " " * depth + close
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``value`` at nesting ``depth`` exactly as ``json.dumps(value, indent=1,
+    sort_keys=True)`` writes it: strings through ``encode_basestring_ascii``,
+    floats with ``float.__repr__`` or as NaN and (-)Infinity, lists, tuples
+    and dicts (with str keys) laid out by :func:`_json_container`, and a
+    TypeError for any other type.  It takes one string join per container
+    where the pure-Python encoder that ``indent`` selects yields every token."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, (list, tuple)):
+        return _json_container("[", "]", [_json_text(v, depth + 1) for v in value], depth)
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], depth + 1)}"
+            for key in sorted(value)
+        ]
+        return _json_container("{", "}", items, depth)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_object(fields: Sequence[tuple[str, str]], depth: int) -> str:
@@ -680,16 +800,18 @@ def _document_chunks(sset: StateSet) -> Iterator[str]:
         ],
         4,
     )
-    dims = _json_container("[", "]", [str(d) for d in layout.dims], 1)
-    parties = _json_container("[", "]", [_json_scalar(p) for p in layout.parties], 1)
+    dims = _json_text(list(layout.dims), 1)
+    parties = _json_text(list(layout.parties), 1)
     yield f'{{\n "dims": {dims},\n "parties": {parties},\n "states": '
+    state, idx, amps = sset.term_arrays
+    values = [(*k, r, i) for k, r, i in zip(idx.tolist(), amps.real.tolist(), amps.imag.tolist())]
     separator = "[\n  "
-    for s in sset.states:
-        terms = [term % (*idx, amp.real, amp.imag) for idx, amp in s.terms]
-        fields = [("label", _json_scalar(s.label)), ("terms", _json_container("[", "]", terms, 3))]
+    for label, (start, end) in zip(sset.labels, _state_ranges(state, len(sset.labels))):
+        terms = [term % v for v in values[start:end]]
+        fields = [("label", _json_text(label)), ("terms", _json_container("[", "]", terms, 3))]
         yield separator + _json_object(fields, 2)
         separator = ",\n  "
-    yield ("\n ]" if sset.states else "[]") + "\n}\n"
+    yield ("\n ]" if sset.labels else "[]") + "\n}\n"
 
 
 def save_state_set(sset: StateSet, path: str) -> None:
@@ -698,5 +820,18 @@ def save_state_set(sset: StateSet, path: str) -> None:
 
 
 def load_state_set(path: str) -> StateSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_set_from_dict(json.load(fh))
+    """The set of a document file (:func:`state_set_from_dict`).
+
+    The cyclic garbage collector is paused while the file is decoded and the
+    set built: the decoded document holds no cycles and is dropped before
+    this returns, but its hundreds of thousands of containers would trigger
+    full collections that traverse all of them.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return state_set_from_dict(json.load(fh))
+    finally:
+        if enabled:
+            gc.enable()

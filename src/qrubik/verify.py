@@ -303,7 +303,7 @@ def _check_orthogonal(sset: StateSet, gram: scipy.sparse.csr_matrix, tol: float)
     bad = _first_nonorthogonal_pair(gram, tol)
     if bad is not None:
         raise ValueError(
-            f"input set is not mutually orthogonal ({sset[bad[0]].label}, {sset[bad[1]].label})"
+            f"input set is not mutually orthogonal ({sset.labels[bad[0]]}, {sset.labels[bad[1]]})"
         )
 
 
@@ -393,17 +393,17 @@ def assemble_constraints(
     of the actor dims).  Each coupled state pair's block, folded into
     Hermitian coordinates, gives a real and an imaginary row, in pair order.
 
-    For a basis, only the Gram matrix of the unit states (one sparse product,
-    read by the same orthogonality check) and the reduced states are formed
-    here; the rows are built when first read.
+    For a basis, only the reduced states are formed here, and the Gram
+    matrix of the unit states is read by the same orthogonality check; that
+    matrix, with its delta and pair overlap, is formed once per set
+    (``StateSet._unit_gram``), and the rows are built when first read.
     """
     m, axes = _actor_side(sset, cut, actor)
     n_pairs = len(sset) * (len(sset) - 1) // 2
     if _basis_size(sset) is None:
         folded = _coupled_blocks(sset, axes, m, tol)
         return ConstraintSystem(m, _real_rows(folded, m), n_pairs, folded.shape[0])
-    unit = _set_matrix(sset, unit=True)
-    gram = unit.conj() @ unit.T
+    gram, deviation, overlap = sset._unit_gram
     _check_orthogonal(sset, gram, tol)
     return ConstraintSystem(
         m,
@@ -411,8 +411,8 @@ def assemble_constraints(
         n_pairs=n_pairs,
         n_coupled_pairs=None,
         reduced=_reduced_coords(sset, axes, m),
-        gram_deviation=float(np.linalg.norm((gram - scipy.sparse.identity(len(sset))).data)),
-        pair_overlap=float(np.linalg.norm(scipy.sparse.triu(gram, k=1).data)),
+        gram_deviation=deviation,
+        pair_overlap=overlap,
         assemble=functools.partial(_coupled_blocks, sset, axes, m, tol),
     )
 

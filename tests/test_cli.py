@@ -5,6 +5,7 @@ import os
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 from importlib import resources
 
@@ -13,7 +14,8 @@ from qrubik.cli import main
 
 from reference_data import ghz_basis
 from qrubik import PartyLayout, PureState, StateSet, save_state_set, state_set_to_dict
-from qrubik.states import state_set_from_dict
+from qrubik import build_snoeb, load_state_set, verify_strong_nonlocality
+from qrubik.states import _json_text, _term_arrays, state_set_from_dict
 
 
 def _run(capsys, *argv):
@@ -485,12 +487,23 @@ def test_construct_and_analyze_bytes_are_pinned(tmp_path, capsys):
                 PureState(layout, [((1, 2), -0.5j), ((0, 0), 1e-300)], "\u03a9mega \"q\" \\"),
             ),
         ),
-        types.SimpleNamespace(layout=layout, states=(PureState(layout, [((0, 1), 1)], None),)),
+        _unlabelled(PureState(layout, [((0, 1), 1)], None)),
     ]
     for sset in cases:
         save_state_set(sset, path)
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == json.dumps(state_set_to_dict(sset), indent=1) + "\n"
+
+
+def _unlabelled(state):
+    """A stand-in for a set of one state without a label, which a StateSet
+    refuses, with the fields the writer and ``state_set_to_dict`` read."""
+    return types.SimpleNamespace(
+        layout=state.layout,
+        labels=(None,),
+        term_arrays=_term_arrays(state.layout, [state]),
+        states=(state,),
+    )
 
 
 # sha256 of the file `construct --d D --basis` writes and of the `analyze`
@@ -562,3 +575,77 @@ def test_numbers_printed_with_12_significant_digits(capsys):
     result = json.loads(out)["result"]
     # 4/3 + log2(3) rendered at 12 significant digits
     assert result["total_ebits"] == float(f"{4 / 3 + math.log2(3):.12g}")
+
+
+def test_saved_basis_goes_through_every_command_without_pure_states(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(5)
+    basis = build_snoeb(5)
+    factors = rng.uniform(0.5, 2.0, len(basis)) * np.exp(2j * np.pi * rng.random(len(basis)))
+    order = rng.permutation(len(basis))
+    seeded = StateSet(
+        basis.layout, tuple(basis[int(k)].scaled(complex(f)) for k, f in zip(order, factors))
+    )
+    path = str(tmp_path / "b5.json")
+    save_state_set(seeded, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PureState was built")
+
+    monkeypatch.setattr(PureState, "__init__", refuse)
+    monkeypatch.setattr(PureState, "_canonical", refuse)
+    sset = load_state_set(path)
+    assert sset.labels == seeded.labels
+    assert verify_strong_nonlocality(sset).strongly_nonlocal
+    code, out, _ = _run(capsys, "verify", "--input", path)
+    assert code == 0 and _payload(out)["result"]["strongly_nonlocal"] is True
+    code, out, _ = _run(capsys, "verify", "--input", path, "--check", "A|BC:A")
+    assert code == 0 and _payload(out)["result"]["verdict"] == "Trivial"
+    code, out, _ = _run(capsys, "analyze", "--input", path)
+    assert code == 0 and len(_payload(out)["result"]["profiles"]) == len(basis)
+    copy = str(tmp_path / "copy.json")
+    save_state_set(sset, copy)
+    assert open(copy, "rb").read() == open(path, "rb").read()
+
+
+_JSON_STRINGS = [
+    "", "psi1", "A|BC:A", 'quote " and \\ back', "tab\tnew\nline\x00", "\u03a9mega", "\U0001f600",
+    "\u2028",
+]
+_JSON_NUMBERS = [
+    0, -7, 2**70, 0.0, -0.0, 1e300, -1e-300, 5e-324, 0.1, math.pi, math.nan, math.inf, -math.inf,
+]
+
+
+def _random_json(rng, depth=0):
+    """A random JSON value of scalars from the lists above, bools and None,
+    in lists, tuples and dicts (some empty) down to depth 4."""
+    kind = int(rng.integers(0, 6 if depth < 4 else 3))
+    if kind == 0:
+        return _JSON_STRINGS[int(rng.integers(len(_JSON_STRINGS)))]
+    if kind == 1:
+        return _JSON_NUMBERS[int(rng.integers(len(_JSON_NUMBERS)))]
+    if kind == 2:
+        return [True, False, None, float(rng.normal())][int(rng.integers(4))]
+    items = [_random_json(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
+    if kind == 3:
+        return items
+    if kind == 4:
+        return tuple(items)
+    picks = rng.integers(0, len(_JSON_STRINGS), len(items))
+    keys = [_JSON_STRINGS[int(k)] + str(int(k)) for k in picks]
+    return dict(zip(keys, items))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_json_writer_matches_json_dumps(seed):
+    value = _random_json(np.random.default_rng(seed))
+    assert _json_text(value) == json.dumps(value, indent=1, sort_keys=True)
+    report = {"result": [value, {"x": value, "": []}], "inputs": {}}
+    assert _json_text(report) == json.dumps(report, indent=1, sort_keys=True)
+
+
+# a key that is not a str is refused too, where json.dumps would write 2 as "2"
+@pytest.mark.parametrize("value", [1j, np.int64(3), {1, 2}, object(), [{"a": b"x"}], {2: "two"}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

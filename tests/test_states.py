@@ -1,5 +1,6 @@
 import cmath
 import copy
+import gc
 import json
 import math
 from importlib import resources
@@ -25,7 +26,7 @@ from qrubik import (
     validate_set,
     verify_strong_nonlocality,
 )
-from qrubik import states
+from qrubik import states, verify
 from qrubik.states import _set_matrix, _term_arrays
 
 from reference_data import completion3_states, set3_states
@@ -323,9 +324,26 @@ def _bits(sset_states):
     ]
 
 
+def _canonical_documents(reference):
+    """The document of the canonical ``reference`` states with one more state
+    that has no terms, and the same document with every zero part written
+    -0.0, which is canonical but for those parts."""
+    layout = reference[0].layout
+    doc = state_set_to_dict(StateSet(layout, (*reference, PureState(layout, [], "empty"))))
+    signed = copy.deepcopy(doc)
+    for entry in signed["states"]:
+        for term in entry["terms"]:
+            term["amp"] = [-0.0 if part == 0 else part for part in term["amp"]]
+    return doc, signed
+
+
+def _array_bytes(sset):
+    return [(array.dtype, array.tobytes()) for array in sset.term_arrays]
+
+
 @pytest.mark.parametrize("spelling", ["int", "float", "bool"])
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 5, 4), (7, 2)])
-def test_document_canonicalised_at_once_matches_pure_state(dims, spelling):
+def test_document_canonicalised_at_once_matches_pure_state(dims, spelling, monkeypatch):
     rng = np.random.default_rng([*dims, ["int", "float", "bool"].index(spelling)])
     for _ in range(5):
         doc = _random_document(rng, dims, spelling)
@@ -339,6 +357,44 @@ def test_document_canonicalised_at_once_matches_pure_state(dims, spelling):
         assert loaded.states == tuple(reference)
         for kept, formed in zip(loaded.term_arrays, _term_arrays(layout, reference)):
             assert kept.dtype == formed.dtype and kept.tobytes() == formed.tobytes()
+
+        # canonical documents, the second with -0.0 parts, against the merge pass
+        canonical, signed = _canonical_documents(reference)
+        assert any(-0.0 in t["amp"] for e in signed["states"] for t in e["terms"])
+        taken = []
+        with monkeypatch.context() as patch:
+            check = states._is_canonical
+            patch.setattr(states, "_is_canonical", lambda *a: taken.append(check(*a)) or taken[-1])
+            fast = [state_set_from_dict(canonical), state_set_from_dict(signed)]
+            patch.setattr(states, "_is_canonical", lambda *a: False)
+            merged = [state_set_from_dict(canonical), state_set_from_dict(signed)]
+        assert taken == [True, False]
+        for sset, general, document in zip(fast, merged, [canonical, signed]):
+            assert _array_bytes(sset) == _array_bytes(general)
+            assert sset.states == tuple(_reference_states(document))
+            assert sset.states[-1].terms == () and sset.labels[-1] == "empty"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("good", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled, good):
+    path = str(tmp_path / "set.json")
+    if good:
+        save_state_set(build_snoeb(3), path)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"dims": [3, 3, 3], "parties": ["A", "B", "C"], "states": [{"label": 1}]}')
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if good:
+            assert len(load_state_set(path)) == 27
+        else:
+            with pytest.raises(ValueError):
+                load_state_set(path)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def _spoil_term(key, value):
@@ -445,3 +501,20 @@ def test_verify_forms_the_term_arrays_once_per_set(tmp_path, monkeypatch):
     calls.clear()
     assert verify_strong_nonlocality(load_state_set(path)).strongly_nonlocal
     assert len(calls) <= 1
+
+
+def test_verify_forms_the_unit_gram_once_per_set(monkeypatch):
+    calls = []
+    form = states._set_matrix
+
+    def counting(sset, row_axes=(), unit=False, per_state=False):
+        if unit and not per_state:
+            calls.append(tuple(row_axes))
+        return form(sset, row_axes, unit, per_state)
+
+    monkeypatch.setattr(states, "_set_matrix", counting)
+    monkeypatch.setattr(verify, "_set_matrix", counting)
+    basis = build_snoeb(4)
+    sset = StateSet(basis.layout, tuple(s.scaled(1.5 ** (i % 3)) for i, s in enumerate(basis)))
+    assert verify_strong_nonlocality(sset).strongly_nonlocal
+    assert calls == [()]

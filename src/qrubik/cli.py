@@ -23,7 +23,6 @@ from .locc import ProtocolError, matrix_to_json, parse_protocol, run_protocol
 from .states import (
     DEFAULT_TOL,
     Bipartition,
-    _json_text,
     load_state_set,
     save_state_set,
     validate_set,
@@ -70,7 +69,8 @@ def _emit(command: str, inputs: dict[str, str], payload, started: float) -> None
         "result": _round_floats(payload),
         "duration_seconds": round(time.perf_counter() - started, 6),
     }
-    sys.stdout.write(_json_text(report) + "\n")
+    json.dump(report, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _cmd_construct(args, started: float) -> int:

@@ -430,22 +430,6 @@ def _pure_states(
     )
 
 
-def _is_canonical(owner: np.ndarray, idx: np.ndarray, amps: np.ndarray) -> bool:
-    """Whether the terms are as :func:`_canonical_arrays` returns them: owners
-    ascending, indices strictly increasing within each state, and every
-    amplitude nonzero and finite, with no -0.0 part."""
-    step = np.diff(idx, axis=0)
-    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-    ordered = np.where(owner[1:] == owner[:-1], lead > 0, owner[1:] > owner[:-1])
-    parts = np.stack([amps.real, amps.imag])
-    return bool(
-        ordered.all()
-        and (amps != 0).all()
-        and np.isfinite(parts).all()
-        and not ((parts == 0) & np.signbit(parts)).any()
-    )
-
-
 def _canonical_arrays(
     layout: PartyLayout, owner: np.ndarray, idx: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -459,9 +443,7 @@ def _canonical_arrays(
     so that the caller can take :func:`_canonical_terms` per state instead,
     which raises the error.  Duplicate indices are summed from 0j in the
     order given, as ``merged.get(key, 0j) + amp`` sums them (which also
-    turns a -0.0 part into +0.0), and exact zeros are dropped; terms that
-    are canonical already (:func:`_is_canonical`, as every saved file's
-    are) are returned as they are, which is what that pass would give.
+    turns a -0.0 part into +0.0), and exact zeros are dropped.
     """
     dims = layout.dims
     if (
@@ -473,8 +455,6 @@ def _canonical_arrays(
         or ((idx < 0) | (idx >= dims)).any()
     ):
         return None
-    if _is_canonical(owner, idx, amps):
-        return owner, idx, amps
     order = np.lexsort((*idx.T[::-1], owner))
     owner, idx, amps = owner[order], idx[order], amps[order]
     new = np.ones(owner.size, dtype=bool)
@@ -738,6 +718,10 @@ def state_set_from_dict(doc: Mapping) -> StateSet:
     return StateSet(layout, tuple(states))
 
 
+def _json_scalar(value) -> str:
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
 def _json_container(open_: str, close: str, items: Sequence[str], depth: int) -> str:
     """Encoded items in a JSON list or object at nesting ``depth``, laid out
     as ``json.dump(..., indent=1)`` lays them out."""
@@ -745,38 +729,6 @@ def _json_container(open_: str, close: str, items: Sequence[str], depth: int) ->
         return open_ + close
     inner = "\n" + " " * (depth + 1)
     return open_ + inner + ("," + inner).join(items) + "\n" + " " * depth + close
-
-
-def _json_text(value, depth: int = 0) -> str:
-    """``value`` at nesting ``depth`` exactly as ``json.dumps(value, indent=1,
-    sort_keys=True)`` writes it: strings through ``encode_basestring_ascii``,
-    floats with ``float.__repr__`` or as NaN and (-)Infinity, lists, tuples
-    and dicts (with str keys) laid out by :func:`_json_container`, and a
-    TypeError for any other type.  It takes one string join per container
-    where the pure-Python encoder that ``indent`` selects yields every token."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, (list, tuple)):
-        return _json_container("[", "]", [_json_text(v, depth + 1) for v in value], depth)
-    if isinstance(value, dict):
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json_text(value[key], depth + 1)}"
-            for key in sorted(value)
-        ]
-        return _json_container("{", "}", items, depth)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_object(fields: Sequence[tuple[str, str]], depth: int) -> str:
@@ -800,15 +752,15 @@ def _document_chunks(sset: StateSet) -> Iterator[str]:
         ],
         4,
     )
-    dims = _json_text(list(layout.dims), 1)
-    parties = _json_text(list(layout.parties), 1)
+    dims = _json_container("[", "]", [str(d) for d in layout.dims], 1)
+    parties = _json_container("[", "]", [_json_scalar(p) for p in layout.parties], 1)
     yield f'{{\n "dims": {dims},\n "parties": {parties},\n "states": '
     state, idx, amps = sset.term_arrays
     values = [(*k, r, i) for k, r, i in zip(idx.tolist(), amps.real.tolist(), amps.imag.tolist())]
     separator = "[\n  "
     for label, (start, end) in zip(sset.labels, _state_ranges(state, len(sset.labels))):
         terms = [term % v for v in values[start:end]]
-        fields = [("label", _json_text(label)), ("terms", _json_container("[", "]", terms, 3))]
+        fields = [("label", _json_scalar(label)), ("terms", _json_container("[", "]", terms, 3))]
         yield separator + _json_object(fields, 2)
         separator = ",\n  "
     yield ("\n ]" if sset.labels else "[]") + "\n}\n"
@@ -826,6 +778,12 @@ def load_state_set(path: str) -> StateSet:
     set built: the decoded document holds no cycles and is dropped before
     this returns, but its hundreds of thousands of containers would trigger
     full collections that traverse all of them.
+
+    The pause switches the collector off for the whole process and restores
+    the state found on entry, so this is not meant for threaded callers:
+    other threads run uncollected meanwhile, and two overlapping loads (or a
+    thread that switches the collector meanwhile) may leave it in the wrong
+    state.
     """
     enabled = gc.isenabled()
     gc.disable()

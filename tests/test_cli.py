@@ -15,7 +15,7 @@ from qrubik.cli import main
 from reference_data import ghz_basis
 from qrubik import PartyLayout, PureState, StateSet, save_state_set, state_set_to_dict
 from qrubik import build_snoeb, load_state_set, verify_strong_nonlocality
-from qrubik.states import _json_text, _term_arrays, state_set_from_dict
+from qrubik.states import _term_arrays, state_set_from_dict
 
 
 def _run(capsys, *argv):
@@ -605,47 +605,3 @@ def test_saved_basis_goes_through_every_command_without_pure_states(tmp_path, ca
     copy = str(tmp_path / "copy.json")
     save_state_set(sset, copy)
     assert open(copy, "rb").read() == open(path, "rb").read()
-
-
-_JSON_STRINGS = [
-    "", "psi1", "A|BC:A", 'quote " and \\ back', "tab\tnew\nline\x00", "\u03a9mega", "\U0001f600",
-    "\u2028",
-]
-_JSON_NUMBERS = [
-    0, -7, 2**70, 0.0, -0.0, 1e300, -1e-300, 5e-324, 0.1, math.pi, math.nan, math.inf, -math.inf,
-]
-
-
-def _random_json(rng, depth=0):
-    """A random JSON value of scalars from the lists above, bools and None,
-    in lists, tuples and dicts (some empty) down to depth 4."""
-    kind = int(rng.integers(0, 6 if depth < 4 else 3))
-    if kind == 0:
-        return _JSON_STRINGS[int(rng.integers(len(_JSON_STRINGS)))]
-    if kind == 1:
-        return _JSON_NUMBERS[int(rng.integers(len(_JSON_NUMBERS)))]
-    if kind == 2:
-        return [True, False, None, float(rng.normal())][int(rng.integers(4))]
-    items = [_random_json(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
-    if kind == 3:
-        return items
-    if kind == 4:
-        return tuple(items)
-    picks = rng.integers(0, len(_JSON_STRINGS), len(items))
-    keys = [_JSON_STRINGS[int(k)] + str(int(k)) for k in picks]
-    return dict(zip(keys, items))
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_json_writer_matches_json_dumps(seed):
-    value = _random_json(np.random.default_rng(seed))
-    assert _json_text(value) == json.dumps(value, indent=1, sort_keys=True)
-    report = {"result": [value, {"x": value, "": []}], "inputs": {}}
-    assert _json_text(report) == json.dumps(report, indent=1, sort_keys=True)
-
-
-# a key that is not a str is refused too, where json.dumps would write 2 as "2"
-@pytest.mark.parametrize("value", [1j, np.int64(3), {1, 2}, object(), [{"a": b"x"}], {2: "two"}])
-def test_json_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _json_text(value)

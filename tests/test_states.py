@@ -337,13 +337,13 @@ def _canonical_documents(reference):
     return doc, signed
 
 
-def _array_bytes(sset):
-    return [(array.dtype, array.tobytes()) for array in sset.term_arrays]
+def _array_bytes(arrays):
+    return [(array.dtype, array.tobytes()) for array in arrays]
 
 
 @pytest.mark.parametrize("spelling", ["int", "float", "bool"])
 @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 5, 4), (7, 2)])
-def test_document_canonicalised_at_once_matches_pure_state(dims, spelling, monkeypatch):
+def test_document_canonicalised_at_once_matches_pure_state(dims, spelling):
     rng = np.random.default_rng([*dims, ["int", "float", "bool"].index(spelling)])
     for _ in range(5):
         doc = _random_document(rng, dims, spelling)
@@ -355,23 +355,16 @@ def test_document_canonicalised_at_once_matches_pure_state(dims, spelling, monke
         loaded = state_set_from_dict(doc)
         assert _bits(loaded.states) == _bits(reference)
         assert loaded.states == tuple(reference)
-        for kept, formed in zip(loaded.term_arrays, _term_arrays(layout, reference)):
-            assert kept.dtype == formed.dtype and kept.tobytes() == formed.tobytes()
+        assert _array_bytes(loaded.term_arrays) == _array_bytes(_term_arrays(layout, reference))
 
-        # canonical documents, the second with -0.0 parts, against the merge pass
+        # canonical documents, the second with -0.0 parts, against PureState(...)
         canonical, signed = _canonical_documents(reference)
         assert any(-0.0 in t["amp"] for e in signed["states"] for t in e["terms"])
-        taken = []
-        with monkeypatch.context() as patch:
-            check = states._is_canonical
-            patch.setattr(states, "_is_canonical", lambda *a: taken.append(check(*a)) or taken[-1])
-            fast = [state_set_from_dict(canonical), state_set_from_dict(signed)]
-            patch.setattr(states, "_is_canonical", lambda *a: False)
-            merged = [state_set_from_dict(canonical), state_set_from_dict(signed)]
-        assert taken == [True, False]
-        for sset, general, document in zip(fast, merged, [canonical, signed]):
-            assert _array_bytes(sset) == _array_bytes(general)
-            assert sset.states == tuple(_reference_states(document))
+        for document in (canonical, signed):
+            sset = state_set_from_dict(document)
+            formed = _reference_states(document)
+            assert _array_bytes(sset.term_arrays) == _array_bytes(_term_arrays(layout, formed))
+            assert sset.states == tuple(formed)
             assert sset.states[-1].terms == () and sset.labels[-1] == "empty"
 
 

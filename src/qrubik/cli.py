@@ -9,6 +9,7 @@ reached, discrimination failure), 2 for bad invocations or malformed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -217,6 +218,7 @@ def _echo(args) -> str:
     return " ".join(args._argv)
 
 
+@functools.cache  # built once per process: parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrubik",

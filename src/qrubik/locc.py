@@ -11,6 +11,7 @@ consumes, and whether the survivors at each node stay mutually orthogonal.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -224,6 +225,37 @@ def _matrix_from_json(entry: Sequence, name: str) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
+def _vector_from_json(entry: Sequence, name: str, n: int) -> np.ndarray:
+    """``n`` [re, im] number pairs, none a bool, as a finite nonzero complex
+    vector, exactly."""
+    try:
+        pairs = np.array(entry)
+    except ValueError:  # ragged nesting
+        pairs = np.array(None)
+    if (
+        pairs.dtype.kind not in "iuf"
+        or pairs.shape != (n, 2)
+        or bool in set(map(type, itertools.chain.from_iterable(entry)))
+    ):
+        raise ProtocolError(f"operator {name!r} vector is not {n} [re, im] number pairs")
+    pairs = np.ascontiguousarray(pairs, dtype=float)
+    peak = np.abs(pairs).max()  # NaN when any part is
+    if not math.isfinite(peak):
+        raise ProtocolError(f"operator {name!r} vector has non-finite entries")
+    if peak == 0:
+        raise ProtocolError(f"operator {name!r} vector is zero")
+    return pairs.view(complex)[:, 0]
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """|v><v| / <v|v> for each row v of ``vectors``, v first scaled by the
+    power of two that puts its largest part in [1, 2) (exactly, and so that
+    <v|v> neither overflows nor underflows)."""
+    m, n = vectors.shape
+    v = _power_of_two_scaled(np.repeat(np.arange(m), n), vectors.reshape(-1), m).reshape(m, n)
+    return v[:, :, None] * v[:, None, :].conj() / _abs2(v).sum(axis=1)[:, None, None]
+
+
 def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(mat)]
 
@@ -269,9 +301,9 @@ def _acts_on(
 @dataclass
 class _StepParts:
     """A measurement step as the tree pass of :func:`_compile` reads it: the
-    operator names, the position of the complement operator, the ``proj``
-    and ``matrix`` parts (position, registers, levels or matrix) and the
-    union of their registers in table order."""
+    operator names, the position of the complement operator, the ``proj``,
+    ``matrix`` and ``vector`` parts (position, registers, levels, matrix or
+    vector) and the union of their registers in table order."""
 
     names: list[str]
     complement: int | None
@@ -306,8 +338,14 @@ def _step_parts(docs: Sequence[Mapping], table: RegisterTable) -> _StepParts:
             if not np.isfinite(mat).all():
                 raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
             parts.append((len(names), regs, mat))
+        elif "vector" in doc:
+            regs = _distinct_regs(doc["regs"], name)
+            vector = _vector_from_json(doc["vector"], name, math.prod(table.dims(regs)))
+            parts.append((len(names), regs, vector))
         else:
-            raise ProtocolError(f"operator {name!r} needs 'proj', 'matrix' or 'complement'")
+            raise ProtocolError(
+                f"operator {name!r} needs 'proj', 'matrix', 'vector' or 'complement'"
+            )
         names.append(name)
 
     if len(names) != len(set(names)):
@@ -356,29 +394,33 @@ def _compile_group(
     tol: float,
 ) -> None:
     """The operators of steps on ``union`` with ``k`` outcomes each, in one
-    stack: each operator dense on the step's registers (in table order), the
-    complement as the identity minus the others, and marked with the
-    resources whose registers it does not leave as N (x) I."""
+    stack: each operator dense on the step's registers (in table order), a
+    ``vector`` as its projector (formed here, after :func:`_step_parts` has
+    checked the step's levels), the complement as the identity minus the
+    others, and marked with the resources whose registers it does not leave
+    as N (x) I."""
     full = math.prod(table.dims(union))
     stack = np.zeros((len(pairs), k, full, full), dtype=complex)
     ops = stack.reshape(-1, full, full)  # operator j of step s at s * k + j
-    matrices: dict[tuple[str, ...], tuple[list[int], list[np.ndarray]]] = {}
+    # the matrix and vector parts, by registers and number of axes
+    dense: dict[tuple[tuple[str, ...], int], tuple[list[int], list[np.ndarray]]] = {}
     diagonal = np.arange(full)
     for s, (step, _) in enumerate(pairs):
         for j, regs, part in step.parts:
             if isinstance(part, np.ndarray):
-                ids, mats = matrices.setdefault(regs, ([], []))
+                ids, arrays = dense.setdefault((regs, part.ndim), ([], []))
                 ids.append(s * k + j)
-                mats.append(part)
+                arrays.append(part)
                 continue
             # a proj operator is diagonal: the number of times each level is listed
             for iregs, flat in part:
                 sub, _ = table._index_map(union, iregs)
                 counts = np.bincount(flat, minlength=math.prod(table.dims(iregs)))
                 ops[s * k + j, diagonal, diagonal] += counts[sub]
-    for regs, (ids, mats) in matrices.items():
+    for (regs, ndim), (ids, arrays) in dense.items():
+        mats = np.array(arrays) if ndim == 2 else _projectors(np.array(arrays))
         sub, rest = table._index_map(union, regs)
-        ops[ids] = np.array(mats)[:, sub[:, None], sub] * (rest[:, None] == rest)
+        ops[ids] = mats[:, sub[:, None], sub] * (rest[:, None] == rest)
     owing = [
         (s, step.complement) for s, (step, _) in enumerate(pairs) if step.complement is not None
     ]

@@ -18,7 +18,7 @@ def write_data(outdir: str) -> list[str]:
     written = []
     for name, doc in builtin_protocols().items():
         path = os.path.join(outdir, f"{name}.json")
-        # dense operator matrices make indented output balloon; keep compact
+        # keep compact: indented, these deep trees take four to five times the bytes
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, separators=(",", ":"))
             fh.write("\n")

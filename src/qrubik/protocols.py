@@ -12,7 +12,6 @@ import numpy as np
 
 from .cube import build_snoes
 from .states import PartyLayout, PureState, StateSet, _strides
-from .locc import matrix_to_json
 
 # Row-major flattening of a 3x3 (B, C) pair into the 9-level joint index used
 # when one party holds both registers; this is the boustrophedon numbering of
@@ -69,7 +68,7 @@ def _measure(party: str, operators: list[dict], branches: dict[str, dict]) -> di
     }
 
 
-def _unit_vector(dims: tuple[int, ...], components: list[tuple[tuple[int, ...], complex]]) -> np.ndarray:
+def _level_vector(dims: tuple[int, ...], components: list[tuple[tuple[int, ...], complex]]) -> np.ndarray:
     strides = _strides(dims)
     vec = np.zeros(int(np.prod(dims)), dtype=complex)
     for level, amp in components:
@@ -80,9 +79,9 @@ def _unit_vector(dims: tuple[int, ...], components: list[tuple[tuple[int, ...], 
 def _vector_projector_op(
     name: str, regs: tuple[str, ...], dims: tuple[int, ...], vector_components
 ) -> dict:
-    v = _unit_vector(dims, vector_components)
-    mat = np.outer(v, v.conj()) / np.vdot(v, v).real
-    return {"name": name, "regs": list(regs), "matrix": matrix_to_json(mat)}
+    """The projector onto v, written as its ``vector`` v (not normalised)."""
+    v = _level_vector(dims, vector_components)
+    return {"name": name, "regs": list(regs), "vector": [[c.real, c.imag] for c in v.tolist()]}
 
 
 def _sign_dance(

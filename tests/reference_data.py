@@ -1,4 +1,5 @@
-"""Frozen reference tables used as construction oracles.
+"""Frozen reference tables used as construction oracles, and the dense form
+of protocol ``vector`` operators.
 
 The cell lists below are hand-entered literal tables for the small-d
 families; the tests compare generated sets against them rather than
@@ -8,9 +9,13 @@ re-deriving anything from the generator code.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 
+import numpy as np
+
 from qrubik import PartyLayout, PureState, StateSet
+from qrubik.locc import matrix_to_json
 
 W3 = cmath.exp(2j * math.pi / 3)
 
@@ -195,3 +200,28 @@ def ghz_basis() -> StateSet:
         states.append(PureState(layout, [(c0, 1), (c1, 1)], f"phi{2 * n + 1}"))
         states.append(PureState(layout, [(c0, 1), (c1, -1)], f"phi{2 * n + 2}"))
     return StateSet(layout, tuple(states))
+
+
+def dense_operator(op: dict) -> dict:
+    """A protocol ``vector`` operator in the dense form: the ``matrix`` of
+    its projector, np.outer(v, v.conj()) / np.vdot(v, v).real, with the keys
+    in the order :mod:`qrubik.protocols` writes them."""
+    v = np.array([complex(re, im) for re, im in op["vector"]])
+    projector = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return {"name": op["name"], "regs": op["regs"], "matrix": matrix_to_json(projector)}
+
+
+def dense_protocol(doc: dict) -> dict:
+    """A copy of a protocol document with every ``vector`` operator in the
+    dense form (:func:`dense_operator`)."""
+    doc = copy.deepcopy(doc)
+    nodes = [doc["root"]]
+    while nodes:
+        node = nodes.pop()
+        if node["type"] == "teleport":
+            nodes.append(node["then"])
+        elif node["type"] == "measure":
+            ops = node["operators"]
+            ops[:] = [dense_operator(op) if "vector" in op else op for op in ops]
+            nodes.extend(node["branches"].values())
+    return doc

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from importlib import resources
 
-from qrubik import verify
+from qrubik import cli, verify
 from qrubik.cli import main
 
-from reference_data import ghz_basis
+from reference_data import dense_operator, ghz_basis
 from qrubik import PartyLayout, PureState, StateSet, save_state_set, state_set_to_dict
 from qrubik import build_snoeb, load_state_set, verify_strong_nonlocality
 from qrubik.states import _term_arrays, state_set_from_dict
@@ -190,10 +190,30 @@ def _set_levels(levels):
 
 def _set_matrix_cell(cell):
     def spoil(protocol, states):
-        # m0p12S0+, a dense 4x4 operator on (A, a), two steps below the root
-        op = protocol["root"]["branches"]["N1"]["branches"]["N2"]["operators"][0]
-        op["matrix"][1][2] = cell
+        # m0p12S0+, two steps below the root, as its dense 4x4 matrix on (A, a)
+        ops = protocol["root"]["branches"]["N1"]["branches"]["N2"]["operators"]
+        ops[0] = dense_operator(ops[0])
+        ops[0]["matrix"][1][2] = cell
     return spoil
+
+
+def _edit_vector(edit):
+    def spoil(protocol, states):
+        # m0p12S0+, the projector onto |00> + |11> on (A, a), two steps below the root
+        edit(protocol["root"]["branches"]["N1"]["branches"]["N2"]["operators"][0])
+    return spoil
+
+
+def _set_vector_part(value):
+    def edit(op):
+        op["vector"][3][0] = value  # the real part of the |11> entry
+    return _edit_vector(edit)
+
+
+def _wide_vector(protocol, states):
+    # a 2048-entry vector: its projector alone would be 64 MiB
+    protocol["registers"].append({"name": "x", "owner": "Alice", "dim": 2048})
+    _edit_vector(lambda op: op.update(regs=["x"], vector=[[1.0, 0.0]] * 2048))(protocol, states)
 
 
 def _setter(*path, value):
@@ -230,6 +250,22 @@ MALFORMED_SIMULATE_INPUTS = {
     ),
     "short-cell": (_set_matrix_cell([1]), "[re, im] pairs"),
     "string-cell": (_set_matrix_cell("1+0j"), "[re, im] pairs"),
+    "short-vector": (
+        _edit_vector(lambda op: op["vector"].pop()), "is not 4 [re, im] number pairs"
+    ),
+    "ragged-vector": (
+        _edit_vector(lambda op: op["vector"][1].append(0.0)), "is not 4 [re, im] number pairs"
+    ),
+    "string-vector-part": (_set_vector_part("1"), "is not 4 [re, im] number pairs"),
+    # read as 1.0, so the operator was the projector it had been
+    "bool-vector-part": (_set_vector_part(True), "is not 4 [re, im] number pairs"),
+    "nan-vector-part": (_set_vector_part(math.nan), "vector has non-finite entries"),
+    "inf-vector-part": (_set_vector_part(math.inf), "vector has non-finite entries"),
+    "zero-vector": (_edit_vector(lambda op: op.update(vector=[[0, 0]] * 4)), "vector is zero"),
+    "vector-register-twice": (
+        _edit_vector(lambda op: op.update(regs=["a", "a"])), "lists register 'a' twice"
+    ),
+    "vector-above-the-level-limit": (_wide_vector, "8192 levels, above the limit of 1024"),
     "pair-number": (
         _setter("protocol", "resources", 0, "pair", value=5),
         "malformed protocol document",
@@ -547,6 +583,27 @@ def test_simulate_result_is_scale_invariant(tmp_path, capsys, factor):
         assert code == 0
         results.append(_payload(out)["result"])
     assert results[0] == results[1]
+
+
+def test_bad_invocation_leaves_the_next_one_as_it_was(capsys):
+    # the argument parser is built once per process and shared by every call
+    assert cli._build_parser() is cli._build_parser()
+    good = ("simulate", "--protocol", "example1", "--states", "bell")
+    results = []
+    for bad in (
+        ["simulate", "--protocol", "example1"],
+        ["verify", "--bogus"],
+        ["no-such-command"],
+        [],
+    ):
+        code, out, _ = _run(capsys, *good)
+        assert code == 0
+        results.append(_payload(out)["result"])
+        code, out, err = _run(capsys, *bad)
+        assert code == 2 and out == "" and "usage: qrubik" in err
+    code, out, _ = _run(capsys, *good)
+    assert code == 0
+    assert results == [_payload(out)["result"]] * 4
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,9 +1,11 @@
 import copy
 import functools
+import hashlib
 import itertools
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -42,7 +44,7 @@ from qrubik.protocols import (
     prop2_protocol,
 )
 
-from reference_data import GRID39_PAIRS
+from reference_data import GRID39_PAIRS, dense_operator, dense_protocol
 
 
 def _minimal_doc():
@@ -778,7 +780,9 @@ def _foreign_regs(doc):
 
 def _deep_incomplete(doc):
     # a 4 x 4 matrix operator three steps down, with one entry doubled
-    _node(doc, "N1", "N2")["operators"][0]["matrix"][0][0] = [2.0, 0.0]
+    ops = _node(doc, "N1", "N2")["operators"]
+    ops[0] = dense_operator(ops[0])
+    ops[0]["matrix"][0][0] = [2.0, 0.0]
 
 
 def _bad_level(*branches):
@@ -1054,6 +1058,11 @@ def _reference_step(docs, table, resources, tol=1e-9):
                     proj[flat, flat] += 1.0
                 mat = mat + _extend_operator(proj, iregs, regs, table)
             plain[doc["name"]] = regs, mat
+        elif "vector" in doc:
+            v = [complex(re, im) for re, im in doc["vector"]]
+            norm = sum(abs(z) ** 2 for z in v)
+            matrix = [[a * b.conjugate() / norm for b in v] for a in v]
+            plain[doc["name"]] = tuple(doc["regs"]), np.array(matrix, dtype=complex)
         else:
             matrix = [[complex(re, im) for re, im in row] for row in doc["matrix"]]
             plain[doc["name"]] = tuple(doc["regs"]), np.array(matrix, dtype=complex)
@@ -1126,6 +1135,119 @@ def test_split_groups_compile_the_same_operators(name, monkeypatch):
         for kernel in (b._kernel, replace(a)._kernel):
             for x, y in zip(a._kernel, kernel):
                 assert (x is None and y is None) or np.array_equal(x, y)
+
+
+# sha256 of each shipped protocol with its vector operators in the dense
+# form, written as make_data writes it: the documents as they were shipped
+# in that form
+DENSE_DOCUMENT_SHA256 = {
+    "example1": "2e36634ecf4f4cd94f0c1477a3828566d12f3e638e4c87972698baff266af66c",
+    "prop1": "cd441a746622361235fe47ddfbdd6efd3a9d49dcb5a85e465059c21cc7cb2539",
+    "prop2": "168f8b1bd77620e3f888c1e92e97a8b552b7dd82fdda6a3994b2555676afa1bb",
+}
+
+
+def _vector_operators(node):
+    if node["type"] == "teleport":
+        return _vector_operators(node["then"])
+    if node["type"] == "leaf":
+        return 0
+    return sum("vector" in op for op in node["operators"]) + sum(
+        _vector_operators(child) for child in node["branches"].values()
+    )
+
+
+@pytest.mark.parametrize(
+    "name, states",
+    [
+        ("example1", bell_state_set),
+        ("prop1", functools.partial(build_snoes, 3)),
+        ("prop2", functools.partial(build_snoes, 3)),
+    ],
+)
+def test_vector_operators_compile_as_their_dense_matrices(name, states):
+    # the shipped rank-one projectors, written as their vectors, against the
+    # same documents with each written as its dense matrix: the same bytes,
+    # touches and walk kernels, and the same reports
+    from importlib import resources
+
+    doc = json.loads(resources.files("qrubik").joinpath("data", f"{name}.json").read_text())
+    dense = dense_protocol(doc)
+    assert _vector_operators(doc["root"]) > 0 and _vector_operators(dense["root"]) == 0
+    text = json.dumps(dense, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_DOCUMENT_SHA256[name]
+    parsed, reference = parse_protocol(doc), parse_protocol(dense)
+    pairs = list(zip(_steps(doc["root"], parsed.root), _steps(dense["root"], reference.root)))
+    assert pairs
+    for (_, a), (_, b) in pairs:
+        assert [op.name for op in a.operators] == [op.name for op in b.operators]
+        for x, y in zip(a.operators, b.operators):
+            assert (x.regs, x.touches) == (y.regs, y.touches), x.name
+            assert x.matrix.tobytes() == y.matrix.tobytes(), x.name
+        for x, y in zip(a._kernel, b._kernel):
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+    sset = states()
+    assert run_protocol(parsed, sset) == run_protocol(reference, sset)
+    assert check_orthogonality_preservation(parsed, sset) is True
+    assert check_orthogonality_preservation(reference, sset) is True
+
+
+def _vector_doc(vector):
+    """Alice splits (c, A) by the projector onto ``vector`` and its complement;
+    the operator lists its registers out of table order."""
+    return {
+        "name": "toy",
+        "registers": [
+            {"name": "A", "owner": "Alice", "dim": 2},
+            {"name": "B", "owner": "Bob", "dim": 2},
+            {"name": "c", "owner": "Alice", "dim": 3},
+        ],
+        "root": {
+            "type": "measure",
+            "party": "Alice",
+            "operators": [
+                {"name": "P", "regs": ["c", "A"], "vector": [[z.real, z.imag] for z in vector]},
+                {"name": "Q", "complement": True},
+            ],
+            "branches": {
+                "P": {"type": "leaf", "answer": "x"},
+                "Q": {"type": "leaf", "answer": "y"},
+            },
+        },
+    }
+
+
+def test_vector_operator_does_not_depend_on_the_vector_scale():
+    # |v|^2 overflows at 2^600 v and underflows at 2^-600 v; scaled by a
+    # power of two first, all three give the same bytes
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    v[2] = 0
+    found = []
+    for factor in (1.0, 2.0**600, 2.0**-600):
+        spec = parse_protocol(_vector_doc(v * factor))
+        found.append([op.matrix.tobytes() for op in spec.root.operators])
+    assert found[0] == found[1] == found[2]
+    projector = np.outer(v, v.conj()) / np.vdot(v, v).real  # on (c, A)
+    on_a_c = projector.reshape(3, 2, 3, 2).transpose(1, 0, 3, 2).reshape(6, 6)
+    assert np.allclose(spec.root.operators[0].matrix, on_a_c, rtol=0, atol=1e-15)
+    assert spec.root.operators[0].regs == ("A", "c")
+
+
+def test_vector_above_the_level_limit_is_refused_before_allocating():
+    # a 2048-entry vector on a step of 8192 levels: its projector alone would
+    # be 64 MiB and the step's operators 1 GiB each
+    doc = copy.deepcopy(example1_protocol())
+    doc["registers"].append({"name": "x", "owner": "Alice", "dim": 2048})
+    _node(doc, "N1", "N2")["operators"][0].update(regs=["x"], vector=[[1.0, 0.0]] * 2048)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="8192 levels, above the limit of 1024"):
+            parse_protocol(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _random_unitary(rng, n):

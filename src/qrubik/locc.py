@@ -25,6 +25,9 @@ _PRUNE = 1e-12
 # the most levels a measurement step may act on: its operators are held
 # dense, 16 MiB each at the limit
 _MAX_STEP_LEVELS = 2**10
+# the most entries of one step's dense operators (operators times levels
+# squared), 16 MiB of complex numbers; its checks take a few times that
+_MAX_STEP_ENTRIES = 2**20
 # the most entries one stack of steps holds while their operators are
 # compiled, 16 MiB of complex numbers (a larger group is split)
 _MAX_GROUP_ENTRIES = 2**20
@@ -215,12 +218,18 @@ class ProtocolSpec:
 
 
 def _matrix_from_json(entry: Sequence, name: str) -> np.ndarray:
-    """An n x n array of [re, im] number pairs as a complex matrix, exactly."""
+    """An n x n array of [re, im] number pairs, none a bool, as a complex
+    matrix, exactly."""
     try:
         pairs = np.array(entry)
     except ValueError:  # ragged nesting
         pairs = np.array(None)
-    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[1:] != (len(pairs), 2):
+    if (
+        pairs.dtype.kind not in "iuf"
+        or pairs.ndim != 3
+        or pairs.shape[1:] != (len(pairs), 2)
+        or bool in {type(part) for row in entry for cell in row for part in cell}
+    ):
         raise ProtocolError(f"operator {name!r} matrix is not an n x n array of [re, im] pairs")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
@@ -361,6 +370,11 @@ def _step_parts(docs: Sequence[Mapping], table: RegisterTable) -> _StepParts:
         raise ProtocolError(
             f"measurement step on {union} has {full} levels, above the limit of "
             f"{_MAX_STEP_LEVELS} for a dense operator"
+        )
+    if len(names) * full * full > _MAX_STEP_ENTRIES:
+        raise ProtocolError(
+            f"measurement step on {union} has {len(names)} operators on {full} levels, "
+            f"above the limit of {_MAX_STEP_ENTRIES} dense operator entries"
         )
     return _StepParts(names, complements[0] if complements else None, parts, union)
 

@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .states import DEFAULT_TOL, Bipartition, StateSet
-from .states import _first_nonorthogonal_pair, _set_matrix
+from .states import _first_nonorthogonal_pair, _flat_index, _set_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -34,10 +34,10 @@ _SQRT2 = math.sqrt(2.0)
 _ROW_DROP = 1e-12
 
 # Largest side of a dense matrix the solver factors: the smaller side,
-# min(m^2, N), of a basis's reduced-state certificate (every basis check up to
-# d = 18 is within it), a symmetry block of the Gram certificate (every check
-# up to d = 12), or, when neither certifies, the m^2 unknowns of the fallback;
-# no large sparse layout gets an identity or SVD basis it cannot hold.
+# min(m^2, N), of a tight set's reduced-state certificate (every check of a
+# construction up to d = 18 is within it), or the m^2 unknowns of the Gram
+# certificate and the fallback; no large sparse layout gets an identity or SVD
+# basis it cannot hold.
 _MAX_UNKNOWNS = 9**4
 
 # Multiple of the floating-error bound that the Cholesky certificates of
@@ -108,55 +108,6 @@ def identity_coords(m: int) -> np.ndarray:
     return v
 
 
-# one Q per actor-side dimension: the six checks of a layout need at most six
-@functools.lru_cache(maxsize=8)
-def _symmetry_split(m: int) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """The orthogonal change of coordinates Q that complex conjugation and the
-    index reversal u -> m - 1 - u split into four blocks, and the block of each
-    new coordinate: 0 real and reversal-even (it holds the identity), 1 real
-    and odd, 2 imaginary and even, 3 imaginary and odd.
-
-    Conjugation keeps the real coordinates (the diagonal and the even slots)
-    and negates the imaginary ones (the odd slots).  The reversal E -> P E P is
-    a signed permutation: diagonal k goes to m - 1 - k, and pair (k, l) to
-    (m - 1 - l, m - 1 - k) with its imaginary part negated.  An orbit a < b,
-    with e_a sent to s e_b, becomes column a, (e_a + s e_b) / sqrt 2 (even),
-    and column b, (e_a - s e_b) / sqrt 2 (odd); a fixed e_a stays, odd if s = -1.
-    """
-    n = m * m
-    k, l, slot = _offdiagonal(m)
-    mirror = _pair_slot(m - 1 - l, m - 1 - k, m)
-    image = np.empty(n, dtype=np.int64)
-    image[:m] = m - 1 - np.arange(m)
-    image[slot], image[slot + 1] = mirror, mirror + 1
-    sign = np.ones(n)
-    sign[slot + 1] = -1.0
-    coord = np.arange(n)
-    lo, hi = np.minimum(coord, image), np.maximum(coord, image)
-    fixed = lo == hi
-    pair = ~fixed
-    upper = np.where(coord == lo, 1.0, sign)[pair] / math.sqrt(2.0)
-    lower = np.where(coord == lo, 1.0, -sign)[pair] / math.sqrt(2.0)
-    q = scipy.sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(int(fixed.sum())), upper, lower]),
-            (np.concatenate([coord[fixed], coord[pair], coord[pair]]),
-             np.concatenate([coord[fixed], lo[pair], hi[pair]])),
-        ),
-        shape=(n, n),
-    )
-    imaginary = (coord >= m) & ((coord - m) % 2 == 1)
-    odd = np.where(fixed, sign < 0, coord == hi)
-    return q, 2 * imaginary + odd
-
-
-def _largest_block(m: int) -> int:
-    """Side of the largest block of :func:`_symmetry_split`, the first: every
-    real coordinate the reversal fixes and one per orbit of two."""
-    pairs = m * (m - 1) // 2
-    return (m + m % 2 + pairs + m // 2) // 2
-
-
 class ConstraintSystem:
     """Real linear constraints on the actor-side Hermitian element.
 
@@ -165,16 +116,18 @@ class ConstraintSystem:
     rescaling a state moves the rows by roundoff at most; identically zero
     rows are dropped.
 
-    For a set of as many states as the total dimension (a basis, once it has
-    passed the orthogonality check), ``reduced`` is the m^2 x N matrix M of
-    the Hermitian coordinates of the N unit states' reduced states on the
-    actor side, and for the Gram matrix G of those states ``gram_deviation``
-    is delta = ||G - I||_F and ``pair_overlap`` the root of the sum of
-    |G_ij|^2 over the pairs i < j: with them :func:`_solve` certifies the
-    system without its rows.  So the rows and ``n_coupled_pairs`` of a basis
-    are built by ``assemble`` (which returns the folded blocks of
-    :func:`_coupled_blocks`) when first read, which only the fallbacks do.
-    For any other set the rows are given and the three fields are None.
+    For a tight set, whose N states touch exactly N cells (:func:`_tight_size`;
+    a basis, once it has passed the orthogonality check, is one), ``reduced``
+    is the m^2 x N matrix M of the Hermitian coordinates of the N unit
+    states' reduced states on the actor side, ``coverage`` the count h of
+    :func:`_coverage` per coordinate, and for the Gram matrix G of those
+    states ``gram_deviation`` is delta = ||G - I||_F and ``pair_overlap`` the
+    root of the sum of |G_ij|^2 over the pairs i < j: with them :func:`_solve`
+    certifies the system without its rows.  So the rows and
+    ``n_coupled_pairs`` of a tight set are built by ``assemble`` (which
+    returns the folded blocks of :func:`_coupled_blocks`) when first read,
+    which only the fallbacks do.  For any other set the rows are given and
+    the four fields are None.
     """
 
     def __init__(
@@ -184,6 +137,7 @@ class ConstraintSystem:
         n_pairs: int,
         n_coupled_pairs: int | None,
         reduced: scipy.sparse.csr_matrix | None = None,
+        coverage: np.ndarray | None = None,
         gram_deviation: float | None = None,
         pair_overlap: float | None = None,
         assemble: Callable[[], scipy.sparse.csr_matrix] | None = None,
@@ -191,6 +145,7 @@ class ConstraintSystem:
         self.m = m
         self.n_pairs = n_pairs
         self.reduced = reduced
+        self.coverage = coverage
         self.gram_deviation = gram_deviation
         self.pair_overlap = pair_overlap
         self._assemble = assemble
@@ -277,21 +232,32 @@ def _actor_side(
     return m, [sset.layout.axis(p) for p in actor_parties]
 
 
-def _basis_size(sset: StateSet) -> int | None:
-    """N for a set of as many states N as the total dimension, else None."""
-    return len(sset) if len(sset) == sset.layout.total_dim else None
+def _tight_size(sset: StateSet) -> int | None:
+    """N for a tight set, one whose N states touch exactly N cells, else None.
+
+    N mutually orthogonal states span N dimensions and so touch at least N
+    cells; a set of as many states as the total dimension (a basis) touches
+    at most that many, and is tight without counting."""
+    n = len(sset)
+    if n == sset.layout.total_dim:
+        return n
+    dims = sset.layout.dims
+    cells = _flat_index(sset.term_arrays[1], dims, range(len(dims)))
+    return n if np.unique(cells).size == n else None
 
 
-def _check_unknowns(m: int, basis: int | None, check: str) -> None:
-    """Refuse a check whose largest symmetry block the dense solver cannot
-    take on, unless it is a check of a basis of ``basis`` states whose
-    reduced-state certificate, of side min(m^2, N), it can."""
-    if basis is not None and min(m * m, basis) <= _MAX_UNKNOWNS:
+def _check_unknowns(m: int, tight: int | None, check: str) -> None:
+    """Refuse a check whose dense matrices the solver cannot take on.
+
+    A check of a tight set of ``tight`` states N with m <= N is certified
+    from its reduced states, at side min(m^2, N); any other check needs its
+    m^2 unknowns.  A tight set with more actor indices than states leaves one
+    uncovered, a free coordinate, so only its rows can decide the check."""
+    if tight is not None and m <= tight and min(m * m, tight) <= _MAX_UNKNOWNS:
         return
-    if _largest_block(m) > _MAX_UNKNOWNS:
+    if m * m > _MAX_UNKNOWNS:
         raise ValueError(
-            f"{check} has m^2 = {m * m} unknowns, and its largest symmetry block "
-            f"of {_largest_block(m)} is above the solver limit of {_MAX_UNKNOWNS}"
+            f"{check} has m^2 = {m * m} unknowns, above the solver limit of {_MAX_UNKNOWNS}"
         )
 
 
@@ -362,6 +328,31 @@ def _reduced_coords(sset: StateSet, axes: list[int], m: int) -> scipy.sparse.csr
     )
 
 
+def _coverage(sset: StateSet, axes: list[int], m: int) -> np.ndarray:
+    """h, per Hermitian coordinate of the actor side: the number of indices v
+    on the other side whose cells (u, v) and (w, v) the set both touches, with
+    (u, w) = (u, u) for diagonal coordinate u and (k, l) for both slots of the
+    pair (k, l).  For the 0/1 coverage matrix C (m x rest) of the touched
+    cells these counts are C C^T; for a basis every one is r = D / m,
+    without counting."""
+    if len(sset) == sset.layout.total_dim:
+        return np.full(m * m, len(sset) / m)
+    dims = sset.layout.dims
+    idx = sset.term_arrays[1]
+    rest = [a for a in range(len(dims)) if a not in axes]
+    cover = scipy.sparse.csr_matrix(
+        (np.ones(len(idx)), (_flat_index(idx, dims, axes), _flat_index(idx, dims, rest))),
+        shape=(m, sset.layout.total_dim // m),
+    )
+    cover.data[:] = 1.0  # a cell that several states touch counts once
+    counts = (cover @ cover.T).toarray()
+    k, l, slot = _offdiagonal(m)
+    h = np.empty(m * m)
+    h[:m] = counts.diagonal()
+    h[slot] = h[slot + 1] = counts[k, l]
+    return h
+
+
 def _real_rows(folded: scipy.sparse.csr_matrix, m: int) -> scipy.sparse.csr_matrix:
     """Rows 2p and 2p + 1 from the real and imaginary part of folded block p,
     keeping the entries above ``_ROW_DROP``; returns the nonempty rows."""
@@ -393,14 +384,15 @@ def assemble_constraints(
     of the actor dims).  Each coupled state pair's block, folded into
     Hermitian coordinates, gives a real and an imaginary row, in pair order.
 
-    For a basis, only the reduced states are formed here, and the Gram
-    matrix of the unit states is read by the same orthogonality check; that
-    matrix, with its delta and pair overlap, is formed once per set
-    (``StateSet._unit_gram``), and the rows are built when first read.
+    For a tight set, only the reduced states and the coverage are formed
+    here, and the Gram matrix of the unit states is read by the same
+    orthogonality check; that matrix, with its delta and pair overlap, is
+    formed once per set (``StateSet._unit_gram``), and the rows are built
+    when first read.
     """
     m, axes = _actor_side(sset, cut, actor)
     n_pairs = len(sset) * (len(sset) - 1) // 2
-    if _basis_size(sset) is None:
+    if _tight_size(sset) is None:
         folded = _coupled_blocks(sset, axes, m, tol)
         return ConstraintSystem(m, _real_rows(folded, m), n_pairs, folded.shape[0])
     gram, deviation, overlap = sset._unit_gram
@@ -411,6 +403,7 @@ def assemble_constraints(
         n_pairs=n_pairs,
         n_coupled_pairs=None,
         reduced=_reduced_coords(sset, axes, m),
+        coverage=_coverage(sset, axes, m),
         gram_deviation=deviation,
         pair_overlap=overlap,
         assemble=functools.partial(_coupled_blocks, sset, axes, m, tol),
@@ -445,100 +438,118 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
 
 
 def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
-    """Whether one Cholesky factorisation built from a basis's reduced states
-    proves that the identity is the only solution; False for any other set.
+    """Whether one Cholesky factorisation built from a tight set's reduced
+    states proves that the identity is the only solution; False for any
+    other set.
 
-    Let the N = D states be psi_i, each taken at norm one, with Gram matrix
-    G = I + Delta, delta = ||Delta||_F, P = sum_i |psi_i><psi_i|, rho_i the
-    reduced state of psi_i on the actor side, M the m^2 x N matrix of their
-    coordinates, r = D / m and i the unit identity coordinate vector.  For a
-    Hermitian E with coordinates x and X = E (x) I, the rows give
+    Let the N states psi_i, each taken at norm one, touch exactly N cells,
+    with Gram matrix G = I + Delta, delta = ||Delta||_F, P = sum_i
+    |psi_i><psi_i|, Pi the diagonal projector onto the touched cells, rho_i
+    the reduced state of psi_i on the actor side, M the m^2 x N matrix of
+    their coordinates, h the coverage of :func:`_coverage` with extremes
+    h_min and h_max (h = r = D / m throughout for a basis) and i the unit
+    identity coordinate vector.  For a Hermitian E with coordinates x and
+    X = E (x) I, the rows give
 
         2 ||R x||^2 = sum_{i != j} |<i|X|j>|^2 = tr(X P X P) - ||M^T x||^2,
 
-    and for an orthonormal basis (P = I) tr(X P X P) = tr(X^2) = r ||x||^2,
-    so 2 R^T R = r I - M M^T (Parseval).  P has the spectrum of G, so
-    ||P - I||_2 <= delta, and with P = I + Q, tr(X P X P) - tr(X^2) =
-    2 tr(X^2 Q) + tr(X Q X Q) is at most (2 delta + delta^2) r ||x||^2 in
-    size.  Hence 2 R^T R >= r I - M M^T - (2 delta + delta^2) r I, and
-    lambda_max(R^T R) <= (1 + delta)^2 r / 2 =: lambda.
+    and for an orthonormal set (P = Pi) tr(X Pi X Pi) = sum_c h_c x_c^2, so
+    2 R^T R = Diag(h) - M M^T.  P restricted to the touched cells has the
+    spectrum of G, so ||P - Pi||_2 <= delta, and with P = Pi + Q and
+    Y = Pi X Pi, tr(X P X P) - tr(Y^2) = 2 tr(Y^2 Q) + tr(Y Q Y Q) is at most
+    (2 delta + delta^2) h_max ||x||^2 in size.  Hence 2 R^T R >= Diag(h) -
+    M M^T - (2 delta + delta^2) h_max I, and lambda_max(R^T R) <=
+    (1 + delta)^2 h_max / 2 =: lambda.  A coordinate with h_c = 0 is free, as
+    no pair's block reaches it, so such a check is not trivial and declined.
 
-    The smaller side n_f = min(m^2, N) is factored once, shifted by s:
+    The rho_i sum to the partial trace of Pi, with coordinates sqrt(m)
+    Diag(h) i, and M^T i = 1 / sqrt(m) (each rho_i has trace one), so i is a
+    null vector of Diag(h) - M M^T; with D = Diag(h), the all-ones vector
+    1 = sqrt(m) M^T i is one of I - M^T D^-1 M.  The smaller side
+    n_f = min(m^2, N) is factored once, shifted by s, with that null vector
+    lifted by a rank-one term:
 
-        r I - M M^T + r i i^T - s I    when m^2 <= N (one-party checks),
-        r I - M^T M + (1/m) 1 1^T - s I  otherwise (joint checks),
+        Diag(h) - M M^T + h_max i i^T - s I          when m^2 <= N (one-party checks),
+        h_min (I - M^T D^-1 M + (1/N) 1 1^T) - s I    otherwise,
 
-    where M^T i = 1 / sqrt(m) (each rho_i has trace one), so either rank-one
-    term lifts the identity direction by r.  M M^T and M^T M have the same
-    nonzero spectrum, and as s < r the eigenvalues at most s of r I - M M^T
-    and of r I - M^T M are the same.  A rank-one positive term moves at most
-    one eigenvalue past s (interlacing), so success means r I - M M^T has at
-    most one eigenvalue at or below s - e, with e the floating error below,
-    and then lambda_2(R^T R) > (s - e - (2 delta + delta^2) r) / 2.
+    the second being r I - M^T M + (1/m) 1 1^T - s I for h = r.  A positive
+    rank-one term moves at most one eigenvalue past 0 (interlacing), so
+    success means that the matrix without it has at most one eigenvalue at
+    or below -e, with e the floating error below.  On the m^2 side Diag(h) - M M^T then
+    has at most one eigenvalue at or below s - e.  On the N side, with
+    K = D^(-1/2) M and sigma = (s - e) / h_min < 1, so does I - K^T K at or
+    below sigma; K^T K and K K^T share their eigenvalues above 1 - sigma > 0,
+    so I - K K^T does too.  By Sylvester's law of inertia D - M M^T - sigma D
+    then has at most one eigenvalue at or below 0, and so has Diag(h) -
+    M M^T - (s - e) I, which is at least that matrix.  Either way
+    lambda_2(R^T R) > (s - e - (2 delta + delta^2) h_max) / 2.
 
     The rows R' that :func:`_nullspace` reads differ from the exact rows R
     of the unit states by the entries dropped at ``_ROW_DROP`` = p (at most
     N^2 m^2 values, none above sqrt(2) p) and by rounding, in all at most
-    eta = sqrt(2) p N m + 6 (r + 2) eps N in 2-norm.  With
+    eta = sqrt(2) p N m + 6 (h_max + 2) eps N in 2-norm.  With
 
-        s = c [(2 delta + delta^2) r + 2 tol^2 lambda + 2 (1 + tol)^2 eta^2 + e],
+        s = c [(2 delta + delta^2) h_max + 2 tol^2 lambda + 2 (1 + tol)^2 eta^2 + e],
 
     and c = 4, lambda_2(R^T R) > 2 tol^2 lambda + 2 (1 + tol)^2 eta^2 >=
     (tol sigma_max(R) + (1 + tol) eta)^2, so sigma_2(R') >= sigma_2(R) -
     eta > tol (sigma_max(R) + eta) >= tol sigma_max(R').  To first order in
     eps, e covers forming M from the per-state product (each column within
-    3 (r + 2) eps, which moves M M^T by at most 6 (1 + delta) (r + 2)
-    r sqrt(m) eps in 2-norm), forming the product of M with itself (k eps N,
-    with k = m^2 + N - n_f its inner length, as ||M||_F^2 <= N), adding the
-    other terms (8 r eps) and a Cholesky factorisation that runs to completion,
-    exact for a matrix within (n_f + 1) eps tr <= 2 n_f (n_f + 1) r eps
-    (Demmel's bound); delta itself is read from the computed G, each entry
-    the inner product of two computed unit states of at most D terms and so
-    within g = 2 (D + 3) eps, and is raised by g N.  So success proves that
-    sigma_2(R') is above the rank cut of :func:`_nullspace`.
+    3 (h_max + 2) eps, as an entry of rho_i sums at most h_max products,
+    which moves M M^T by at most 6 (1 + delta) (h_max + 2) h_max sqrt(m) eps
+    in 2-norm), forming the product of M with itself (k eps N, with
+    k = m^2 + N - n_f its inner length, as ||M||_F^2 <= N, and 2 eps N more
+    on the N side for the weights h_min / h, each one rounded quotient of
+    integers), adding the other terms (8 h_max eps) and a Cholesky
+    factorisation that runs to completion, exact for a matrix within
+    (n_f + 1) eps tr <= 2 n_f (n_f + 1) h_max eps (Demmel's bound); delta
+    itself is read from the computed G, each entry the inner product of two
+    computed unit states of at most N terms and so within g = 2 (N + 3) eps,
+    and is raised by g N.  So success proves that sigma_2(R') is above the
+    rank cut of :func:`_nullspace`.
 
     The identity must also pass that cut, and this too is read off G and M
     without the rows.  Its coordinates meet each pair's block in its trace, so ||R i||^2 =
     sum_{i<j} |G_ij|^2 / m, and the root of that sum is read from the
     computed G and raised by g N.  As R has m^2 columns, sigma_max(R)^2 >=
     ||R||_F^2 / m^2, and the trace of the bound on 2 R^T R above gives
-    2 ||R||_F^2 >= (1 - 2 delta - delta^2) r m^2 - ||M||_F^2, where ||M||_F^2
-    is raised by (6 (r + 2) + nnz(M)) N eps for the error of M and of its
-    sum.  ||R i|| <= tol sigma_max(R) holds if the first bound is at most
-    tol^2 times the second over m^2; if not, the answer is left to the other
-    certificate and the full pipeline.  This is shown for the exact rows R:
-    R' differs from them by up to eta, which at tol = 1e-9 is larger than
-    tol sigma_max, so the entries dropped at ``_ROW_DROP`` are taken as the
-    roundoff they stand for, as the orthogonality check takes them.
+    2 ||R||_F^2 >= (1 - 2 delta - delta^2) sum_c h_c - ||M||_F^2, where
+    ||M||_F^2 is raised by (6 (h_max + 2) + nnz(M)) N eps for the error of M
+    and of its sum.  ||R i|| <= tol sigma_max(R) holds if the first bound is
+    at most tol^2 times the second over m^2; if not, the answer is left to
+    the other certificate and the full pipeline.  This is shown for the exact
+    rows R: R' differs from them by up to eta, which at tol = 1e-9 is larger
+    than tol sigma_max, so the entries dropped at ``_ROW_DROP`` are taken as
+    the roundoff they stand for, as the orthogonality check takes them.
     """
-    reduced, m = cs.reduced, cs.m
+    reduced, h, m = cs.reduced, cs.coverage, cs.m
     if reduced is None:
         return False
     n = reduced.shape[1]
     side = min(m * m, n)
-    if side > _MAX_UNKNOWNS:
+    low, high = float(h.min()), float(h.max())
+    if side > _MAX_UNKNOWNS or low == 0:
         return False
     eps = np.finfo(float).eps
-    r = n / m
     gram_error = 2 * (n + 3) * eps * n
     delta = cs.gram_deviation + gram_error
-    eta = _SQRT2 * _ROW_DROP * n * m + 6 * (r + 2) * eps * n
+    eta = _SQRT2 * _ROW_DROP * n * m + 6 * (high + 2) * eps * n
     error = eps * (
-        6 * (1 + delta) * (r + 2) * r * math.sqrt(m)
-        + (m * m + n - side) * n
-        + 8 * r
-        + 2 * side * (side + 1) * r
+        6 * (1 + delta) * (high + 2) * high * math.sqrt(m)
+        + (m * m + n - side + 2) * n
+        + 8 * high
+        + 2 * side * (side + 1) * high
     )
     shift = _CHOLESKY_C * (
-        (2 * delta + delta * delta) * r
-        + tol * tol * (1 + delta) ** 2 * r
+        (2 * delta + delta * delta) * high
+        + tol * tol * (1 + delta) ** 2 * high
         + 2 * (1 + tol) ** 2 * eta * eta
         + error
     )
-    if not shift < r:
+    if not shift < low:
         return False
-    mass = float(np.dot(reduced.data, reduced.data)) + (6 * (r + 2) + reduced.nnz) * eps * n
-    floor = ((1 - 2 * delta - delta * delta) * r * m * m - mass) / (2 * m * m)
+    mass = float(np.dot(reduced.data, reduced.data)) + (6 * (high + 2) + reduced.nnz) * eps * n
+    floor = ((1 - 2 * delta - delta * delta) * float(h.sum()) - mass) / (2 * m * m)
     overlap = cs.pair_overlap + gram_error
     if not overlap * overlap / m <= tol * tol * floor:
         return False
@@ -546,12 +557,17 @@ def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
     if side == m * m:
         dense = (reduced @ reduced.T).toarray(order="F")
         dense *= -1.0
-        dense[:m, :m] += r / m
+        dense[:m, :m] += high / m
+        dense.flat[:: side + 1] += h - shift
     else:
-        dense = (reduced.T @ reduced).toarray(order="F")
+        weighted = reduced  # the rows of M times h_min / h, all 1 for a basis
+        if low < high:
+            weighted = reduced.copy()
+            weighted.data *= np.repeat(low / h, np.diff(reduced.indptr))
+        dense = (reduced.T @ weighted).toarray(order="F")
         dense *= -1.0
-        dense += 1.0 / m
-    dense.flat[:: side + 1] += r - shift
+        dense += low / n
+        dense.flat[:: side + 1] += low - shift
     try:
         scipy.linalg.cholesky(dense, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
@@ -560,42 +576,29 @@ def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
 
 
 def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -> bool:
-    """Whether Cholesky factorisations of symmetry blocks prove the identity is
-    the only solution.
+    """Whether a Cholesky factorisation of the rows' Gram matrix proves the
+    identity is the only solution.
 
-    With R the rows, n = m^2 unknowns, F = ||R||_F^2, k the most nonzeros in
-    one column of R, i the unit identity coordinate vector and c = 4, the
-    matrix
+    With R the rows, n = m^2 unknowns (at most the solver limit), F =
+    ||R||_F^2, k the most nonzeros in one column of R, i the unit identity
+    coordinate vector and c = 4, the matrix
 
         A = R^T R + F i i^T - tau I,   tau = c max((n + k + 8) eps, tol^2) F,
 
-    is shown positive definite a diagonal block at a time.  In the coordinates
-    Q of :func:`_symmetry_split`, Q^T A Q = D + B with D its four diagonal
-    blocks (i lies in the first) and B the rest, and lambda_min(A) >=
-    lambda_min(D) - ||B||_F, so each block is factored with ||B||_F subtracted
-    from its diagonal too.  The rows come from unit-norm states, so the Gram
-    matrix of a set that is closed under conjugation and index reversal,
-    whatever its state norms and phases, commutes with both up to roundoff,
-    and B is negligible; when ||B||_F > tau the set lacks the symmetry and A
-    is factored whole, as one block with Q = I and B = 0.  Only then is a
-    dense n x n matrix formed, and only within the solver limit.
-
-    To first order in eps, forming R^T R errs by at most k eps F in 2-norm,
-    the products with Q (entries +-1/sqrt 2, at most two in a row or column)
-    by 12 eps F, adding F i i^T and subtracting the shift by 12 eps F, and a
-    Cholesky factorisation that runs to completion is exact for a matrix
-    within (n_b + 1) eps tr <= 2 (n + 1) eps F of the block of side n_b
-    factored (Demmel's bound).  The sum (2 n + k + 26) eps F is below
-    3 (n + k + 8) eps F <= 3 tau / 4 for n >= 4, so success proves that the
-    exact A has no eigenvalue below -3 tau / 4: every unit v orthogonal to i
-    has ||R v||^2 > tau / 4 >= tol^2 F = tol^2 ||R||_F^2 >= tol^2
+    is factored.  The rows come from unit-norm states, so it does not depend
+    on the state norms.  To first order in eps, forming R^T R errs by at most
+    k eps F in 2-norm, adding F i i^T and subtracting the shift by 12 eps F,
+    and a Cholesky factorisation that runs to completion is exact for a
+    matrix within (n + 1) eps tr <= 2 (n + 1) eps F of the one factored
+    (Demmel's bound).  The sum (2 n + k + 14) eps F is below
+    3 (n + k + 8) eps F <= 3 tau / 4, so success proves that the exact A has
+    no eigenvalue below -3 tau / 4: every unit v orthogonal to i has
+    ||R v||^2 > tau / 4 >= tol^2 F = tol^2 ||R||_F^2 >= tol^2
     sigma_max(R)^2.  (For n = 1 there is no such v.)  The second-smallest
     singular value of R is then above the rank cut of :func:`_nullspace`, so
     at most one direction survives it.  The identity must also pass that cut,
     ||R i|| <= tol times the largest column norm of R (a lower bound on
-    sigma_max), or the answer is left to the full pipeline.  On the cube
-    constructions at d = 3..8 the second-smallest eigenvalue of R^T R is
-    0.02-0.33 of the largest, and tau at most 2.1e-7 of that eigenvalue.
+    sigma_max), or the answer is left to the full pipeline.
     """
     n = m * m
     fro2 = float(np.dot(rows.data, rows.data))
@@ -608,36 +611,15 @@ def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -
         return False
     k = int(np.bincount(rows.indices, minlength=n).max())
     tau = _CHOLESKY_C * max((n + k + 8) * np.finfo(float).eps, tol * tol) * fro2
-    q, block = _symmetry_split(m)
-    split = (q.T @ gram @ q).tocoo()
-    off = split.data[block[split.row] != block[split.col]]
-    off_norm = float(np.sqrt(np.dot(off, off)))
-    if off_norm > tau:
-        # the set lacks the symmetry: one block, Q = I and B = 0
-        if n > _MAX_UNKNOWNS:
-            return False
-        q = scipy.sparse.identity(n, format="csr")
-        split, block, off_norm = gram.tocoo(), np.zeros(n, dtype=np.int64), 0.0
+    # Fortran order lets LAPACK factor the matrix in place
+    dense = gram.toarray(order="F")
     del gram
-    ident = q.T @ identity_coords(m) / math.sqrt(m)
-    position = np.empty(n, dtype=np.int64)
-    row_block = block[split.row]
-    inside = row_block == block[split.col]
-    for b in np.unique(block):
-        members = np.flatnonzero(block == b)
-        position[members] = np.arange(members.size)
-        entry = inside & (row_block == b)
-        # Fortran order lets LAPACK factor the block in place
-        dense = np.zeros((members.size, members.size), order="F")
-        dense[position[split.row[entry]], position[split.col[entry]]] = split.data[entry]
-        unit = ident[members]
-        touched = np.flatnonzero(unit)
-        dense[np.ix_(touched, touched)] += fro2 * np.outer(unit[touched], unit[touched])
-        dense.flat[:: members.size + 1] -= tau + off_norm
-        try:
-            scipy.linalg.cholesky(dense, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            return False
+    dense[:m, :m] += fro2 / m
+    dense.flat[:: n + 1] -= tau
+    try:
+        scipy.linalg.cholesky(dense, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
@@ -646,35 +628,35 @@ def _solve(
 ) -> np.ndarray:
     """Orthonormal nullspace basis (columns, in coordinates) of a constraint system.
 
-    A basis's system is first offered to the reduced-state certificate, one
-    Cholesky factorisation of side min(m^2, N); a system it does not certify,
-    and any system of a set that is not a basis, goes to the Cholesky test of
-    the rows' Gram matrix in symmetry blocks.  A system either certifies
-    trivial gets exactly the unit identity; any other goes through the
-    blockwise QR/SVD of all its rows, whose m^2 x m^2 basis must be within the
-    solver limit.  Where the symmetry blocks are above it too, a basis the
-    first certificate declines stops before its rows are built.
+    A tight set's system is first offered to the reduced-state certificate,
+    one Cholesky factorisation of side min(m^2, N); a system it does not
+    certify, and any system of a set that is not tight, goes to the Cholesky
+    test of the rows' Gram matrix.  A system either certifies trivial gets
+    exactly the unit identity; any other goes through the blockwise QR/SVD
+    of all its rows.  Both need the m^2 x m^2 matrix within the solver
+    limit, so a tight set's check above it that the first certificate
+    declines stops before its rows are built.
     """
-    basis = None if cs.reduced is None else cs.reduced.shape[1]
-    _check_unknowns(cs.m, basis, check)
+    tight = None if cs.reduced is None else cs.reduced.shape[1]
+    _check_unknowns(cs.m, tight, check)
     ident = identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
     if _reduced_states_certify_trivial(cs, tol):
         return ident
-    if _largest_block(cs.m) <= _MAX_UNKNOWNS and _gram_certifies_trivial(cs.rows, cs.m, tol):
-        return ident
     if cs.m * cs.m > _MAX_UNKNOWNS:
         raise ValueError(
-            f"{check} has m^2 = {cs.m * cs.m} unknowns, and the certificates within the "
-            f"limit did not certify it: the dense fallback is above the solver limit of "
+            f"{check} has m^2 = {cs.m * cs.m} unknowns, and the reduced-state certificate "
+            f"did not certify it: the dense fallback is above the solver limit of "
             f"{_MAX_UNKNOWNS}"
         )
+    if _gram_certifies_trivial(cs.rows, cs.m, tol):
+        return ident
     return _nullspace(cs.rows, cs.m * cs.m, tol)
 
 
 def solution_space(cs: ConstraintSystem, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Frobenius-orthonormal Hermitian basis of the constraint nullspace: the
-    identity over sqrt(m) alone when a Cholesky certificate (from a basis's
-    reduced states, or from the rows' Gram matrix) decides the system, else
+    identity over sqrt(m) alone when a Cholesky certificate (from a tight
+    set's reduced states, or from the rows' Gram matrix) decides the system, else
     the SVD basis of :func:`_nullspace`, which is fixed only up to a rotation
     within the space (:func:`_witness` is not)."""
     basis = _solve(cs, tol)
@@ -716,7 +698,7 @@ def certify_triviality(
     nontrivial measurement.
     """
     name = _check_name(cut, actor)
-    _check_unknowns(_actor_side(sset, cut, actor)[0], _basis_size(sset), name)
+    _check_unknowns(_actor_side(sset, cut, actor)[0], _tight_size(sset), name)
     cs = assemble_constraints(sset, cut, actor, tol)
     basis = _solve(cs, tol, name)
     dim = basis.shape[1]
@@ -745,8 +727,9 @@ def verify_strong_nonlocality(sset: StateSet, tol: float = DEFAULT_TOL) -> Nonlo
     check's size is tested against the solver limit before any is assembled.
     """
     checks = standard_checks(sset.layout)
+    tight = _tight_size(sset)
     for cut, actor in checks:
-        _check_unknowns(_actor_side(sset, cut, actor)[0], _basis_size(sset), _check_name(cut, actor))
+        _check_unknowns(_actor_side(sset, cut, actor)[0], tight, _check_name(cut, actor))
     results = [
         CheckResult(
             cut=cut.name,

@@ -259,8 +259,9 @@ def test_stretch_fallback_d6():
 
 @_stretch
 def test_stretch_certification_d10():
-    # m^2 = 10^4 unknowns in each two-party check, certified by symmetry
-    # blocks of at most 2550 coordinates
+    # m^2 = 10^4 unknowns in each two-party check, above the solver limit;
+    # as a basis each is decided by one factorisation of side N = 1000 from
+    # its reduced states
     report = verify_strong_nonlocality(build_snoeb(10), tol=TOL)
     assert report.strongly_nonlocal
     assert all(c.verdict.solution_dim == 1 for c in report.checks)
@@ -269,10 +270,20 @@ def test_stretch_certification_d10():
 
 @_stretch
 def test_stretch_certification_d16():
-    # 4096 states: the joint checks have m^2 = 65536 unknowns and symmetry
-    # blocks of up to 16512, above the solver limit; as a basis each is
-    # decided by one factorisation of side N = 4096 from its reduced states
+    # 4096 states: the joint checks have m^2 = 65536 unknowns, above the
+    # solver limit; as a basis each is decided by one factorisation of side
+    # N = 4096 from its reduced states
     report = verify_strong_nonlocality(build_snoeb(16), tol=TOL)
     assert report.strongly_nonlocal
     assert all(c.verdict.solution_dim == 1 for c in report.checks)
     print("\n[stretch] certification d=16 (basis): PASS")
+
+
+@_stretch
+def test_stretch_certification_snoes_d16():
+    # 4074 states that touch 4074 cells: as a tight set each joint check is
+    # decided by one factorisation of side N = 4074 from its reduced states
+    report = verify_strong_nonlocality(build_snoes(16), tol=TOL)
+    assert report.strongly_nonlocal
+    assert all(c.verdict.solution_dim == 1 for c in report.checks)
+    print("\n[stretch] certification d=16 (set): PASS")

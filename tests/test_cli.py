@@ -250,6 +250,8 @@ MALFORMED_SIMULATE_INPUTS = {
     ),
     "short-cell": (_set_matrix_cell([1]), "[re, im] pairs"),
     "string-cell": (_set_matrix_cell("1+0j"), "[re, im] pairs"),
+    # read as 0.0, so the operator was the projector it had been
+    "bool-matrix-part": (_set_matrix_cell([False, 0.0]), "[re, im] pairs"),
     "short-vector": (
         _edit_vector(lambda op: op["vector"].pop()), "is not 4 [re, im] number pairs"
     ),
@@ -383,8 +385,9 @@ def test_analyze_takes_ranks_over_the_support(tmp_path, capsys):
 
 
 def _wide_set(tmp_path, dims=(2, 18, 9)):
-    # by default the A|BC:BC check has m = 162: m^2 = 26244 unknowns, and its
-    # largest symmetry block of 6642 is above the 9^4 limit
+    # by default the A|BC:BC check has m = 162: m^2 = 26244 unknowns, above
+    # the 9^4 limit; the set is tight, but with 2 states it leaves actor
+    # indices uncovered, so no reduced-state certificate can decide the check
     layout = PartyLayout(("A", "B", "C"), dims)
     sset = StateSet(
         layout,
@@ -402,14 +405,25 @@ def test_solver_size_budget_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, "verify", "--input", _wide_set(tmp_path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "m^2 = 26244" in err and "block of 6642" in err
+    assert err.startswith("error:") and "m^2 = 26244" in err
+    assert "above the solver limit of 6561" in err
 
 
 def test_asymmetric_check_above_the_limit_exits_2_without_allocating(tmp_path, capsys):
-    # m = 100 passes the block test before assembly (largest block 2550), but
-    # the set is not closed under index reversal, so its Gram matrix does not
-    # split; the 10^4 x 10^4 fallback (800 MB) must be refused, not allocated
-    path = _wide_set(tmp_path, (10, 10, 10))
+    # the 100 product states |a b 0> touch 100 cells: a tight set, so the
+    # A|BC:BC check (m = 100, N = 100) passes the size test before assembly
+    # on min(m^2, N).  It leaves the actor indices (b, c), c > 0, uncovered, so
+    # the reduced-state certificate declines, and the 10^4 x 10^4 fallback
+    # (800 MB) must be refused, not allocated
+    layout = PartyLayout(("A", "B", "C"), (10, 10, 10))
+    sset = StateSet(
+        layout,
+        tuple(
+            PureState(layout, [((a, b, 0), 1)], f"e{a}{b}") for a in range(10) for b in range(10)
+        ),
+    )
+    path = str(tmp_path / "product.json")
+    save_state_set(sset, path)
     tracemalloc.start()
     try:
         code, out, err = _run(capsys, "verify", "--input", path)
@@ -438,8 +452,8 @@ def test_solver_size_budget_is_checked_before_assembly(tmp_path, capsys, monkeyp
 
 def test_basis_past_the_block_limit_exits_2_before_its_rows(tmp_path, capsys, monkeypatch):
     # the computational basis of 2 x 2 x 82: the A|BC:BC check has m = 164,
-    # whose largest symmetry block of 6806 is above the 9^4 limit, but as a
-    # basis of N = 328 states it passes the size check on min(m^2, N).  It
+    # so m^2 = 26896 is above the 9^4 limit, but as a basis of N = 328
+    # states it passes the size check on min(m^2, N).  It
     # is not trivial, so the reduced-state certificate declines, and the
     # check must stop before its rows are built
     layout = PartyLayout(("A", "B", "C"), (2, 2, 82))

@@ -1250,6 +1250,43 @@ def test_vector_above_the_level_limit_is_refused_before_allocating():
     assert peak < 2**20
 
 
+def _wide_step_doc(levels):
+    """Alice measures one register of ``levels`` levels with the projectors
+    onto its first seven levels and their complement."""
+    ops = [
+        {"name": f"P{k}", "regs": ["x"], "vector": [[float(j == k), 0.0] for j in range(levels)]}
+        for k in range(7)
+    ]
+    ops.append({"name": "rest", "complement": True})
+    return {
+        "name": "wide",
+        "registers": [{"name": "x", "owner": "Alice", "dim": levels}],
+        "root": {
+            "type": "measure",
+            "party": "Alice",
+            "operators": ops,
+            "branches": {op["name"]: {"type": "leaf", "answer": op["name"]} for op in ops},
+        },
+    }
+
+
+def test_step_above_the_entry_limit_is_refused_before_allocating():
+    # eight operators on one 512-level register, a 40 KB document: the
+    # step's stack of 8 x 512^2 entries would be 32 MiB, and its checks
+    # took four times that
+    doc = _wide_step_doc(512)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="8 operators on 512 levels, above the limit"):
+            parse_protocol(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # on 256 levels the same step is within the limit
+    assert len(parse_protocol(_wide_step_doc(256)).root.operators) == 8
+
+
 def _random_unitary(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -29,11 +29,10 @@ from qrubik import (
 from qrubik.verify import (
     ConstraintSystem,
     _gram_certifies_trivial,
-    _largest_block,
     _nullspace,
     _reduced_states_certify_trivial,
     _solve,
-    _symmetry_split,
+    _tight_size,
     _witness,
     standard_checks,
 )
@@ -612,14 +611,14 @@ def test_local_unitary_invariance_of_solution_dims(build, seed, monkeypatch):
     # U_A (x) U_B (x) U_C maps the solutions E of each check to U E U^dagger,
     # so no check's solution space may change dimension
     sset = build()
-    dims = sset.layout.dims
     basis = len(sset) == sset.layout.total_dim
     sides = _record_cholesky(monkeypatch)
     base = verify_strong_nonlocality(sset)
     if not basis:
-        # snoes is closed under conjugation and index reversal, so every
-        # check splits into blocks
-        assert sides and max(sides) <= _largest_block(dims[0] * dims[1])
+        # snoes is tight, its N states touching N cells, so every check
+        # factors one matrix of side min(m^2, N) from its reduced states
+        checks = standard_checks(sset.layout)
+        assert sides == [min(_actor_dim(sset, a) ** 2, len(sset)) for _, a in checks]
     moved = _rotated(sset, seed)
     for (cut, actor), check in zip(standard_checks(sset.layout), base.checks):
         sides.clear()
@@ -635,8 +634,9 @@ def test_local_unitary_invariance_of_solution_dims(build, seed, monkeypatch):
                 expected.append(m * m)
             assert sides == expected, (cut.name, actor)
         else:
-            # the rotated set lacks the symmetry, so each check factors its
-            # whole Gram matrix once
+            # the rotated set touches every cell, so it is not tight, and each
+            # check factors its rows' Gram matrix once
+            assert _tight_size(moved) is None
             assert sides == [m * m], (cut.name, actor)
 
 
@@ -844,46 +844,23 @@ def test_cholesky_certificate_needs_identity_solution():
 
 
 # ---------------------------------------------------------------------------
-# symmetry blocks of the certificate
+# the reduced-state certificate of tight sets
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
-def test_symmetry_split_is_orthogonal_and_diagonalises_both_symmetries(m):
-    q, block = _symmetry_split(m)
-    dense = q.toarray()
-    assert np.allclose(dense.T @ dense, np.eye(m * m), atol=1e-15)
-    reverse = np.eye(m)[::-1]
-    for j, b in enumerate(block):
-        e = hermitian_from_coords(dense[:, j], m)
-        # blocks 0, 1 real and 2, 3 imaginary; 0, 2 even and 1, 3 odd under reversal
-        assert np.allclose(e.conj(), e if b < 2 else -e, atol=1e-15)
-        assert np.allclose(reverse @ e @ reverse, e if b % 2 == 0 else -e, atol=1e-15)
-    # the identity lies in block 0
-    assert not np.any((dense.T @ identity_coords(m))[block != 0])
-    assert np.bincount(block).max() == _largest_block(m)
-
-
-def test_symmetry_block_sizes():
-    assert tuple(np.bincount(_symmetry_split(36)[1])) == (342, 324, 306, 324)
-    assert tuple(np.bincount(_symmetry_split(100)[1])) == (2550, 2500, 2450, 2500)
-    # the solver limit 9^4 admits every block up to m = 161
-    assert (_largest_block(161), _largest_block(162)) == (6561, 6642)
-
 
 @pytest.mark.parametrize(
     "d, phases", [(4, False), (4, True), (5, False), (6, False)], ids=["4", "4-phased", "5", "6"]
 )
 def test_seeded_constructions_take_the_split_path(d, phases, monkeypatch):
-    # states permuted and scaled apart: rows from unit-norm states keep the
-    # Gram matrix symmetric, so every check of snoes (not a basis) factors
-    # its four blocks and nothing larger
+    # snoes (not a basis, but tight), permuted and scaled apart: each check
+    # factors one matrix from its reduced states, of the smaller side
+    # min(m^2, N), and nothing else
     sset = _seeded(build_snoes(d), 71 + d, phases)
     sides = _record_cholesky(monkeypatch)
     for cut, actor in standard_checks(sset.layout):
         sides.clear()
         assert certify_triviality(sset, cut, actor).solution_dim == 1
         m = _actor_dim(sset, actor)
-        assert sides == [int(c) for c in np.bincount(_symmetry_split(m)[1]) if c]
+        assert sides == [min(m * m, len(sset))], (cut.name, actor)
 
 
 @pytest.mark.parametrize(
@@ -901,43 +878,56 @@ def test_seeded_bases_take_the_reduced_state_path(d, phases, monkeypatch):
         assert sides == [min(m * m, len(sset))], (cut.name, actor)
 
 
-def _basis_inputs():
+def _tight_inputs():
     cases = {}
     for d in (3, 4, 5, 6):
         cases[f"snoeb({d})"] = lambda d=d: build_snoeb(d)
         cases[f"seeded-snoeb({d})"] = lambda d=d: _seeded(build_snoeb(d), 97 + d, phases=False)
         cases[f"phased-snoeb({d})"] = lambda d=d: _seeded(build_snoeb(d), 101 + d, phases=True)
     cases["ghz"] = ghz_basis
+    for d in (3, 4, 5):
+        cases[f"seeded-snoes({d})"] = lambda d=d: _seeded(build_snoes(d), 89 + d, phases=False)
+        cases[f"phased-snoes({d})"] = lambda d=d: _seeded(build_snoes(d), 113 + d, phases=True)
+    cases["snoeb(4)-off-a0"] = lambda: _off_the_a0_face(build_snoeb(4))
     return cases
 
 
-@pytest.mark.parametrize("build", _basis_inputs().values(), ids=_basis_inputs().keys())
+@pytest.mark.parametrize("build", _tight_inputs().values(), ids=_tight_inputs().keys())
 def test_basis_gram_matrix_from_reduced_states(build):
-    # Parseval over a basis: R^T R = (r I - M M^T) / 2 with r = D / m, for
-    # the assembled rows R and the reduced-state coordinates M
+    # a tight set, whose N states touch N cells (a basis, snoes, or whole
+    # runs such as snoeb(4) off the a = 0 face): R^T R = (Diag(h) - M M^T) / 2
+    # for the assembled rows R, the reduced-state coordinates M and the
+    # coverage h, which is r = D / m throughout for a basis (Parseval) and
+    # zero off the a = 0 face on the coordinates of a = 0
     sset = build()
+    assert _tight_size(sset) == len(sset)
     for cut, actor in standard_checks(sset.layout):
         cs = assemble_constraints(sset, cut, actor)
         assert cs.reduced.shape == (cs.m * cs.m, len(sset))
         assert cs.gram_deviation < 1e-12
-        r = len(sset) / cs.m
+        if len(sset) == sset.layout.total_dim:
+            assert np.all(cs.coverage == len(sset) / cs.m)
         gram = (cs.rows.T @ cs.rows).toarray()
-        closed = 0.5 * (r * np.eye(cs.m * cs.m) - (cs.reduced @ cs.reduced.T).toarray())
+        closed = 0.5 * (np.diag(cs.coverage) - (cs.reduced @ cs.reduced.T).toarray())
         assert np.max(np.abs(gram - closed)) < 1e-12, (cut.name, actor)
-        # each reduced state has trace one
+        # each reduced state has trace one, and together they are the
+        # partial trace of the projector onto the touched cells
         assert np.allclose(cs.reduced.T @ identity_coords(cs.m), 1.0, rtol=0, atol=1e-12)
+        traces = cs.reduced[: cs.m].sum(axis=1).A1
+        assert np.allclose(traces, cs.coverage[: cs.m], rtol=0, atol=1e-12)
 
 
 def test_non_bases_carry_no_reduced_states(monkeypatch):
-    # one state dropped from a basis: the system has no reduced-state
-    # certificate, and as the set is no longer closed under index reversal,
-    # the Gram certificate factors the whole m^2 x m^2 matrix
+    # one state dropped from a basis: its 63 states touch 64 cells, so the
+    # set is not tight, the system has no reduced-state certificate, and the
+    # Gram certificate factors its m^2 x m^2 matrix
     full = build_snoeb(4)
     sset = StateSet(full.layout, full.states[1:])
+    assert _tight_size(sset) is None
     sides = _record_cholesky(monkeypatch)
     for cut, actor in standard_checks(sset.layout):
         cs = assemble_constraints(sset, cut, actor)
-        assert cs.reduced is None and cs.gram_deviation is None
+        assert cs.reduced is None and cs.coverage is None and cs.gram_deviation is None
         sides.clear()
         assert certify_triviality(sset, cut, actor).solution_dim == 1
         m = _actor_dim(sset, actor)
@@ -980,8 +970,23 @@ def test_spoiled_basis_keeps_the_pipeline_verdict(tol, pairs, reduced):
         assert certify_triviality(sset, cut, actor, tol).solution_dim == pipeline == 1
 
 
-# sha256 of the witness bytes of each GHZ joint check, as the split path and
-# the pipeline give them
+@pytest.mark.parametrize("tol, pairs, reduced", [(1e-9, 12, True), (0.05, 4, False)])
+def test_spoiled_set_keeps_the_pipeline_verdict(tol, pairs, reduced):
+    # as for the basis above, on snoes(3): each mixed pair keeps its cells,
+    # so the set stays tight, and at tol = 0.05 the bound
+    # (2 delta + delta^2) h_max leaves no proof
+    sset = _boosted(build_snoes(3), 0.5 * tol, pairs)
+    assert _tight_size(sset) == len(sset)
+    for cut, actor in standard_checks(sset.layout):
+        cs = assemble_constraints(sset, cut, actor, tol)
+        assert cs.gram_deviation == pytest.approx(0.5 * tol * np.sqrt(2 * pairs), rel=1e-6)
+        assert _reduced_states_certify_trivial(cs, tol) == reduced, (cut.name, actor)
+        pipeline = _nullspace(cs.rows, cs.m * cs.m, tol).shape[1]
+        assert certify_triviality(sset, cut, actor, tol).solution_dim == pipeline == 1
+
+
+# sha256 of the witness bytes of each GHZ joint check, as the pipeline gives
+# them
 _GHZ_WITNESS_SHA256 = {
     "A|BC": "81990fafbc9544e5ff3662a8b9af58f254f7be6d318ea54517f925fa5e48408a",
     "B|AC": "be1eca24b4351da0d9db9accd01d252694b56660989968968c1e56430667c2f1",
@@ -1005,7 +1010,7 @@ def _record_assemblies(monkeypatch):
 def test_ghz_checks_fall_back_with_the_same_witness(monkeypatch):
     # one-party checks certify from the reduced states (all I / 2) and build
     # no rows; the joint checks have two solutions, fail that factorisation
-    # of side N = 8, build their rows and reach the split path and the
+    # of side N = 8, build their rows and reach the Gram certificate and the
     # pipeline, whose witness bytes are pinned
     ghz = ghz_basis()
     sides = _record_cholesky(monkeypatch)
@@ -1026,13 +1031,17 @@ def test_ghz_checks_fall_back_with_the_same_witness(monkeypatch):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: _seeded(build_snoeb(4), 83, phases=True), lambda: _rotated(build_snoeb(3), 47)],
-    ids=["seeded-snoeb(4)", "rotated-snoeb(3)"],
+    [
+        lambda: _seeded(build_snoeb(4), 83, phases=True),
+        lambda: _rotated(build_snoeb(3), 47),
+        lambda: build_snoes(9),
+    ],
+    ids=["seeded-snoeb(4)", "rotated-snoeb(3)", "snoes(9)"],
 )
 def test_trivial_basis_checks_build_no_rows(build, monkeypatch):
-    # the reduced states and the Gram matrix decide every check of a basis
-    # that is strongly nonlocal; neither the coupling product nor a row is
-    # formed, rotated or not
+    # the reduced states and the Gram matrix decide every check of a tight
+    # set that is strongly nonlocal, a basis rotated or not, or snoes;
+    # neither the coupling product nor a row is formed
     sset = build()
 
     def refuse(*args):
@@ -1105,9 +1114,8 @@ def test_basis_with_the_identity_outside_the_cut():
 
 def test_cholesky_certificate_sees_null_vectors_across_blocks():
     # rows whose null space is the identity and one direction that mixes the
-    # real and the imaginary part of E[0, 1]: each diagonal block alone is
-    # definite after the identity is deflated, so only the coupling B between
-    # them shows the second solution
+    # real and the imaginary part of E[0, 1]: the factorisation of the rows'
+    # Gram matrix must see the second solution and leave it to the pipeline
     m = 3
     ident = identity_coords(m) / np.sqrt(m)
     mixed = np.zeros(m * m)

@@ -3,9 +3,10 @@
 A protocol is a finite tree over party-owned registers.  Nodes are local
 measurements (branching on outcomes), ideal teleports (register ownership
 moves, one shared pair consumed), and answer leaves.  Execution walks the
-tree once with all candidate states together, held as one sparse array per
-node, tracking branch probabilities, which declared resources each path
-consumes, and whether the survivors at each node stay mutually orthogonal.
+tree a level at a time with all candidate states together, the nodes at one
+depth held as one sparse array, tracking branch probabilities, which
+declared resources each path consumes, and whether the survivors at each
+node stay mutually orthogonal.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DEFAULT_TOL, StateSet, _first_nonorthogonal_pair, _strides
+from .states import DEFAULT_TOL, StateSet, _strides
 from .states import _power_of_two_scaled
 
 _PRUNE = 1e-12
@@ -76,7 +77,14 @@ class RegisterTable:
             raise ProtocolError(f"unknown register {name!r}") from None
 
     def dims(self, names: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.get(n).dim for n in names)
+        # a 1-tuple of a tuple: no key of _layout or _index_map has that shape
+        key = (tuple(names),)
+        try:
+            return self._layouts[key]
+        except (KeyError, TypeError):  # not yet looked up, or not names at all
+            found = tuple(self.get(n).dim for n in names)
+        self._layouts[key] = found  # only known names get here
+        return found
 
     @functools.cached_property
     def strides(self) -> dict[str, int]:
@@ -155,33 +163,37 @@ class MeasurementStep:
     branches: Mapping[str, object]
 
     @functools.cached_property
-    def _kernel(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """The operators stacked for :meth:`_Joint.measure` (see :func:`_kernels`)."""
-        return _kernels(np.array([[op.matrix for op in self.operators]]))[0]
+    def _kernel(self) -> tuple["_Kernels", int]:
+        """The stack of kernels that holds this step's operators, and the
+        step's slot in it; a parsed step's stack holds its whole group."""
+        return _kernels(self.operators[0].regs, np.array([[op.matrix for op in self.operators]])), 0
 
 
-def _kernels(
-    stacks: np.ndarray,
-) -> list[tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
-    """The operators of each step of ``stacks``, (steps, k, L, L), as
-    :meth:`_Joint.measure` reads them: the diagonals, (k, L), if nothing lies
-    off any of them; else the rows where any of them holds a nonzero, and the
-    operators at those rows, (k, rows, L), a view when that is every row."""
-    nonzero = stacks != 0
-    diagonal = np.diagonal(stacks, axis1=2, axis2=3)
-    dense = np.count_nonzero(nonzero, axis=(1, 2, 3)) != np.count_nonzero(diagonal, axis=(1, 2))
-    rows = nonzero.any(axis=(1, 3))
-    every = np.arange(rows.shape[1])
-    kernels = []
-    for s, (off, all_rows) in enumerate(zip(dense.tolist(), rows.all(axis=1).tolist())):
-        if not off:
-            kernels.append((diagonal[s], None, None))
-        elif all_rows:
-            kernels.append((None, every, stacks[s]))
-        else:
-            held = np.flatnonzero(rows[s])
-            kernels.append((None, held, stacks[s][:, held]))
-    return kernels
+@dataclass(frozen=True, eq=False)
+class _Kernels:
+    """The operators of a stack of steps on ``regs``, ``outcomes`` each, as
+    the walk reads them: column c of the step at slot s holds the entries
+    ``start[s * L + c]`` to ``start[s * L + c + 1]`` of ``outcome``, ``row``
+    and ``value``, its nonzeros in every operator, by operator and then row
+    (L the levels of ``regs``)."""
+
+    regs: tuple[str, ...]
+    outcomes: int
+    start: np.ndarray
+    outcome: np.ndarray
+    row: np.ndarray
+    value: np.ndarray
+
+
+def _kernels(regs: tuple[str, ...], stacks: np.ndarray) -> _Kernels:
+    """The kernels of the steps of ``stacks``, (steps, k, L, L) on ``regs``,
+    each at its place in the stack."""
+    steps, k, levels, _ = stacks.shape
+    step, column, outcome, row = np.nonzero(stacks.transpose(0, 3, 1, 2))
+    at = step * levels + column
+    start = np.zeros(steps * levels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(at, minlength=steps * levels), out=start[1:])
+    return _Kernels(regs, k, start, outcome, row, stacks[step, outcome, row, column])
 
 
 @dataclass(frozen=True)
@@ -459,13 +471,14 @@ def _compile_group(
         acts[:, c] = _acts_on(ops, union, r, table, tol)
     flags = list(map(tuple, acts.tolist()))
     touched = {f: frozenset(by_reg[r].name for r, on in zip(shared, f) if on) for f in set(flags)}
-    for s, ((step, node), kernel) in enumerate(zip(pairs, _kernels(stack))):
+    kernels = _kernels(union, stack)
+    for s, (step, node) in enumerate(pairs):
         operators = tuple(
             MeasurementOperator(name, union, stack[s, j], touched[flags[s * k + j]])
             for j, name in enumerate(step.names)
         )
         object.__setattr__(node, "operators", operators)  # the node is still being built
-        node.__dict__["_kernel"] = kernel  # the cached property's slot
+        node.__dict__["_kernel"] = kernels, s  # the cached property's slot
 
 
 def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
@@ -619,12 +632,14 @@ def _summed(inverse: np.ndarray, amp: np.ndarray, size: int) -> np.ndarray:
 def _bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values, sorted, and the bin of each value: np.unique's
     inverse without its overhead, which dominates on arrays this small."""
-    ordered = np.sort(values)
+    order = np.argsort(values)
+    ordered = values[order]
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    return distinct, distinct.searchsorted(values)
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def _coalesced(pos: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -634,6 +649,67 @@ def _coalesced(pos: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray
     amp = _summed(inverse, amp, pos.size)
     nonzero = amp != 0
     return pos[nonzero], amp[nonzero]
+
+
+def _ranges(first: np.ndarray, many: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``first[i]`` to ``first[i] + many[i] - 1`` for each i in
+    turn, and the i of each."""
+    owner = np.repeat(np.arange(many.size), many)
+    return owner, np.arange(owner.size) + np.repeat(first - (np.cumsum(many) - many), many)
+
+
+def _measure_fault(step: MeasurementStep, live: Sequence[str], zero: bool) -> str | None:
+    """Why ``step`` cannot measure candidates with registers ``live``, some
+    of them the zero state when ``zero``, or None."""
+    for r in step.operators[0].regs:
+        if r not in live:
+            return f"operator {step.operators[0].name!r} acts on {r!r}, which is no longer live"
+    return "cannot measure the zero state" if zero else None
+
+
+def _outcomes(
+    kernels: _Kernels,
+    slot: np.ndarray,
+    count: int,
+    table: RegisterTable,
+    pos: np.ndarray,
+    amp: np.ndarray,
+    norm2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Apply every outcome operator of the steps of ``kernels`` to ``count``
+    candidates, entry e meeting the step at ``slot[e]``.
+
+    ``pos`` and ``amp`` are the candidates' entries as :class:`_Joint` holds
+    them, and ``norm2`` their |psi|^2.  Returns the Born probabilities
+    |M psi|^2 / |psi|^2, (k, count), the mask of those above the pruning
+    cutoff, and the survivors' entries and norms, renumbered in (outcome,
+    candidate) order.  All outcomes are formed in one pass, outcome o's
+    entries at keys ``o * count * size + pos``, and the sums at one key run
+    in the order of a pass over the one step alone.
+    """
+    size, k = table.size, kernels.outcomes
+    strides, dims, inner, offset = table._layout(kernels.regs)
+    # each entry's index on the step's registers picks the operator column it
+    # meets; each nonzero there gives a product, by entry, operator and row
+    sub = (pos[:, None] // strides % dims) @ inner
+    column = slot * offset.size + sub
+    first = kernels.start[column]
+    entry, at = _ranges(first, kernels.start[column + 1] - first)
+    # a product goes to the entry's position with that index replaced by its
+    # row, and those that land together are summed, by entry and then row
+    key, amp = _coalesced(
+        kernels.outcome[at] * (count * size)
+        + (pos - offset[sub])[entry]
+        + offset[kernels.row[at]],
+        kernels.value[at] * amp[entry],
+    )
+    cell = key // size  # outcome * count + candidate
+    found = np.bincount(cell, _abs2(amp), minlength=k * count)
+    born = found.reshape(k, count) / norm2
+    keep = born > _PRUNE
+    entry = keep.reshape(-1)[cell]
+    pos = (np.cumsum(keep) - 1)[cell[entry]] * size + key[entry] % size
+    return born, keep, pos, amp[entry], found[keep.reshape(-1)]
 
 
 @dataclass(frozen=True)
@@ -661,53 +737,27 @@ class _Joint:
         return np.bincount(self.pos // self.table.size, _abs2(self.amp), minlength=self.count)
 
     def measure(self, step: MeasurementStep) -> list[tuple[np.ndarray, np.ndarray, "_Joint"]]:
-        """Apply every outcome operator of ``step`` to every candidate.
+        """Apply every outcome operator of ``step`` to every candidate: the
+        walk's pass (:func:`_outcomes`) on one node.
 
         Returns, for each operator in order, the Born probabilities
         |M psi|^2 / |psi|^2, the mask of the candidates above the pruning
         cutoff, and their unnormalized post-states, renumbered, with the
-        resources the operator touches consumed.  All outcomes are formed in
-        one pass, outcome o's entries at keys ``o * count * size + pos``.
+        resources the operator touches consumed.
         """
-        regs = step.operators[0].regs
-        for r in regs:
-            if r not in self.live:
-                raise ValueError(
-                    f"operator {step.operators[0].name!r} acts on {r!r}, which is no longer live"
-                )
-        if not self.norm2.all():
-            raise ValueError("cannot measure the zero state")
-        size, k = self.table.size, len(step.operators)
-        strides, dims, inner, offset = self.table._layout(regs)
-        diagonal, rows, held = step._kernel
-        # each entry's index on the step's registers picks the operator column it meets
-        sub = (self.pos[:, None] // strides % dims) @ inner
-        if diagonal is not None:
-            value = diagonal[:, sub] * self.amp
-            outcome, entry = np.nonzero(value)
-            key, amp = outcome * (self.count * size) + self.pos[entry], value[outcome, entry]
-        else:
-            # the column at the rows where any operator holds a nonzero; the
-            # nonzero products go to the entry's position with that index
-            # replaced by their rows, and those that land together are summed
-            value = (held[:, :, sub] * self.amp).transpose(0, 2, 1)
-            # row-major over (outcome, entry, row): the order of the sums below
-            outcome, entry, at = np.nonzero(value)
-            key, amp = _coalesced(
-                outcome * (self.count * size) + (self.pos - offset[sub])[entry] + offset[rows[at]],
-                value[outcome, entry, at],
-            )
-        cell = key // size  # outcome * count + candidate
-        norm2 = np.bincount(cell, _abs2(amp), minlength=k * self.count)
-        born = norm2.reshape(k, self.count) / self.norm2
-        keep = born > _PRUNE
-        entry = keep.reshape(-1)[cell]
-        cell = cell[entry]
-        pos = (np.cumsum(keep, axis=1) - 1).reshape(-1)[cell] * size + key[entry] % size
-        amp, norm2 = amp[entry], norm2[keep.reshape(-1)]
+        fault = _measure_fault(step, self.live, not self.norm2.all())
+        if fault:
+            raise ValueError(fault)
+        kernels, slot = step._kernel
+        born, keep, pos, amp, norm2 = _outcomes(
+            kernels, np.full(self.pos.size, slot), self.count, self.table, self.pos, self.amp,
+            self.norm2,
+        )
+        size = self.table.size
         # each outcome's survivors are a contiguous run of entries and of norms
-        ends = np.searchsorted(cell, self.count * np.arange(1, k + 1)).tolist()
-        counts = np.cumsum(keep.sum(axis=1)).tolist()
+        counts = np.cumsum(keep.sum(axis=1))
+        ends = np.searchsorted(pos, counts * size).tolist()
+        counts = counts.tolist()
         children = []
         for o, (op, start, end, first, last) in enumerate(
             zip(step.operators, [0, *ends], ends, [0, *counts], counts)
@@ -718,7 +768,7 @@ class _Joint:
                 self.owners,
                 self.consumed | op.touches,
                 last - first,
-                pos[start:end],
+                pos[start:end] - first * size,
                 amp[start:end],
             )
             child.__dict__["norm2"] = norm2[first:last]  # the cached property's slot
@@ -766,14 +816,6 @@ class _Joint:
             key[nonzero],
             v[nonzero],
         )
-
-    def gram(self) -> np.ndarray:
-        """Dense Gram matrix <i|j> of the candidates, over their joint support."""
-        row, flat = np.divmod(self.pos, self.table.size)
-        columns, col = _bins(flat)
-        mat = np.zeros((self.count, columns.size), dtype=complex)
-        mat[row, col] = self.amp
-        return mat.conj() @ mat.T
 
 
 @dataclass(frozen=True)
@@ -858,14 +900,42 @@ def _initial(spec: ProtocolSpec, sset: StateSet) -> _Joint:
     )
 
 
-def _groups(
-    spec: ProtocolSpec, sset: StateSet, tol: float
-) -> Iterator[tuple[object, np.ndarray, np.ndarray, _Joint]]:
-    """Walk the tree depth first with all candidates together.
+@dataclass
+class _Node:
+    """A node of the tree as the level walk reaches it, with its survivors,
+    the frontier's candidates ``start`` to ``start + count``.  ``path`` is the
+    branch taken at each node above it (0 past a teleport), so that paths
+    sort in depth-first order."""
 
-    Yields every node reached with its survivors: their indices in the set,
-    their path probabilities and their joint state.  A candidate leaves a
-    branch whose Born probability is at most the pruning cutoff.
+    tree: object
+    path: tuple[int, ...]
+    start: int
+    count: int
+    live: tuple[str, ...]
+    owners: Mapping[str, str]
+    consumed: frozenset[str]
+
+
+def _walk(
+    spec: ProtocolSpec, sset: StateSet, tol: float, orthogonality: bool
+) -> tuple[list[tuple[tuple[int, ...], str, np.ndarray, np.ndarray, frozenset[str]]], bool]:
+    """Walk the tree a level at a time with all candidates together.
+
+    The nodes at one depth are one frontier: one sparse array of entries
+    keyed by node, then candidate, then position (a :class:`_Joint` over all
+    their candidates, numbered node by node), and each candidate's index in
+    the set, path probability and |psi|^2.  The measurement steps whose
+    operators share a stack of kernels are applied in one pass of
+    :func:`_outcomes`.  A candidate leaves a branch whose Born probability is
+    at most the pruning cutoff.
+
+    Returns each leaf reached, in depth-first order, as its path, answer,
+    survivors' indices and path probabilities and consumed resources; and,
+    with ``orthogonality``, whether the survivors at every node reached stay
+    mutually orthogonal, read off one block-diagonal Gram matrix per
+    frontier.  A fault is raised as a depth-first walk meets it: only the
+    nodes before it in depth-first order go on, and it is raised unless one
+    of them faults or is found not orthogonal first.
     """
     if not len(sset):
         raise ProtocolError("the state set has no states to discriminate")
@@ -881,20 +951,184 @@ def _groups(
                 f"principal register {reg.name!r} has dim {reg.dim}, states need {d}"
             )
 
-    def walk(node, index, prob, joint):
-        yield node, index, prob, joint
-        if isinstance(node, Teleport):
-            res = spec.resource(node.resource)
-            yield from walk(node.then, index, prob, joint.teleport(node.source, res, node.to, tol))
-        elif isinstance(node, MeasurementStep):
-            for op, (born, keep, child) in zip(node.operators, joint.measure(node)):
-                if child.count:
-                    yield from walk(
-                        node.branches[op.name], index[keep], prob[keep] * born[keep], child
-                    )
+    table, size, n = spec.table, spec.table.size, len(sset)
+    root = _initial(spec, sset)
+    nodes = [_Node(spec.root, (), 0, n, root.live, root.owners, root.consumed)]
+    frontier = root.pos, root.amp, root.norm2, np.arange(n), np.ones(n)
+    # (path, 0, None) for survivors found not orthogonal, (path, 1, error) for
+    # a fault: at one node the depth-first walk checks orthogonality first
+    events: list[tuple[tuple[int, ...], int, ValueError | None]] = []
+    leaves = []
+    while nodes:
+        if events:
+            first = min(events, key=lambda event: event[:2])[0]
+            nodes = [node for node in nodes if node.path < first]
+        buckets, frontier = _buckets(nodes, frontier, size, events)
+        if orthogonality:
+            path = _first_nonorthogonal_node(
+                [node for _, bucket in buckets for node in bucket], frontier, size, tol
+            )
+            if path is not None:
+                events.append((path, 0, None))
+        grown = []
+        for key, bucket in buckets:
+            if isinstance(key, _Kernels):
+                grown.append(_measured(key, bucket, table, frontier))
+                continue
+            for node in bucket:
+                if isinstance(node.tree, Leaf):
+                    index, prob = (a[node.start : node.start + node.count] for a in frontier[3:])
+                    leaves.append((node.path, node.tree.answer, index, prob, node.consumed))
+                elif isinstance(node.tree, Teleport):
+                    try:
+                        grown.append(_teleported(node, spec, tol, frontier))
+                    except ValueError as error:
+                        events.append((node.path, 1, error))
+        # each part numbers its candidates from 0: shift them to follow the last
+        total, parts = 0, []
+        for children, (pos, *rest) in grown:
+            for child in children:
+                child.start += total
+            parts.append((pos + total * size, *rest))
+            total += len(rest[1])
+        nodes = [child for children, _ in grown for child in children]
+        if parts:
+            frontier = tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    n = len(sset)
-    yield from walk(spec.root, np.arange(n), np.ones(n), _initial(spec, sset))
+    first = min(events, key=lambda event: event[:2]) if events else None
+    if first is not None and first[2] is not None:
+        raise first[2]
+    leaves.sort(key=lambda leaf: leaf[0])
+    return leaves, first is None
+
+
+def _buckets(
+    nodes: list[_Node], frontier: tuple[np.ndarray, ...], size: int, events: list
+) -> tuple[list[tuple[object, list[_Node]]], tuple[np.ndarray, ...]]:
+    """The nodes of a frontier in buckets, in order of first appearance: the
+    steps that share a stack of kernels (keyed by it), the steps that fault
+    (None; their faults go to ``events``), and the other nodes by kind.
+
+    ``frontier`` holds the entries (positions and amplitudes), then each
+    candidate's |psi|^2, index in the set and path probability.  It is
+    returned with the candidates of the nodes only, renumbered bucket by
+    bucket, and each node's ``start`` moved to match.
+    """
+    pos, amp, norm2, *rest = frontier
+    some_zero = not norm2.all()
+    buckets: dict[object, list[_Node]] = {}
+    for node in nodes:
+        key = type(node.tree)
+        if isinstance(node.tree, MeasurementStep):
+            zero = some_zero and not norm2[node.start : node.start + node.count].all()
+            fault = _measure_fault(node.tree, node.live, zero)
+            if fault:
+                events.append((node.path, 1, ValueError(fault)))
+            key = None if fault else node.tree._kernel[0]
+        buckets.setdefault(key, []).append(node)
+    nodes = [node for bucket in buckets.values() for node in bucket]
+    counts = np.array([node.count for node in nodes], dtype=np.int64)
+    shift = np.array([node.start for node in nodes], dtype=np.int64) - (np.cumsum(counts) - counts)
+    for node, by in zip(nodes, shift.tolist()):
+        node.start -= by
+    if not shift.any() and counts.sum() == norm2.size:
+        return list(buckets.items()), frontier
+    take = np.repeat(shift, counts) + np.arange(counts.sum())
+    where = np.full(norm2.size, -1)
+    where[take] = np.arange(take.size)
+    row = where[pos // size]
+    kept = np.flatnonzero(row >= 0)
+    # a candidate's entries are one run, sorted by position: a stable sort by
+    # the new number keeps them so
+    kept = kept[np.argsort(row[kept], kind="stable")]
+    entries = row[kept] * size + pos[kept] % size, amp[kept]
+    return list(buckets.items()), (*entries, *(a[take] for a in (norm2, *rest)))
+
+
+def _measured(
+    kernels: _Kernels, nodes: list[_Node], table: RegisterTable, frontier: tuple[np.ndarray, ...]
+) -> tuple[list[_Node], list[np.ndarray]]:
+    """The steps at ``nodes``, whose operators ``kernels`` holds, applied in
+    one pass of :func:`_outcomes` to their survivors, the frontier's
+    candidates from ``nodes[0].start`` on.  Returns the children reached,
+    by outcome and then node, and their frontier arrays, the candidates
+    numbered from 0."""
+    (pos, amp, norm2, index, prob), size = frontier, table.size
+    c0, c1 = nodes[0].start, nodes[-1].start + nodes[-1].count
+    e0, e1 = np.searchsorted(pos, [c0 * size, c1 * size]).tolist()
+    pos = pos[e0:e1] - c0 * size
+    starts = np.array([node.start for node in nodes], dtype=np.int64) - c0
+    runs = np.diff(np.searchsorted(pos, starts * size), append=pos.size)
+    slot = np.repeat([node.tree._kernel[1] for node in nodes], runs)
+    born, keep, *arrays = _outcomes(kernels, slot, c1 - c0, table, pos, amp[e0:e1], norm2[c0:c1])
+    arrays += np.broadcast_to(index[c0:c1], keep.shape)[keep], (prob[c0:c1] * born)[keep]
+    kept = np.add.reduceat(keep, starts, axis=1, dtype=np.int64).reshape(-1).tolist()
+    children, total = [], 0
+    for (o, node), count in zip(itertools.product(range(len(keep)), nodes), kept):
+        if count:
+            op = node.tree.operators[o]
+            children.append(
+                _Node(
+                    node.tree.branches[op.name], node.path + (o,), total, count,
+                    node.live, node.owners, node.consumed | op.touches,
+                )
+            )
+            total += count
+    return children, arrays
+
+
+def _teleported(
+    node: _Node, spec: ProtocolSpec, tol: float, frontier: tuple[np.ndarray, ...]
+) -> tuple[list[_Node], list[np.ndarray]]:
+    """The teleport at ``node`` applied to its survivors, the frontier's
+    candidates from ``node.start`` on: its child, and the child's frontier
+    arrays, the candidates numbered from 0."""
+    (pos, amp, norm2, index, prob), size, tree = frontier, spec.table.size, node.tree
+    c0, c1 = node.start, node.start + node.count
+    e0, e1 = np.searchsorted(pos, [c0 * size, c1 * size]).tolist()
+    joint = _Joint(
+        spec.table, node.live, node.owners, node.consumed, node.count,
+        pos[e0:e1] - c0 * size, amp[e0:e1],
+    )
+    joint.__dict__["norm2"] = norm2[c0:c1]  # the cached property's slot
+    moved = joint.teleport(tree.source, spec.resource(tree.resource), tree.to, tol)
+    child = _Node(
+        tree.then, node.path + (0,), 0, node.count, moved.live, moved.owners, moved.consumed
+    )
+    return [child], [moved.pos, moved.amp, moved.norm2, index[c0:c1], prob[c0:c1]]
+
+
+def _first_nonorthogonal_node(
+    nodes: list[_Node], frontier: tuple[np.ndarray, ...], size: int, tol: float
+) -> tuple[int, ...] | None:
+    """The path of the first node in depth-first order at which two
+    survivors i, j have |<i|j>| > tol * |i| * |j|, or None.
+
+    The frontier's Gram matrix is block-diagonal: its columns are (node,
+    flat index), so that only candidates at one node meet.  Its entries off
+    the diagonal are summed from the products of each entry with those after
+    it in its column.
+    """
+    pos, amp, norm2, *_ = frontier
+    counts = np.array([node.count for node in nodes], dtype=np.int64)
+    if counts.max(initial=0) < 2:
+        return None
+    owner = np.repeat(np.arange(len(nodes)), counts)
+    row = pos // size
+    column = owner[row] * size + pos % size
+    order = np.argsort(column, kind="stable")  # a column's entries by candidate
+    column = column[order]
+    after = np.searchsorted(column, column, side="right") - np.arange(1, column.size + 1)
+    left, right = _ranges(np.arange(1, column.size + 1), after)
+    left, right = order[left], order[right]
+    pairs, inverse = _bins(row[left] * owner.size + row[right])
+    gram = _summed(inverse, amp[left].conj() * amp[right], pairs.size)
+    i, j = np.divmod(pairs, owner.size)
+    norms = np.sqrt(norm2)
+    bad = np.abs(gram) > tol * norms[i] * norms[j]
+    if not bad.any():
+        return None
+    return min(nodes[k].path for k in set(owner[i[bad]].tolist()))
 
 
 def run_protocol(
@@ -902,11 +1136,10 @@ def run_protocol(
 ) -> ExecutionReport:
     """Traverse the tree for every candidate state and account the resources."""
     branches: list[list[BranchOutcome]] = [[] for _ in range(len(sset))]
-    for node, index, prob, joint in _groups(spec, sset, tol):
-        if isinstance(node, Leaf):
-            resources = tuple(sorted(joint.consumed))
-            for i, p in zip(index.tolist(), prob.tolist()):
-                branches[i].append(BranchOutcome(node.answer, p, resources))
+    for _, answer, index, prob, consumed in _walk(spec, sset, tol, orthogonality=False)[0]:
+        resources = tuple(sorted(consumed))
+        for i, p in zip(index.tolist(), prob.tolist()):
+            branches[i].append(BranchOutcome(answer, p, resources))
 
     outcomes = []
     copies = {res.name: 0.0 for res in spec.resources}
@@ -957,7 +1190,4 @@ def check_orthogonality_preservation(
     spec: ProtocolSpec, sset: StateSet, tol: float = DEFAULT_TOL
 ) -> bool:
     """True iff after every step the surviving candidates stay mutually orthogonal."""
-    return all(
-        joint.count < 2 or _first_nonorthogonal_pair(joint.gram(), tol) is None
-        for _, _, _, joint in _groups(spec, sset, tol)
-    )
+    return _walk(spec, sset, tol, orthogonality=True)[1]

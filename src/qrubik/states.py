@@ -319,6 +319,13 @@ class StateSet:
         return _read_only((_unit_scaled(state, amps, len(self)),))[0]
 
     @functools.cached_property
+    def _cell_count(self) -> int:
+        """The number of distinct cells (product basis states) the terms
+        touch, counted once."""
+        dims = self.layout.dims
+        return int(np.unique(_flat_index(self.term_arrays[1], dims, range(len(dims)))).size)
+
+    @functools.cached_property
     def _unit_gram(self) -> tuple[scipy.sparse.csr_matrix, float, float]:
         """The Gram matrix G of the unit states, formed once, its arrays
         read-only, with delta = ||G - I||_F and the root of the sum of
@@ -610,25 +617,16 @@ def _span_rank(mat: scipy.sparse.spmatrix, tol: float) -> int:
     return int(np.sum(svals > tol * top)) if top > 0 else 0
 
 
-def _first_nonorthogonal_pair(
-    gram: scipy.sparse.spmatrix | np.ndarray, tol: float
-) -> tuple[int, int] | None:
+def _first_nonorthogonal_pair(gram: scipy.sparse.spmatrix, tol: float) -> tuple[int, int] | None:
     """Lexicographically first i < j with |<i|j>| > tol * |i| * |j|, or None.
 
-    ``gram`` is the set's Gram matrix, sparse for a whole set (most pairs of a
-    cube-partition set share no support) or dense for a few states; the norms
-    are read off its diagonal.
+    ``gram`` is the set's Gram matrix, sparse (most pairs of a cube-partition
+    set share no support); the norms are read off its diagonal.
     """
     norms = np.sqrt(gram.diagonal().real)
-    if scipy.sparse.issparse(gram):
-        coo = gram.tocoo()
-        upper = coo.row < coo.col
-        i, j, value = coo.row[upper], coo.col[upper], coo.data[upper]
-    else:
-        i, j = np.nonzero(gram)
-        upper = i < j
-        i, j = i[upper], j[upper]
-        value = gram[i, j]
+    coo = gram.tocoo()
+    upper = coo.row < coo.col
+    i, j, value = coo.row[upper], coo.col[upper], coo.data[upper]
     bad = np.abs(value) > tol * norms[i] * norms[j]
     if not bad.any():
         return None

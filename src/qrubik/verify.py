@@ -237,13 +237,12 @@ def _tight_size(sset: StateSet) -> int | None:
 
     N mutually orthogonal states span N dimensions and so touch at least N
     cells; a set of as many states as the total dimension (a basis) touches
-    at most that many, and is tight without counting."""
+    at most that many, and is tight without counting.  Any other set's cells
+    are counted once (``StateSet._cell_count``)."""
     n = len(sset)
     if n == sset.layout.total_dim:
         return n
-    dims = sset.layout.dims
-    cells = _flat_index(sset.term_arrays[1], dims, range(len(dims)))
-    return n if np.unique(cells).size == n else None
+    return n if sset._cell_count == n else None
 
 
 def _check_unknowns(m: int, tight: int | None, check: str) -> None:

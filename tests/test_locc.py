@@ -950,6 +950,101 @@ def test_measuring_a_teleported_pair_register_is_refused():
         run_protocol(parse_protocol(doc), _pair_of_states())
 
 
+def _split(party, reg, first, rest):
+    """``party`` measures ``reg`` (dim 2): level 0 goes to ``first``, the
+    complement to ``rest``."""
+    return {
+        "type": "measure",
+        "party": party,
+        "operators": [
+            {"name": "P0", "proj": [{"regs": [reg], "levels": [[0]]}]},
+            {"name": "P1", "complement": True},
+        ],
+        "branches": {"P0": first, "P1": rest},
+    }
+
+
+def _teleport_then_measure(resource, register):
+    """Alice teleports A to Bob over ``resource``; Bob then measures
+    ``register``, a half of that pair, which the teleport has factored out."""
+    leaf = {"type": "leaf", "answer": "x"}
+    return {
+        "type": "teleport",
+        "source": "A",
+        "resource": resource,
+        "to": "Bob",
+        "then": _split("Bob", register, leaf, leaf),
+    }
+
+
+def _two_pair_doc(first, rest):
+    """Alice splits A: level 0 goes to ``first``, level 1 to ``rest``; (a, b)
+    and (c, d) are shared pairs."""
+    doc = _pair_doc(_split("Alice", "A", first, rest))
+    doc["registers"] += [
+        {"name": "c", "owner": "Alice", "dim": 2},
+        {"name": "d", "owner": "Bob", "dim": 2},
+    ]
+    doc["resources"].append(
+        {"name": "s", "pair": ["Alice", "Bob"], "dim": 2, "registers": ["c", "d"]}
+    )
+    return doc
+
+
+def test_walk_faults_are_reported_in_depth_first_order():
+    # the first branch faults at depth 3, the second at depth 2: a walk by
+    # levels meets the second first, a depth-first walk the first
+    leaf = {"type": "leaf", "answer": "y"}
+    deep = _split("Bob", "B", _teleport_then_measure("r", "b"), leaf)
+    doc = _two_pair_doc(deep, _teleport_then_measure("s", "d"))
+    spec, sset = parse_protocol(doc), _pair_of_states()
+    for walk in (run_protocol, check_orthogonality_preservation):
+        with pytest.raises(ValueError, match="'b', which is no longer live"):
+            walk(spec, sset)
+    # two states collapse to one at depth 3 of the first branch, before the
+    # second branch faults at depth 2 in depth-first order
+    layout = PartyLayout(("A", "B"), (2, 2))
+    collapsing = StateSet(
+        layout,
+        (
+            PureState(layout, [((0, 0), 1), ((0, 1), 1)], "x"),
+            PureState(layout, [((0, 0), 1), ((0, 1), -1)], "y"),
+            PureState(layout, [((1, 1), 1)], "z"),
+        ),
+    )
+    identity = {
+        "type": "measure",
+        "party": "Bob",
+        "operators": [{"name": "I", "proj": [{"regs": ["B"], "levels": [[0], [1]]}]}],
+        "branches": {"I": _split("Bob", "B", leaf, leaf)},
+    }
+    spec = parse_protocol(_two_pair_doc(identity, _teleport_then_measure("s", "d")))
+    assert check_orthogonality_preservation(spec, collapsing) is False
+    with pytest.raises(ValueError, match="'d', which is no longer live"):
+        run_protocol(spec, collapsing)
+
+
+def test_orthogonality_check_pairs_candidates_at_one_node_only():
+    # both outcomes are I / sqrt 2 on A: each candidate reaches both children
+    # in the same state, and at each child the candidates stay orthogonal
+    half = [[[0.5**0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5**0.5, 0.0]]]
+    doc = _minimal_doc()
+    doc["root"]["operators"] = [
+        {"name": name, "regs": ["A"], "matrix": half} for name in ("P0", "P1")
+    ]
+    spec = parse_protocol(doc)
+    layout = PartyLayout(("A", "B"), (2, 2))
+    sset = StateSet(
+        layout,
+        (
+            PureState(layout, [((0, 0), 1), ((1, 0), 1)], "x"),
+            PureState(layout, [((0, 0), 1), ((1, 0), -1)], "y"),
+        ),
+    )
+    assert check_orthogonality_preservation(spec, sset) is True
+    assert [len(o.branches) for o in run_protocol(spec, sset).outcomes] == [2, 2]
+
+
 def test_zero_candidate_cannot_be_measured():
     spec = parse_protocol(_minimal_doc())
     layout = PartyLayout(("A", "B"), (2, 2))
@@ -1113,6 +1208,17 @@ def test_parsed_operators_match_dense_reference(name):
     assert _assert_matches_reference(doc, parse_protocol(doc)) > 0
 
 
+def _walk_kernel(step):
+    """The step's operators as the walk reads them, out of the stack that
+    holds them: where each column's nonzeros start, and their operators,
+    rows and values."""
+    kernels, slot = step._kernel
+    levels = len(step.operators[0].matrix)
+    start = kernels.start[slot * levels : (slot + 1) * levels + 1]
+    at = slice(start[0], start[-1])
+    return start - start[0], kernels.outcome[at], kernels.row[at], kernels.value[at]
+
+
 @pytest.mark.parametrize("name", ["example1", "prop1", "prop2"])
 def test_split_groups_compile_the_same_operators(name, monkeypatch):
     # one stack per step instead of one per group of steps: the same bytes,
@@ -1132,9 +1238,9 @@ def test_split_groups_compile_the_same_operators(name, monkeypatch):
         for x, y in zip(a.operators, b.operators):
             assert (x.name, x.regs, x.touches) == (y.name, y.regs, y.touches)
             assert x.matrix.tobytes() == y.matrix.tobytes()
-        for kernel in (b._kernel, replace(a)._kernel):
-            for x, y in zip(a._kernel, kernel):
-                assert (x is None and y is None) or np.array_equal(x, y)
+        for kernel in (_walk_kernel(b), _walk_kernel(replace(a))):
+            for x, y in zip(_walk_kernel(a), kernel):
+                assert np.array_equal(x, y)
 
 
 # sha256 of each shipped protocol with its vector operators in the dense
@@ -1184,8 +1290,8 @@ def test_vector_operators_compile_as_their_dense_matrices(name, states):
         for x, y in zip(a.operators, b.operators):
             assert (x.regs, x.touches) == (y.regs, y.touches), x.name
             assert x.matrix.tobytes() == y.matrix.tobytes(), x.name
-        for x, y in zip(a._kernel, b._kernel):
-            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        for x, y in zip(_walk_kernel(a), _walk_kernel(b)):
+            assert x.tobytes() == y.tobytes()
     sset = states()
     assert run_protocol(parsed, sset) == run_protocol(reference, sset)
     assert check_orthogonality_preservation(parsed, sset) is True

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import functools
 import gc
 import json
 import math
@@ -494,6 +495,25 @@ def test_verify_forms_the_term_arrays_once_per_set(tmp_path, monkeypatch):
     calls.clear()
     assert verify_strong_nonlocality(load_state_set(path)).strongly_nonlocal
     assert len(calls) <= 1
+
+
+def test_verify_counts_the_cells_once_per_set(monkeypatch):
+    # a set that is not a basis is tight only if its cells are counted: once
+    # for the size test and all six checks
+    calls = []
+    count = StateSet._cell_count.func
+
+    def counting(sset):
+        calls.append(len(sset))
+        return count(sset)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(StateSet, "_cell_count")
+    monkeypatch.setattr(StateSet, "_cell_count", counted)
+    sset = build_snoes(4)
+    assert len(sset) < sset.layout.total_dim
+    assert verify_strong_nonlocality(sset).strongly_nonlocal
+    assert calls == [len(sset)]
 
 
 def test_verify_forms_the_unit_gram_once_per_set(monkeypatch):

@@ -679,19 +679,19 @@ def _outcomes(
     """Apply every outcome operator of the steps of ``kernels`` to ``count``
     candidates, entry e meeting the step at ``slot[e]``.
 
-    ``pos`` and ``amp`` are the candidates' entries as :class:`_Joint` holds
-    them, and ``norm2`` their |psi|^2.  Returns the Born probabilities
-    |M psi|^2 / |psi|^2, (k, count), the mask of those above the pruning
-    cutoff, and the survivors' entries and norms, renumbered in (outcome,
-    candidate) order.  All outcomes are formed in one pass, outcome o's
-    entries at keys ``o * count * size + pos``, and the sums at one key run
-    in the order of a pass over the one step alone.
+    ``pos`` and ``amp`` are the candidates' entries as the walk holds them
+    (:func:`_walk`), and ``norm2`` their |psi|^2.  Returns the Born
+    probabilities |M psi|^2 / |psi|^2, (k, count), the mask of those above
+    the pruning cutoff, and the survivors' entries and norms, renumbered in
+    (outcome, candidate) order.  All outcomes are formed in one pass, outcome
+    o's entries at keys ``o * count * size + pos``, and the sums at one key
+    run in the order of a pass over the one step alone.
     """
     size, k = table.size, kernels.outcomes
     strides, dims, inner, offset = table._layout(kernels.regs)
     # each entry's index on the step's registers picks the operator column it
     # meets; each nonzero there gives a product, by entry, operator and row
-    sub = (pos[:, None] // strides % dims) @ inner
+    sub = sum(pos // s % d * i for s, d, i in zip(strides, dims, inner))
     column = slot * offset.size + sub
     first = kernels.start[column]
     entry, at = _ranges(first, kernels.start[column + 1] - first)
@@ -710,112 +710,6 @@ def _outcomes(
     entry = keep.reshape(-1)[cell]
     pos = (np.cumsum(keep) - 1)[cell[entry]] * size + key[entry] % size
     return born, keep, pos, amp[entry], found[keep.reshape(-1)]
-
-
-@dataclass(frozen=True)
-class _Joint:
-    """``count`` candidates that share registers, ownership and consumed
-    resources, held as one sparse array.
-
-    Entry e is the amplitude ``amp[e]`` at ``pos[e] = row * table.size + flat``
-    of candidate ``row``, where ``flat`` is the C-order index over the whole
-    register table and a register that is no longer live sits at level 0.
-    Positions are unique and sorted, and amplitudes nonzero.
-    """
-
-    table: RegisterTable
-    live: tuple[str, ...]
-    owners: Mapping[str, str]
-    consumed: frozenset[str]
-    count: int
-    pos: np.ndarray
-    amp: np.ndarray
-
-    @functools.cached_property
-    def norm2(self) -> np.ndarray:
-        """|psi|^2 of each candidate."""
-        return np.bincount(self.pos // self.table.size, _abs2(self.amp), minlength=self.count)
-
-    def measure(self, step: MeasurementStep) -> list[tuple[np.ndarray, np.ndarray, "_Joint"]]:
-        """Apply every outcome operator of ``step`` to every candidate: the
-        walk's pass (:func:`_outcomes`) on one node.
-
-        Returns, for each operator in order, the Born probabilities
-        |M psi|^2 / |psi|^2, the mask of the candidates above the pruning
-        cutoff, and their unnormalized post-states, renumbered, with the
-        resources the operator touches consumed.
-        """
-        fault = _measure_fault(step, self.live, not self.norm2.all())
-        if fault:
-            raise ValueError(fault)
-        kernels, slot = step._kernel
-        born, keep, pos, amp, norm2 = _outcomes(
-            kernels, np.full(self.pos.size, slot), self.count, self.table, self.pos, self.amp,
-            self.norm2,
-        )
-        size = self.table.size
-        # each outcome's survivors are a contiguous run of entries and of norms
-        counts = np.cumsum(keep.sum(axis=1))
-        ends = np.searchsorted(pos, counts * size).tolist()
-        counts = counts.tolist()
-        children = []
-        for o, (op, start, end, first, last) in enumerate(
-            zip(step.operators, [0, *ends], ends, [0, *counts], counts)
-        ):
-            child = _Joint(
-                self.table,
-                self.live,
-                self.owners,
-                self.consumed | op.touches,
-                last - first,
-                pos[start:end] - first * size,
-                amp[start:end],
-            )
-            child.__dict__["norm2"] = norm2[first:last]  # the cached property's slot
-            children.append((born[o], keep[o], child))
-        return children
-
-    def teleport(
-        self, source: str, resource: ResourceDecl, to: str, tol: float
-    ) -> "_Joint":
-        """Factor the resource pair out of every candidate and move ``source``."""
-        if resource.name in self.consumed:
-            raise ValueError(f"resource {resource.name!r} already consumed")
-        if self.table.get(source).dim != resource.dim:
-            raise ValueError(
-                f"teleport of {source!r} needs a dim-{self.table.get(source).dim} resource"
-            )
-        d = resource.dim
-        s1, s2 = (self.table.strides[r] for r in resource.registers)
-        first, second = self.pos // s1 % d, self.pos // s2 % d
-        rest = self.pos - first * s1 - second * s2
-        # a candidate's mat[rest, (k, l)] must be v[rest] delta_kl, v the mean
-        # of the diagonal: ||mat - v mes^T|| counts the entries off the
-        # diagonal, the diagonal entries minus v, and the missing ones (-v)
-        diag = first == second
-        key, inverse = _bins(rest[diag])
-        v = _summed(inverse, self.amp[diag], key.size) / d
-        missing = d - np.bincount(inverse, minlength=key.size)
-        row = self.pos // self.table.size
-        residual = (
-            np.bincount(row[~diag], _abs2(self.amp[~diag]), minlength=self.count)
-            + np.bincount(row[diag], _abs2(self.amp[diag] - v[inverse]), minlength=self.count)
-            + np.bincount(key // self.table.size, missing * _abs2(v), minlength=self.count)
-        )
-        if np.any(np.sqrt(residual) > tol * np.maximum(np.sqrt(self.norm2), 1e-30)):
-            raise ValueError(
-                f"resource {resource.name!r} is no longer in its initial entangled state"
-            )
-        nonzero = v != 0
-        return _Joint(
-            self.table,
-            tuple(r for r in self.live if r not in resource.registers),
-            {**self.owners, source: to},
-            self.consumed | {resource.name},
-            self.count,
-            key[nonzero],
-            v[nonzero],
-        )
 
 
 @dataclass(frozen=True)
@@ -873,10 +767,10 @@ class ExecutionReport:
     total_ebits: float
 
 
-def _initial(spec: ProtocolSpec, sset: StateSet) -> _Joint:
-    """The candidates with every shared pair in sum_k |k,k>, each scaled by a
-    power of two (:func:`_power_of_two_scaled`), which leaves every Born ratio
-    as it is."""
+def _initial(spec: ProtocolSpec, sset: StateSet) -> tuple[np.ndarray, np.ndarray]:
+    """The root's entries, sorted by position: the candidates with every
+    shared pair in sum_k |k,k>, each scaled by a power of two
+    (:func:`_power_of_two_scaled`), which leaves every Born ratio as it is."""
     table = spec.table
     strides = table.strides
     principal = np.array([strides[r.name] for r in spec.principal_registers], dtype=np.int64)
@@ -889,15 +783,7 @@ def _initial(spec: ProtocolSpec, sset: StateSet) -> _Joint:
     pos = row * table.size + idx @ principal
     pos = (pos[:, None] + pairs).reshape(-1)
     order = np.argsort(pos)
-    return _Joint(
-        table,
-        table.names,
-        {r.name: r.owner for r in table.registers},
-        frozenset(),
-        len(sset),
-        pos[order],
-        np.repeat(amp, pairs.size)[order],
-    )
+    return pos[order], np.repeat(amp, pairs.size)[order]
 
 
 @dataclass
@@ -922,9 +808,12 @@ def _walk(
     """Walk the tree a level at a time with all candidates together.
 
     The nodes at one depth are one frontier: one sparse array of entries
-    keyed by node, then candidate, then position (a :class:`_Joint` over all
-    their candidates, numbered node by node), and each candidate's index in
-    the set, path probability and |psi|^2.  The measurement steps whose
+    over all their candidates, numbered node by node, and each candidate's
+    |psi|^2, index in the set and path probability.  Entry e is the
+    amplitude ``amp[e]`` at ``pos[e] = candidate * table.size + flat``, where
+    ``flat`` is the C-order index over the whole register table and a
+    register that is no longer live sits at level 0; positions are unique
+    and sorted, and amplitudes nonzero.  The measurement steps whose
     operators share a stack of kernels are applied in one pass of
     :func:`_outcomes`.  A candidate leaves a branch whose Born probability is
     at most the pruning cutoff.
@@ -952,9 +841,11 @@ def _walk(
             )
 
     table, size, n = spec.table, spec.table.size, len(sset)
-    root = _initial(spec, sset)
-    nodes = [_Node(spec.root, (), 0, n, root.live, root.owners, root.consumed)]
-    frontier = root.pos, root.amp, root.norm2, np.arange(n), np.ones(n)
+    pos, amp = _initial(spec, sset)
+    owners = {r.name: r.owner for r in table.registers}
+    nodes = [_Node(spec.root, (), 0, n, table.names, owners, frozenset())]
+    norm2 = np.bincount(pos // size, _abs2(amp), minlength=n)
+    frontier = pos, amp, norm2, np.arange(n), np.ones(n)
     # (path, 0, None) for survivors found not orthogonal, (path, 1, error) for
     # a fault: at one node the depth-first walk checks orthogonality first
     events: list[tuple[tuple[int, ...], int, ValueError | None]] = []
@@ -1081,21 +972,54 @@ def _teleported(
     node: _Node, spec: ProtocolSpec, tol: float, frontier: tuple[np.ndarray, ...]
 ) -> tuple[list[_Node], list[np.ndarray]]:
     """The teleport at ``node`` applied to its survivors, the frontier's
-    candidates from ``node.start`` on: its child, and the child's frontier
-    arrays, the candidates numbered from 0."""
-    (pos, amp, norm2, index, prob), size, tree = frontier, spec.table.size, node.tree
-    c0, c1 = node.start, node.start + node.count
+    candidates from ``node.start`` on: the resource pair factored out of
+    every candidate and the source moved.  Returns its child, and the
+    child's frontier arrays, the candidates numbered from 0."""
+    (pos, amp, norm2, index, prob), table, tree = frontier, spec.table, node.tree
+    size, resource, count = table.size, spec.resource(tree.resource), node.count
+    if resource.name in node.consumed:
+        raise ValueError(f"resource {resource.name!r} already consumed")
+    if table.get(tree.source).dim != resource.dim:
+        raise ValueError(
+            f"teleport of {tree.source!r} needs a dim-{table.get(tree.source).dim} resource"
+        )
+    c0, c1 = node.start, node.start + count
     e0, e1 = np.searchsorted(pos, [c0 * size, c1 * size]).tolist()
-    joint = _Joint(
-        spec.table, node.live, node.owners, node.consumed, node.count,
-        pos[e0:e1] - c0 * size, amp[e0:e1],
+    pos, amp = pos[e0:e1] - c0 * size, amp[e0:e1]
+    d = resource.dim
+    s1, s2 = (table.strides[r] for r in resource.registers)
+    first, second = pos // s1 % d, pos // s2 % d
+    rest = pos - first * s1 - second * s2
+    # a candidate's mat[rest, (k, l)] must be v[rest] delta_kl, v the mean
+    # of the diagonal: ||mat - v mes^T|| counts the entries off the
+    # diagonal, the diagonal entries minus v, and the missing ones (-v)
+    diag = first == second
+    key, inverse = _bins(rest[diag])
+    v = _summed(inverse, amp[diag], key.size) / d
+    missing = d - np.bincount(inverse, minlength=key.size)
+    row = pos // size
+    residual = (
+        np.bincount(row[~diag], _abs2(amp[~diag]), minlength=count)
+        + np.bincount(row[diag], _abs2(amp[diag] - v[inverse]), minlength=count)
+        + np.bincount(key // size, missing * _abs2(v), minlength=count)
     )
-    joint.__dict__["norm2"] = norm2[c0:c1]  # the cached property's slot
-    moved = joint.teleport(tree.source, spec.resource(tree.resource), tree.to, tol)
+    if np.any(np.sqrt(residual) > tol * np.maximum(np.sqrt(norm2[c0:c1]), 1e-30)):
+        raise ValueError(
+            f"resource {resource.name!r} is no longer in its initial entangled state"
+        )
+    nonzero = v != 0
+    pos, amp = key[nonzero], v[nonzero]
     child = _Node(
-        tree.then, node.path + (0,), 0, node.count, moved.live, moved.owners, moved.consumed
+        tree.then,
+        node.path + (0,),
+        0,
+        count,
+        tuple(r for r in node.live if r not in resource.registers),
+        {**node.owners, tree.source: tree.to},
+        node.consumed | {resource.name},
     )
-    return [child], [moved.pos, moved.amp, moved.norm2, index[c0:c1], prob[c0:c1]]
+    norm2 = np.bincount(pos // size, _abs2(amp), minlength=count)
+    return [child], [pos, amp, norm2, index[c0:c1], prob[c0:c1]]
 
 
 def _first_nonorthogonal_node(

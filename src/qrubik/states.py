@@ -166,9 +166,6 @@ class PureState:
     def support(self) -> tuple[Index, ...]:
         return tuple(idx for idx, _ in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def scaled(self, factor: complex) -> "PureState":
         return PureState(self.layout, [(i, a * factor) for i, a in self.terms], self.label)
 
@@ -293,12 +290,6 @@ class StateSet:
     @functools.cached_property
     def states(self) -> tuple[PureState, ...]:
         return _pure_states(self.layout, self.labels, self.term_arrays)
-
-    def by_label(self, label: str) -> PureState:
-        try:
-            return self.states[self.labels.index(label)]
-        except ValueError:
-            raise KeyError(f"no state labeled {label!r}") from None
 
     def subset(self, count: int) -> "StateSet":
         state, idx, amps = self.term_arrays

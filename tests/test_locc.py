@@ -32,7 +32,10 @@ from qrubik.locc import (
     Teleport,
     RegisterTable,
     _initial,
-    _Joint,
+    _measured,
+    _Node,
+    _outcomes,
+    _teleported,
 )
 from qrubik.states import DEFAULT_TOL, _strides
 from qrubik.locc import matrix_to_json
@@ -195,53 +198,97 @@ def _step(*operators):
     return MeasurementStep("Alice", operators, {op.name: Leaf(op.name) for op in operators})
 
 
+def _frontier(table, pos, amp, count):
+    """``count`` candidates' entries as a walk frontier: with each
+    candidate's |psi|^2, index and path probability."""
+    norm2 = np.bincount(pos // table.size, amp.real**2 + amp.imag**2, minlength=count)
+    return pos, amp, norm2, np.arange(count), np.ones(count)
+
+
+def _root(spec, sset):
+    """The walk's root node and its frontier."""
+    table = spec.table
+    owners = {r.name: r.owner for r in table.registers}
+    node = _Node(spec.root, (), 0, len(sset), table.names, owners, frozenset())
+    return node, _frontier(table, *_initial(spec, sset), len(sset))
+
+
+def _at(table, node, frontier):
+    """A node of a frontier, and its candidates' arrays, numbered from 0."""
+    pos, *rest = frontier
+    c0, c1 = node.start, node.start + node.count
+    e0, e1 = np.searchsorted(pos, [c0 * table.size, c1 * table.size])
+    arrays = pos[e0:e1] - c0 * table.size, rest[0][e0:e1], *(a[c0:c1] for a in rest[1:])
+    return replace(node, start=0), arrays
+
+
+def _measure(table, node, frontier):
+    """The step at ``node``, alone in its frontier, through the walk's pass:
+    for each operator in order, the Born probabilities and the mask of the
+    survivors (:func:`_outcomes`), and the child that :func:`_measured`
+    makes with its frontier arrays (None when no candidate survives)."""
+    kernels, slot = node.tree._kernel
+    pos, amp, norm2, *_ = frontier
+    born, keep, *_ = _outcomes(
+        kernels, np.full(pos.size, slot), node.count, table, pos, amp, norm2
+    )
+    children, arrays = _measured(kernels, [node], table, frontier)
+    reached = {child.path[-1]: _at(table, child, arrays) for child in children}
+    return [(born[o], keep[o], reached.get(o)) for o in range(len(node.tree.operators))]
+
+
 def test_apply_measurement_born_rule():
     spec = parse_protocol(example1_protocol())
     bell = bell_state_set()
-    joint = _initial(spec, _one(bell[0]))  # |00>+|11> with the shared pair
+    table = spec.table
+    node, frontier = _root(spec, _one(bell[0]))  # |00>+|11> with the shared pair
     n1 = spec.root.operators[0]
-    (prob, keep, post), *_ = joint.measure(spec.root)
+    (prob, keep, post), *_ = _measure(table, node, frontier)
     assert prob[0] == pytest.approx(0.5)
     assert keep.tolist() == [True]
     # surviving components are |0,0,0,0> and |1,1,1,1> on (A, B, a, b)
-    nz = {tuple(int(x) for x in idx) for idx in np.argwhere(np.abs(_dense(post).vector) > 1e-12)}
+    vector = _dense(table, *post).vector
+    nz = {tuple(int(x) for x in idx) for idx in np.argwhere(np.abs(vector) > 1e-12)}
     assert nz == {(0, 0, 0, 0), (1, 1, 1, 1)}
 
     ident = type(n1)(name="I", regs=("A",), matrix=np.eye(2, dtype=complex))
-    [(prob, keep, same)] = joint.measure(_step(ident))
+    [(prob, keep, same)] = _measure(table, replace(node, tree=_step(ident)), frontier)
     assert prob[0] == pytest.approx(1.0)
-    assert np.allclose(_dense(same).vector, _dense(joint).vector)
+    assert np.allclose(_dense(table, *same).vector, _dense(table, node, frontier).vector)
 
     nothing = type(n1)(
         name="Z", regs=("A", "a"), matrix=np.zeros((4, 4), dtype=complex)
     )
-    [(prob, keep, gone)] = joint.measure(_step(nothing))
+    [(prob, keep, gone)] = _measure(table, replace(node, tree=_step(nothing)), frontier)
     assert prob[0] == 0.0
-    assert keep.tolist() == [False] and gone.count == 0 and gone.pos.size == 0
+    # the walk makes no child, so no node and no entries, for an outcome
+    # that no candidate survives
+    assert keep.tolist() == [False] and gone is None
 
 
 def test_teleport_moves_ownership_and_consumes():
     spec = parse_protocol(prop1_protocol())
     b3 = build_snoes(3)
-    joint = _initial(spec, _one(b3[0]))
-    res = spec.resource("phi3_bc")
-    moved = joint.teleport("C", res, "Bob", DEFAULT_TOL)
+    node, frontier = _root(spec, _one(b3[0]))  # prop1 first teleports C to Bob
+    [moved], arrays = _teleported(node, spec, DEFAULT_TOL, frontier)
     assert moved.owners["C"] == "Bob"
     assert "phi3_bc" in moved.consumed
     assert "b0" not in moved.live and "c0" not in moved.live
     # amplitudes unchanged: norm matches the input state times remaining pairs
-    vector = _dense(moved).vector
+    vector = _dense(spec.table, moved, arrays).vector
     assert np.vdot(vector, vector).real == pytest.approx(2 * 2 * 2)
+    again = replace(moved, tree=replace(spec.root, to="Charlie"))
     with pytest.raises(ValueError, match="consumed"):
-        moved.teleport("C", res, "Charlie", DEFAULT_TOL)
+        _teleported(again, spec, DEFAULT_TOL, arrays)
 
 
 def test_teleport_grid_mapping_matches_reference_bipartite_set():
     spec = parse_protocol(prop1_protocol())
     b3 = build_snoes(3)
-    res = spec.resource("phi3_bc")
     for k, s in enumerate(b3.states):
-        sim = _dense(_initial(spec, _one(s)).teleport("C", res, "Bob", DEFAULT_TOL))
+        node, frontier = _root(spec, _one(s))
+        [moved], arrays = _teleported(node, spec, DEFAULT_TOL, frontier)
+        sim = _dense(spec.table, moved, arrays)
         # project out the untouched dim-2 pairs and read the (A, B, C) part
         axes = [sim.live.index(r) for r in ("A", "B", "C")]
         vec = sim.vector
@@ -253,6 +300,15 @@ def test_teleport_grid_mapping_matches_reference_bipartite_set():
             cells.add((a, bc))
         expected = set(GRID39_PAIRS[k // 2])
         assert cells == expected, s.label
+
+
+def test_teleport_needs_a_resource_of_the_source_dim():
+    # prop1 teleports the dim-3 register C: over a dim-2 pair both walks refuse
+    spec = parse_protocol(prop1_protocol())
+    spec = replace(spec, root=replace(spec.root, resource="phi2_ab"))
+    for walk in (run_protocol, check_orthogonality_preservation):
+        with pytest.raises(ValueError, match="teleport of 'C' needs a dim-3 resource"):
+            walk(spec, build_snoes(3))
 
 
 def test_teleport_to_current_owner_is_noop_but_consumes():
@@ -440,24 +496,26 @@ class _Dense:
     consumed: frozenset[str]
 
 
-def _dense(joint):
-    """The one candidate of ``joint`` as a dense vector over its live registers."""
-    assert joint.count == 1
-    dims = joint.table.dims(joint.live)
+def _dense(table, node, frontier):
+    """The one candidate at ``node`` as a dense vector over its live registers."""
+    assert node.count == 1
+    pos, amp, *_ = frontier
+    dims = table.dims(node.live)
     vector = np.zeros(dims, dtype=complex)
-    digits = tuple(joint.pos // joint.table.strides[r] % d for r, d in zip(joint.live, dims))
-    vector[digits] = joint.amp
-    return _Dense(joint.table, joint.live, vector, joint.owners, joint.consumed)
+    digits = tuple(pos // table.strides[r] % d for r, d in zip(node.live, dims))
+    vector[digits] = amp
+    return _Dense(table, node.live, vector, node.owners, node.consumed)
 
 
-def _joint(dense):
-    """A dense candidate as a one-candidate sparse state."""
+def _joint(dense, tree):
+    """A dense candidate as a one-candidate node at ``tree``, and its frontier."""
     at = np.flatnonzero(dense.vector)
     digits = np.unravel_index(at, dense.vector.shape)
     pos = sum(d * dense.table.strides[r] for d, r in zip(digits, dense.live))
     order = np.argsort(pos)
     amp = dense.vector.reshape(-1)[at[order]]
-    return _Joint(dense.table, dense.live, dense.owners, dense.consumed, 1, pos[order], amp)
+    node = _Node(tree, (), 0, 1, dense.live, dense.owners, dense.consumed)
+    return node, _frontier(dense.table, pos[order], amp, 1)
 
 
 def _dense_initial_state(spec, state):
@@ -642,8 +700,8 @@ def test_one_candidate_kernels_match_dense_reference():
     # and 4, as the sign dances use, whose zero rows make the row map count
     spec = parse_protocol(prop1_protocol())
     rng = np.random.default_rng(5)
-    entangled = _initial(spec, _one(build_snoes(3)[4]))
-    sim = _dense(entangled)
+    node, frontier = _root(spec, _one(build_snoes(3)[4]))  # at prop1's first teleport
+    sim = _dense(spec.table, node, frontier)
     vector = rng.normal(size=sim.vector.shape) + 1j * rng.normal(size=sim.vector.shape)
     vector[rng.random(vector.shape) < 0.3] = 0
     sim = replace(sim, vector=vector)
@@ -659,8 +717,9 @@ def test_one_candidate_kernels_match_dense_reference():
     ]
     # each operator alone, and both as the outcomes of one step
     for step in (_step(ops[0]), _step(ops[1]), _step(*ops)):
-        for op, (prob, keep, post) in zip(step.operators, _joint(sim).measure(step)):
-            post = _dense(post)
+        measured = _measure(spec.table, *_joint(sim, step))
+        for op, (prob, keep, post) in zip(step.operators, measured):
+            post = _dense(spec.table, *post)
             want, want_prob = _dense_apply_measurement(sim, op)
             assert keep.tolist() == [True]
             assert post.live == want.live
@@ -668,38 +727,40 @@ def test_one_candidate_kernels_match_dense_reference():
             assert prob[0] == pytest.approx(want_prob, rel=1e-14)
 
     res = spec.resource("phi3_bc")
-    moved = _dense(entangled.teleport("C", res, "Bob", DEFAULT_TOL))
-    reference = _dense_teleport(_dense(entangled), "C", res, "Bob")
+    [child], arrays = _teleported(node, spec, DEFAULT_TOL, frontier)
+    moved = _dense(spec.table, child, arrays)
+    reference = _dense_teleport(_dense(spec.table, node, frontier), "C", res, "Bob")
     assert (moved.live, moved.owners, moved.consumed) == (
         reference.live, reference.owners, reference.consumed
     )
     assert np.array_equal(moved.vector, reference.vector)
 
 
-def _apply_one(joint, op):
+def _apply_one(table, frontier, op):
     """One outcome operator applied on its own and its survivors taken: the
-    one-operator-at-a-time reference for the step kernel of
-    ``_Joint.measure``.  Returns the Born ratios, the survivors' mask, and
+    one-operator-at-a-time reference for the walk's pass over a step
+    (:func:`_outcomes`).  Returns the Born ratios, the survivors' mask, and
     the survivors' entries: positions, with the candidates renumbered, and
     amplitudes."""
-    size = joint.table.size
-    strides, dims, inner, offset = joint.table._layout(op.regs)
-    sub = (joint.pos[:, None] // strides % dims) @ inner
+    joint_pos, joint_amp, norm2, *_ = frontier
+    size = table.size
+    strides, dims, inner, offset = table._layout(op.regs)
+    sub = (joint_pos[:, None] // strides % dims) @ inner
     diagonal = op.matrix.diagonal()
     if np.count_nonzero(op.matrix) == np.count_nonzero(diagonal):
-        amp = diagonal[sub] * joint.amp
-        pos, amp = joint.pos[amp != 0], amp[amp != 0]
+        amp = diagonal[sub] * joint_amp
+        pos, amp = joint_pos[amp != 0], amp[amp != 0]
     else:
         rows = np.flatnonzero(op.matrix.any(axis=1))
-        value = op.matrix[rows[:, None], sub].T * joint.amp[:, None]
+        value = op.matrix[rows[:, None], sub].T * joint_amp[:, None]
         src, k = np.nonzero(value)
-        key = (joint.pos - offset[sub])[src] + offset[rows[k]]
+        key = (joint_pos - offset[sub])[src] + offset[rows[k]]
         pos, inverse = np.unique(key, return_inverse=True)
         amp = np.zeros(pos.size, dtype=complex)
         np.add.at(amp, inverse, value[src, k])  # in input order, from 0j
         pos, amp = pos[amp != 0], amp[amp != 0]
     row = pos // size
-    born = np.bincount(row, amp.real**2 + amp.imag**2, minlength=joint.count) / joint.norm2
+    born = np.bincount(row, amp.real**2 + amp.imag**2, minlength=norm2.size) / norm2
     keep = born > _PRUNE
     entry = keep[row]
     return born, keep, (np.cumsum(keep) - 1)[row[entry]] * size + pos[entry] % size, amp[entry]
@@ -725,7 +786,7 @@ def test_step_kernel_matches_one_operator_at_a_time(seed, kinds):
     # outcome lose some candidates, and a zero operator loses them all
     rng = np.random.default_rng(seed)
     spec = parse_protocol(prop1_protocol())
-    joint = _initial(spec, build_snoes(3))
+    node, frontier = _root(spec, build_snoes(3))
     regs = tuple(rng.permutation(["B", "b", "A"]).tolist())
     size = math.prod(spec.table.dims(regs))
     ops = [_random_operator(rng, f"M{k}", regs, size, kind) for k, kind in enumerate(kinds)]
@@ -734,21 +795,32 @@ def test_step_kernel_matches_one_operator_at_a_time(seed, kinds):
     ops[0].matrix[:, level_a != 0] = 0
     ops.append(MeasurementOperator("Z", regs, np.zeros((size, size), dtype=complex)))
     counts = []
-    for op, (born, keep, child) in zip(ops, joint.measure(_step(*ops))):
-        want_born, want_keep, want_pos, want_amp = _apply_one(joint, op)
+    node = replace(node, tree=_step(*ops))
+    for op, (born, keep, reached) in zip(ops, _measure(spec.table, node, frontier)):
+        want_born, want_keep, want_pos, want_amp = _apply_one(spec.table, frontier, op)
         assert np.array_equal(born, want_born), op.name
         assert np.array_equal(keep, want_keep), op.name
-        assert np.array_equal(child.pos, want_pos), op.name
-        assert np.array_equal(child.amp, want_amp), op.name
+        # the walk makes a child only for an outcome that some candidate survives
+        assert (reached is None) == (keep.sum() == 0), op.name
+        if reached is None:
+            assert want_pos.size == want_amp.size == 0, op.name
+            counts.append(0)
+            continue
+        child, (pos, amp, norm2, index, prob) = reached
+        assert np.array_equal(pos, want_pos), op.name
+        assert np.array_equal(amp, want_amp), op.name
         assert child.count == keep.sum()
-        assert child.consumed == joint.consumed | op.touches
+        assert child.consumed == node.consumed | op.touches
         # the norms handed to the child are the ones it would compute
-        abs2 = child.amp.real**2 + child.amp.imag**2
-        fresh = np.bincount(child.pos // spec.table.size, abs2, minlength=child.count)
-        assert np.array_equal(child.norm2, fresh), op.name
+        abs2 = amp.real**2 + amp.imag**2
+        fresh = np.bincount(pos // spec.table.size, abs2, minlength=child.count)
+        assert np.array_equal(norm2, fresh), op.name
+        # and its survivors' indices and path probabilities, from 1 at the root
+        assert np.array_equal(index, np.flatnonzero(keep)), op.name
+        assert np.array_equal(prob, born[keep]), op.name
         counts.append(child.count)
     # some outcome keeps only part of the candidates, and "Z" none of them
-    assert any(0 < c < joint.count for c in counts) and counts[-1] == 0
+    assert any(0 < c < node.count for c in counts) and counts[-1] == 0
 
 
 def _node(doc, *branches):
@@ -1219,11 +1291,20 @@ def _walk_kernel(step):
     return start - start[0], kernels.outcome[at], kernels.row[at], kernels.value[at]
 
 
-@pytest.mark.parametrize("name", ["example1", "prop1", "prop2"])
-def test_split_groups_compile_the_same_operators(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name, states",
+    [
+        ("example1", bell_state_set),
+        ("prop1", functools.partial(build_snoes, 3)),
+        ("prop2", functools.partial(build_snoes, 3)),
+    ],
+    ids=["example1", "prop1", "prop2"],
+)
+def test_split_groups_compile_the_same_operators(name, states, monkeypatch):
     # one stack per step instead of one per group of steps: the same bytes,
     # touches and walk kernels, and those kernels as a step formed outside
-    # the parser computes them from its operators
+    # the parser computes them from its operators; walked, every bucket of
+    # steps then holds one node, with the same reports
     from importlib import resources
     from qrubik import locc
 
@@ -1241,6 +1322,9 @@ def test_split_groups_compile_the_same_operators(name, monkeypatch):
         for kernel in (_walk_kernel(b), _walk_kernel(replace(a))):
             for x, y in zip(_walk_kernel(a), kernel):
                 assert np.array_equal(x, y)
+    sset = states()
+    assert run_protocol(alone, sset) == run_protocol(grouped, sset)
+    assert check_orthogonality_preservation(alone, sset) is True
 
 
 # sha256 of each shipped protocol with its vector operators in the dense

@@ -24,6 +24,7 @@ from .locc import ProtocolError, matrix_to_json, parse_protocol, run_protocol
 from .states import (
     DEFAULT_TOL,
     Bipartition,
+    _collector_paused,
     load_state_set,
     save_state_set,
     validate_set,
@@ -158,7 +159,7 @@ def _cmd_verify(args, started: float) -> int:
 def _cmd_simulate(args, started: float) -> int:
     ppath = _resolve_data(args.protocol)
     spath = _resolve_data(args.states)
-    with open(ppath, "r", encoding="utf-8") as fh:
+    with _collector_paused(), open(ppath, "r", encoding="utf-8") as fh:
         spec = parse_protocol(json.load(fh))
     sset = load_state_set(spath)
     report = run_protocol(spec, sset)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .states import DEFAULT_TOL, StateSet, _strides
-from .states import _power_of_two_scaled
+from .states import _collector_paused, _power_of_two_scaled
 
 _PRUNE = 1e-12
 # the most levels a measurement step may act on: its operators are held
@@ -115,6 +115,15 @@ class RegisterTable:
             self._layouts[regs] = found
         return found
 
+    def _union(self, regs: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], int]:
+        """The known names in the tuples ``regs``, in table order, and their levels."""
+        key = ("union", regs)
+        if key not in self._layouts:
+            used = {r for names in regs for r in names}
+            union = tuple(r for r in self.names if r in used)
+            self._layouts[key] = union, math.prod(self.dims(union))
+        return self._layouts[key]
+
     def _index_map(
         self, union: tuple[str, ...], regs: tuple[str, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +131,14 @@ class RegisterTable:
         a subset in any order, and itself with the digits of ``regs`` set to 0."""
         key = (union, regs)
         if key not in self._layouts:
-            dims = np.array(self.dims(union), dtype=np.int64)
-            at = [union.index(r) for r in regs]
-            index = np.arange(int(np.prod(dims)), dtype=np.int64)
-            digits = index[:, None] // _strides(dims)[at] % dims[at]
-            self._layouts[key] = digits @ _strides(dims[at]), index - digits @ _strides(dims)[at]
+            dims = self.dims(union)
+            strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+            index = np.arange(math.prod(dims), dtype=np.int64)
+            sub, rest = np.zeros_like(index), index
+            for at in map(union.index, regs):
+                digit = index // strides[at] % dims[at]
+                sub, rest = sub * dims[at] + digit, rest - digit * strides[at]
+            self._layouts[key] = sub, rest
         return self._layouts[key]
 
 
@@ -165,8 +177,9 @@ class MeasurementStep:
     @functools.cached_property
     def _kernel(self) -> tuple["_Kernels", int]:
         """The stack of kernels that holds this step's operators, and the
-        step's slot in it; a parsed step's stack holds its whole group."""
-        return _kernels(self.operators[0].regs, np.array([[op.matrix for op in self.operators]])), 0
+        step's slot in it; equal parsed steps share a slot of their group's."""
+        stack = np.array([[op.matrix for op in self.operators]])
+        return _kernels(stack, [self.operators[0].regs])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,15 +198,21 @@ class _Kernels:
     value: np.ndarray
 
 
-def _kernels(regs: tuple[str, ...], stacks: np.ndarray) -> _Kernels:
-    """The kernels of the steps of ``stacks``, (steps, k, L, L) on ``regs``,
-    each at its place in the stack."""
+def _kernels(stacks: np.ndarray, regs: Sequence[tuple[str, ...]]) -> list[tuple[_Kernels, int]]:
+    """The kernels of the steps of ``stacks``, (steps, k, L, L), step s on
+    ``regs[s]``: one stack of kernels per run of steps on the same registers.
+    Returns each step's stack and its slot there."""
     steps, k, levels, _ = stacks.shape
-    step, column, outcome, row = np.nonzero(stacks.transpose(0, 3, 1, 2))
-    at = step * levels + column
-    start = np.zeros(steps * levels + 1, dtype=np.int64)
-    np.cumsum(np.bincount(at, minlength=steps * levels), out=start[1:])
-    return _Kernels(regs, k, start, outcome, row, stacks[step, outcome, row, column])
+    step, column, outcome, row = np.nonzero(stacks.transpose(0, 3, 1, 2) != 0)
+    start = np.searchsorted(step * levels + column, np.arange(steps * levels + 1))
+    value, found = stacks[step, outcome, row, column], []
+    for union, run in itertools.groupby(regs):
+        s0, s1 = len(found), len(found) + len(list(run))
+        e0, e1 = start[s0 * levels], start[s1 * levels]
+        at = start[s0 * levels : s1 * levels + 1] - e0
+        kernels = _Kernels(union, k, at, outcome[e0:e1], row[e0:e1], value[e0:e1])
+        found += [(kernels, s - s0) for s in range(s0, s1)]
+    return found
 
 
 @dataclass(frozen=True)
@@ -268,6 +287,24 @@ def _vector_from_json(entry: Sequence, name: str, n: int) -> np.ndarray:
     return pairs.view(complex)[:, 0]
 
 
+def _vectors(entries: Sequence, n: int) -> np.ndarray | None:
+    """The ``entries`` as the rows of one complex array when each is ``n``
+    [re, im] pairs of ints and floats, finite and not all zero, else None."""
+    chain = itertools.chain.from_iterable
+    try:
+        pairs = list(chain(entries))
+        parts = list(chain(pairs))
+        shaped = set(map(len, entries)) == {n} and set(map(len, pairs)) == {2}
+    except TypeError:  # a number where a list belongs
+        return None
+    values = np.array(parts) if shaped and set(map(type, parts)) <= {int, float} else None
+    if values is None or values.dtype.kind not in "iuf":  # object for an int beyond 64 bits
+        return None
+    peak = np.abs(values).reshape(-1, 2 * n).max(axis=1)  # NaN when any part is
+    ok = np.isfinite(peak).all() and peak.all()
+    return values.astype(float).view(complex).reshape(-1, n) if ok else None
+
+
 def _projectors(vectors: np.ndarray) -> np.ndarray:
     """|v><v| / <v|v> for each row v of ``vectors``, v first scaled by the
     power of two that puts its largest part in [1, 2) (exactly, and so that
@@ -292,44 +329,50 @@ def _distinct_regs(regs: Sequence[str], name: str) -> tuple[str, ...]:
 
 def _proj_levels(
     item: Mapping, table: RegisterTable, name: str
-) -> tuple[tuple[str, ...], np.ndarray]:
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """A ``proj`` item's registers and the flat index of each listed level."""
     regs = _distinct_regs(item["regs"], name)
     dims = table.dims(regs)
-    strides = _strides(dims).tolist()
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
     flat = []
     for level in item["levels"]:
         if len(level) != len(regs):
             raise ProtocolError(f"level {level} arity mismatch for regs {regs}")
-        if not all(isinstance(k, (int, np.integer)) and 0 <= k < d for k, d in zip(level, dims)):
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in level):
+            raise ProtocolError(f"operator {name!r} level {level} is not one integer per register")
+        if not all(0 <= k < d for k, d in zip(level, dims)):
             raise ProtocolError(f"operator {name!r} level {level} is outside dims {dims}")
         flat.append(sum(k * s for k, s in zip(level, strides)))
-    return regs, np.array(flat, dtype=np.int64)
+    return regs, tuple(flat)
 
 
-def _acts_on(
-    stack: np.ndarray, union: tuple[str, ...], reg: str, table: RegisterTable, tol: float
-) -> np.ndarray:
-    """For each operator of ``stack``, dense on ``union``: True unless it
-    factors as N (x) I on ``reg``, i.e. equals its block at reg's level 0
-    times delta(level of reg) to within tol * max(max |M|, 1)."""
-    level, rest = table._index_map(union, (reg,))
-    factored = stack[:, rest[:, None], rest] * (level[:, None] == level)
-    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
-    return np.abs(stack - factored).max(axis=(1, 2)) > tol * scale
+def _acts_on(ops: np.ndarray, level: np.ndarray, rest: np.ndarray, tol: float) -> np.ndarray:
+    """For each operator of ``ops``, n x L x L: True unless it factors as
+    N (x) I on a register, i.e. equals its block at the register's level 0
+    times delta(level of the register) to within tol * max(max |M|, 1); the
+    register's index maps ``level`` and ``rest`` (:meth:`RegisterTable._index_map`)
+    are one for all operators or one row each."""
+    factored = ops[np.arange(len(ops))[:, None, None], rest[..., :, None], rest[..., None, :]]
+    factored = factored * (level[..., :, None] == level[..., None, :])
+    scale = np.maximum(np.abs(ops).max(axis=(1, 2)), 1.0)
+    return np.abs(ops - factored).max(axis=(1, 2)) > tol * scale
 
 
 @dataclass
 class _StepParts:
     """A measurement step as the tree pass of :func:`_compile` reads it: the
-    operator names, the position of the complement operator, the ``proj``,
-    ``matrix`` and ``vector`` parts (position, registers, levels, matrix or
-    vector) and the union of their registers in table order."""
+    operator names, the position of the complement operator, the parts
+    (position, registers, and a ``proj``'s levels, a ``matrix`` or a
+    ``vector``'s projector), the ``vector`` parts not yet decoded (position,
+    registers, entry, name, levels) and the union of their registers in
+    table order."""
 
     names: list[str]
     complement: int | None
     parts: list[tuple[int, tuple[str, ...], object]]
+    vectors: list[tuple[int, tuple[str, ...], object, str, int]]
     union: tuple[str, ...]
+    compiled: tuple = ()  # its kernels, slot, operators and their touches
 
 
 def _step_parts(docs: Sequence[Mapping], table: RegisterTable) -> _StepParts:
@@ -337,58 +380,63 @@ def _step_parts(docs: Sequence[Mapping], table: RegisterTable) -> _StepParts:
     names: list[str] = []
     complements: list[int] = []
     parts: list[tuple[int, tuple[str, ...], object]] = []
-    for doc in docs:
-        name = doc.get("name")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("measurement operator without a name")
-        if doc.get("complement"):
-            complements.append(len(names))
-        elif "proj" in doc:
-            items = [_proj_levels(item, table, name) for item in doc["proj"]]
-            used = {r for iregs, _ in items for r in iregs}
-            regs = tuple(r for r in table.names if r in used)
-            parts.append((len(names), regs, items))
-        elif "matrix" in doc:
-            regs = _distinct_regs(doc["regs"], name)
-            mat = _matrix_from_json(doc["matrix"], name)
-            full = math.prod(table.dims(regs))
-            if mat.shape != (full, full):
+    vectors: list[tuple[int, tuple[str, ...], object, str, int]] = []
+    try:
+        for doc in docs:
+            name = doc.get("name")
+            if not isinstance(name, str) or not name:
+                raise ProtocolError("measurement operator without a name")
+            complement = doc.get("complement", False)
+            if complement is not True and complement is not False:
+                raise ProtocolError(f"operator {name!r} complement must be true or false")
+            if complement:
+                complements.append(len(names))
+            elif "proj" in doc:
+                items = tuple(_proj_levels(item, table, name) for item in doc["proj"])
+                parts.append((len(names), table._union(tuple(r for r, _ in items))[0], items))
+            elif "matrix" in doc:
+                regs = _distinct_regs(doc["regs"], name)
+                mat = _matrix_from_json(doc["matrix"], name)
+                full = math.prod(table.dims(regs))
+                if mat.shape != (full, full):
+                    raise ProtocolError(
+                        f"operator {name!r} matrix shape {mat.shape} does not match regs {regs}"
+                    )
+                if not np.isfinite(mat).all():
+                    raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
+                parts.append((len(names), regs, mat))
+            elif "vector" in doc:
+                regs = _distinct_regs(doc["regs"], name)
+                vectors.append((len(names), regs, doc["vector"], name, math.prod(table.dims(regs))))
+            else:
                 raise ProtocolError(
-                    f"operator {name!r} matrix shape {mat.shape} does not match regs {regs}"
+                    f"operator {name!r} needs 'proj', 'matrix', 'vector' or 'complement'"
                 )
-            if not np.isfinite(mat).all():
-                raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
-            parts.append((len(names), regs, mat))
-        elif "vector" in doc:
-            regs = _distinct_regs(doc["regs"], name)
-            vector = _vector_from_json(doc["vector"], name, math.prod(table.dims(regs)))
-            parts.append((len(names), regs, vector))
-        else:
-            raise ProtocolError(
-                f"operator {name!r} needs 'proj', 'matrix', 'vector' or 'complement'"
-            )
-        names.append(name)
+            names.append(name)
 
-    if len(names) != len(set(names)):
-        raise ProtocolError("operator names within a step must be unique")
-    if len(complements) > 1:
-        raise ProtocolError("at most one complement operator per step")
-    used = {r for _, regs, _ in parts for r in regs}
-    union = tuple(r for r in table.names if r in used)
-    if not union:
-        raise ProtocolError("measurement step acts on no registers")
-    full = math.prod(table.dims(union))
-    if full > _MAX_STEP_LEVELS:
-        raise ProtocolError(
-            f"measurement step on {union} has {full} levels, above the limit of "
-            f"{_MAX_STEP_LEVELS} for a dense operator"
-        )
-    if len(names) * full * full > _MAX_STEP_ENTRIES:
-        raise ProtocolError(
-            f"measurement step on {union} has {len(names)} operators on {full} levels, "
-            f"above the limit of {_MAX_STEP_ENTRIES} dense operator entries"
-        )
-    return _StepParts(names, complements[0] if complements else None, parts, union)
+        if len(names) != len(set(names)):
+            raise ProtocolError("operator names within a step must be unique")
+        if len(complements) > 1:
+            raise ProtocolError("at most one complement operator per step")
+        union, full = table._union(tuple(part[1] for part in parts + vectors))
+        if not union:
+            raise ProtocolError("measurement step acts on no registers")
+        if full > _MAX_STEP_LEVELS:
+            raise ProtocolError(
+                f"measurement step on {union} has {full} levels, above the limit of "
+                f"{_MAX_STEP_LEVELS} for a dense operator"
+            )
+        if len(names) * full * full > _MAX_STEP_ENTRIES:
+            raise ProtocolError(
+                f"measurement step on {union} has {len(names)} operators on {full} levels, "
+                f"above the limit of {_MAX_STEP_ENTRIES} dense operator entries"
+            )
+    except (ValueError, LookupError, TypeError, AttributeError):
+        # a vector's fault is met as its operator is read: before any later fault
+        for vector in vectors:
+            _vector_from_json(*vector[2:])
+        raise
+    return _StepParts(names, complements[0] if complements else None, parts, vectors, union)
 
 
 def _compile_steps(
@@ -397,88 +445,126 @@ def _compile_steps(
     by_reg: Mapping[str, ResourceDecl],
     tol: float,
 ) -> None:
-    """Set the operators of each step node from its parts, one stack per
-    group of steps with the same registers and number of outcomes (split so
-    that a stack holds at most ``_MAX_GROUP_ENTRIES``).  Raises unless every
-    step satisfies completeness."""
-    groups: dict[tuple[tuple[str, ...], int], list[tuple[_StepParts, MeasurementStep]]] = {}
-    for step, node in steps:
-        groups.setdefault((step.union, len(step.names)), []).append((step, node))
-    for (union, k), pairs in groups.items():
-        full = math.prod(table.dims(union))
-        per = max(1, _MAX_GROUP_ENTRIES // (k * full * full))
-        for start in range(0, len(pairs), per):
-            _compile_group(union, k, pairs[start : start + per], table, by_reg, tol)
+    """Set the operators of each step node from its parts; raises unless
+    every step satisfies completeness.  Equal steps (the same registers,
+    outcomes, complement position and part bytes, whatever the names) are
+    compiled once and share a slot of a stack, and their operators when
+    their names are equal too.  The distinct steps with the same levels and
+    outcomes are compiled in one pass, of at most ``_MAX_GROUP_ENTRIES``."""
+    pending: dict[int, list] = {}  # each length's vector parts and their steps, in read order
+    for step, _ in steps:
+        for vector in step.vectors:
+            pending.setdefault(vector[-1], []).append((step, vector))
+    batches = {n: _vectors([v[2] for _, v in found], n) for n, found in pending.items()}
+    if any(batch is None for batch in batches.values()):
+        # one at a time, in read order: a fault is raised once the steps read
+        # before its own are compiled, so that their faults come first
+        for i, (step, _) in enumerate(steps):
+            try:
+                for vector in step.vectors:
+                    _vector_from_json(*vector[2:])
+            except ProtocolError:
+                _compile_steps(steps[:i], table, by_reg, tol)
+                raise
+        batches = {
+            n: np.array([_vector_from_json(*v[2:]) for _, v in found])
+            for n, found in pending.items()
+        }
+    for n, found in pending.items():  # each distinct vector's projector, formed once
+        _, first, inverse = np.unique(batches[n].view(f"V{16 * n}")[:, 0], True, True)
+        projectors = list(_projectors(batches[n][first]))
+        for (step, vector), u in zip(found, inverse.tolist()):
+            step.parts.append((*vector[:2], projectors[u]))
+
+    distinct: dict[tuple, _StepParts] = {}
+    twins = []  # the first step equal to each
+    for step, _ in steps:
+        key = (step.union, len(step.names), step.complement) + tuple(
+            (j, regs, part.tobytes() if isinstance(part, np.ndarray) else part)
+            for j, regs, part in step.parts
+        )
+        twins.append(distinct.setdefault(key, step))
+    classes: dict[tuple[int, int], list[_StepParts]] = {}
+    for step in distinct.values():
+        classes.setdefault((math.prod(table.dims(step.union)), len(step.names)), []).append(step)
+    for (levels, k), members in classes.items():
+        members.sort(key=lambda step: step.union)  # the steps on one union in a run
+        per = max(1, _MAX_GROUP_ENTRIES // (k * levels * levels))
+        for start in range(0, len(members), per):
+            _compile_pass(members[start : start + per], table, by_reg, tol)
+    operators: dict[tuple, tuple[MeasurementOperator, ...]] = {}
+    for (step, node), twin in zip(steps, twins):
+        kernels, slot, stack, touches = twin.compiled
+        key = (id(twin), *step.names)
+        if key not in operators:
+            unions = [step.union] * len(touches)
+            operators[key] = tuple(map(MeasurementOperator, step.names, unions, stack, touches))
+        # the node is still being built; _kernel is the cached property's slot
+        vars(node).update(operators=operators[key], _kernel=(kernels, slot))
 
 
-def _compile_group(
-    union: tuple[str, ...],
-    k: int,
-    pairs: Sequence[tuple[_StepParts, MeasurementStep]],
-    table: RegisterTable,
-    by_reg: Mapping[str, ResourceDecl],
-    tol: float,
+def _compile_pass(
+    steps: list[_StepParts], table: RegisterTable, by_reg: Mapping[str, ResourceDecl], tol: float
 ) -> None:
-    """The operators of steps on ``union`` with ``k`` outcomes each, in one
-    stack: each operator dense on the step's registers (in table order), a
-    ``vector`` as its projector (formed here, after :func:`_step_parts` has
-    checked the step's levels), the complement as the identity minus the
-    others, and marked with the resources whose registers it does not leave
-    as N (x) I."""
-    full = math.prod(table.dims(union))
-    stack = np.zeros((len(pairs), k, full, full), dtype=complex)
-    ops = stack.reshape(-1, full, full)  # operator j of step s at s * k + j
-    # the matrix and vector parts, by registers and number of axes
-    dense: dict[tuple[tuple[str, ...], int], tuple[list[int], list[np.ndarray]]] = {}
-    diagonal = np.arange(full)
-    for s, (step, _) in enumerate(pairs):
+    """Compile ``steps``, which have as many levels and outcomes as each
+    other, in one read-only stack, and set their ``compiled``: each operator
+    dense on its step's registers (in table order), the complement as the
+    identity minus the others, and marked with the resources whose registers
+    it does not leave as N (x) I."""
+    k, levels = len(steps[0].names), math.prod(table.dims(steps[0].union))
+    stack = np.zeros((len(steps), k, levels, levels), dtype=complex)
+    ops = stack.reshape(-1, levels, levels)  # operator j of step s at s * k + j
+    # the matrix and projector parts, by registers
+    dense: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[list[int], list[np.ndarray]]] = {}
+    diagonal = np.arange(levels)
+    for s, step in enumerate(steps):
         for j, regs, part in step.parts:
             if isinstance(part, np.ndarray):
-                ids, arrays = dense.setdefault((regs, part.ndim), ([], []))
+                ids, arrays = dense.setdefault((step.union, regs), ([], []))
                 ids.append(s * k + j)
                 arrays.append(part)
                 continue
             # a proj operator is diagonal: the number of times each level is listed
             for iregs, flat in part:
-                sub, _ = table._index_map(union, iregs)
-                counts = np.bincount(flat, minlength=math.prod(table.dims(iregs)))
+                sub, _ = table._index_map(step.union, iregs)
+                counts = np.bincount(np.array(flat, dtype=np.int64), minlength=len(sub))
                 ops[s * k + j, diagonal, diagonal] += counts[sub]
-    for (regs, ndim), (ids, arrays) in dense.items():
-        mats = np.array(arrays) if ndim == 2 else _projectors(np.array(arrays))
+    for (union, regs), (ids, arrays) in dense.items():
         sub, rest = table._index_map(union, regs)
-        ops[ids] = mats[:, sub[:, None], sub] * (rest[:, None] == rest)
-    owing = [
-        (s, step.complement) for s, (step, _) in enumerate(pairs) if step.complement is not None
-    ]
+        ops[ids] = np.array(arrays)[:, sub[:, None], sub] * (rest[:, None] == rest)
+    owing = [(s, step.complement) for s, step in enumerate(steps) if step.complement is not None]
     if owing:
         at, complement = np.array(owing).T
         others = np.array([[j for j in range(k) if j != c] for c in complement.tolist()])
         total = 0  # summed from 0 in operator order, as sum() does
         for j in range(k - 1):
             total = total + stack[at, others[:, j]]
-        stack[at, complement] = np.eye(full) - total
+        stack[at, complement] = np.eye(levels) - total
 
     # a step's sum of M^H M is A^H A, A its operators stacked as rows
-    a = stack.reshape(len(pairs), k * full, full)
-    deviation = np.abs(a.conj().transpose(0, 2, 1) @ a - np.eye(full))
+    a = stack.reshape(len(steps), k * levels, levels)
+    deviation = np.abs(a.conj().transpose(0, 2, 1) @ a - np.eye(levels))
     if np.any(deviation.max(axis=(1, 2)) > tol):
         raise ProtocolError("measurement operators do not satisfy completeness")
 
-    # the resources whose registers each operator does not leave as N (x) I
-    shared = [r for r in union if r in by_reg]
-    acts = np.zeros((len(ops), len(shared)), dtype=bool)
-    for c, r in enumerate(shared):
-        acts[:, c] = _acts_on(ops, union, r, table, tol)
-    flags = list(map(tuple, acts.tolist()))
-    touched = {f: frozenset(by_reg[r].name for r, on in zip(shared, f) if on) for f in set(flags)}
-    kernels = _kernels(union, stack)
-    for s, (step, node) in enumerate(pairs):
-        operators = tuple(
-            MeasurementOperator(name, union, stack[s, j], touched[flags[s * k + j]])
-            for j, name in enumerate(step.names)
-        )
-        object.__setattr__(node, "operators", operators)  # the node is still being built
-        node.__dict__["_kernel"] = kernels, s  # the cached property's slot
+    # the resources whose registers each operator does not leave as N (x) I:
+    # each operator against each register of its step that a resource holds,
+    # at most a pass's worth of entries at a time
+    tests = [
+        (s * k + j, r, *table._index_map(step.union, (r,)))
+        for s, step in enumerate(steps) for r in step.union if r in by_reg for j in range(k)
+    ]
+    touched: list[list[str]] = [[] for _ in range(len(ops))]
+    per = max(1, _MAX_GROUP_ENTRIES // (levels * levels))
+    for start in range(0, len(tests), per):
+        at, regs, level, rest = zip(*tests[start : start + per])
+        acts = _acts_on(ops[list(at)], np.array(level), np.array(rest), tol)
+        for o, r in itertools.compress(zip(at, regs), acts.tolist()):
+            touched[o].append(by_reg[r].name)
+    stack.flags.writeable = False  # equal steps share its views
+    kernels = _kernels(stack, [step.union for step in steps])
+    for s, step in enumerate(steps):
+        step.compiled = (*kernels[s], stack[s], list(map(frozenset, touched[s * k : s * k + k])))
 
 
 def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
@@ -489,29 +575,32 @@ def parse_protocol(doc: Mapping, tol: float = DEFAULT_TOL) -> ProtocolSpec:
     point of the tree), and single-use of every teleport resource.  A
     document of the wrong shape (a missing key, a number where a list or a
     mapping belongs) raises :class:`ProtocolError` as well.
+
+    The cyclic garbage collector is paused meanwhile, as in
+    :func:`~qrubik.states.load_state_set` (and with its caveat about threads).
     """
     try:
-        return _compile(doc, tol)
+        with _collector_paused():
+            return _compile(doc, tol)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ProtocolError(f"malformed protocol document: {exc}") from exc
 
 
 def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
+    name, notes = doc.get("name", "protocol"), doc.get("notes", [])
+    if not isinstance(name, str):
+        raise ProtocolError("protocol name must be a string")
+    if not isinstance(notes, (list, tuple)) or not all(isinstance(n, str) for n in notes):
+        raise ProtocolError("protocol notes must be a list of strings")
     table = RegisterTable(
         tuple(Register(r["name"], r["owner"], r["dim"]) for r in doc["registers"])
     )
-    resource_docs = doc.get("resources", [])
     root_doc = doc["root"]
 
     resources = []
     seen = set()
-    for r in resource_docs:
-        res = ResourceDecl(
-            name=r["name"],
-            pair=tuple(r["pair"]),
-            dim=r["dim"],
-            registers=tuple(r["registers"]),
-        )
+    for r in doc.get("resources", []):
+        res = ResourceDecl(r["name"], tuple(r["pair"]), r["dim"], tuple(r["registers"]))
         if not _is_dim(res.dim):
             raise ProtocolError(f"resource {res.name!r} dim must be an integer >= 1")
         if res.name in seen:
@@ -519,16 +608,11 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
         seen.add(res.name)
         if len(res.pair) != 2 or res.pair[0] == res.pair[1]:
             raise ProtocolError(f"resource {res.name!r} must join two distinct parties")
-        owners = {table.get(n).owner for n in res.registers}
-        if owners != set(res.pair):
-            raise ProtocolError(
-                f"resource {res.name!r} registers are not held by its party pair"
-            )
+        if {table.get(n).owner for n in res.registers} != set(res.pair):
+            raise ProtocolError(f"resource {res.name!r} registers are not held by its party pair")
         for n in res.registers:
             if table.get(n).dim != res.dim:
-                raise ProtocolError(
-                    f"resource {res.name!r} register {n!r} dim mismatch"
-                )
+                raise ProtocolError(f"resource {res.name!r} register {n!r} dim mismatch")
         resources.append(res)
     resources = tuple(resources)
     by_reg = {}
@@ -540,6 +624,7 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
 
     parties = {r.owner for r in table.registers}
     teleports_used: set[str] = set()
+    leaves: dict[str, Leaf] = {}  # one leaf per answer
     # the tree pass checks structure and reads each step into ``steps``; their
     # operators are compiled once it is done.  (``steps`` is passed, not
     # closed over, so that parse_node's reference to itself keeps no step
@@ -550,13 +635,10 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
             answer = node.get("answer")
             if not isinstance(answer, str) or not answer:
                 raise ProtocolError("leaf without an answer")
-            return Leaf(answer=answer)
+            return leaves.get(answer) or leaves.setdefault(answer, Leaf(answer))
         if kind == "teleport":
             src = node["source"]
-            res = None
-            for candidate in resources:
-                if candidate.name == node["resource"]:
-                    res = candidate
+            res = next((r for r in resources if r.name == node["resource"]), None)
             if res is None:
                 raise ProtocolError(f"teleport references unknown resource {node['resource']!r}")
             if res.name in teleports_used:
@@ -574,16 +656,14 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
                 raise ProtocolError(
                     f"teleport {src!r}->{dest!r} does not ride resource {res.name!r}"
                 )
-            new_owners = dict(owners)
-            new_owners[src] = dest
-            then = parse_node(node["then"], new_owners, steps)
+            then = parse_node(node["then"], {**owners, src: dest}, steps)
             return Teleport(source=src, resource=res.name, to=dest, then=then)
         if kind == "measure":
             party = node["party"]
             if party not in parties:
                 raise ProtocolError(f"unknown measuring party {party!r}")
             step = _step_parts(node["operators"], table)
-            measured = MeasurementStep(party=party, operators=(), branches={})
+            measured = MeasurementStep(party, (), {})
             steps.append((step, measured))
             for reg in step.union:
                 if owners[reg] != party:
@@ -608,13 +688,7 @@ def _compile(doc: Mapping, tol: float) -> ProtocolSpec:
         # also when the tree pass fails: the steps read so far come before
         # its fault in depth-first order, so their completeness is checked first
         _compile_steps(steps, table, by_reg, tol)
-    return ProtocolSpec(
-        name=doc.get("name", "protocol"),
-        table=table,
-        resources=resources,
-        root=root,
-        notes=tuple(doc.get("notes", [])),
-    )
+    return ProtocolSpec(name, table, resources, root, tuple(notes))
 
 
 def _abs2(amp: np.ndarray) -> np.ndarray:

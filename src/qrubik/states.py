@@ -7,6 +7,7 @@ Born-rule ratios, so normalization only ever happens inside the simulator.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import gc
 import json
@@ -760,6 +761,20 @@ def save_state_set(sset: StateSet, path: str) -> None:
         fh.writelines(_document_chunks(sset))
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic garbage collector switched off for the whole process, and
+    back on afterwards if it was on (:func:`load_state_set` says when that
+    helps, and why it is not meant for threaded callers)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_state_set(path: str) -> StateSet:
     """The set of a document file (:func:`state_set_from_dict`).
 
@@ -774,11 +789,5 @@ def load_state_set(path: str) -> StateSet:
     thread that switches the collector meanwhile) may leave it in the wrong
     state.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return state_set_from_dict(json.load(fh))
-    finally:
-        if enabled:
-            gc.enable()
+    with _collector_paused(), open(path, "r", encoding="utf-8") as fh:
+        return state_set_from_dict(json.load(fh))

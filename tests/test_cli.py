@@ -244,6 +244,8 @@ MALFORMED_SIMULATE_INPUTS = {
     "level-above-dim": (_set_levels([[0, 0], [0, 3]]), "outside dims"),
     # [1, -1] wrapped to (0, 1)
     "negative-level": (_set_levels([[0, 0], [1, -1]]), "outside dims"),
+    # read as [1, 1]
+    "bool-level": (_set_levels([[0, 0], [True, True]]), "is not one integer per register"),
     "register-twice": (
         _setter("protocol", "root", "operators", 0, "proj", 0, "regs", value=["A", "A"]),
         "lists register 'A' twice",
@@ -276,6 +278,20 @@ MALFORMED_SIMULATE_INPUTS = {
     "name-list": (
         _setter("protocol", "root", "operators", 0, "name", value=["N1"]),
         "operator without a name",
+    ),
+    # read as the complement
+    "string-complement": (
+        _setter("protocol", "root", "operators", 1, "complement", value="no"),
+        "operator 'N1bar' complement must be true or false",
+    ),
+    # exit 0, the report printing ["s", "e", "e", ...]
+    "string-notes": (
+        _setter("protocol", "notes", value="see the paper"),
+        "protocol notes must be a list of strings",
+    ),
+    # into the report as given
+    "protocol-name-list": (
+        _setter("protocol", "name", value=["x"]), "protocol name must be a string"
     ),
     # 58.2 TiB for the first step's dense operators
     "giant-register": (

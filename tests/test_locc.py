@@ -834,7 +834,8 @@ def _node(doc, *branches):
 def _overcounted(*branches):
     # a level listed twice: the proj operator has a 2 on its diagonal
     def spoil(doc):
-        _node(doc, *branches)["operators"][0]["proj"][0]["levels"].insert(0, [0, 0])
+        levels = _node(doc, *branches)["operators"][0]["proj"][0]["levels"]
+        levels.insert(0, list(levels[0]))
     return spoil
 
 
@@ -865,9 +866,23 @@ def _bad_level(*branches):
     return spoil
 
 
+def _short_vector(doc):
+    # m0p12S0+, the first operator two steps down, one entry short
+    _node(doc, "N1", "N2")["operators"][0]["vector"].pop()
+
+
+def _duplicated_vector(doc):
+    # a second copy of m0p12S0+ in its step, with a branch: the step's
+    # operators then sum past the identity
+    node = _node(doc, "N1", "N2")
+    node["operators"].insert(1, dict(copy.deepcopy(node["operators"][0]), name="twice"))
+    node["branches"]["twice"] = {"type": "leaf", "answer": "x"}
+
+
 # Documents with two faults: the one met first in depth-first order is
 # reported, a step's completeness counting as met as soon as its operators
-# are read, before its ownership and branch checks
+# are read, before its ownership and branch checks; a vector's fault counts
+# as met as its operator is read, before any later fault of its step
 TWO_FAULT_DOCUMENTS = {
     "incomplete-then-foreign-register": (_spoiled(_overcounted(), _foreign_regs), "completeness"),
     "incomplete-and-branch-mismatch": (
@@ -899,6 +914,21 @@ TWO_FAULT_DOCUMENTS = {
             lambda doc: _node(doc, "N1", "N2", "m0p12S0r").pop("answer"), _overcounted("N1bar")
         ),
         "leaf without an answer",
+    ),
+    "short-vector-in-an-incomplete-step": (
+        _spoiled(_duplicated_vector, _short_vector), "is not 4 [re, im] number pairs"
+    ),
+    "incomplete-then-short-vector": (_spoiled(_overcounted(), _short_vector), "completeness"),
+    "short-vector-then-incomplete": (
+        _spoiled(_short_vector, _overcounted("N1bar")), "is not 4 [re, im] number pairs"
+    ),
+    "short-vector-then-nameless-operator": (
+        _spoiled(_short_vector, lambda doc: _node(doc, "N1", "N2")["operators"][1].update(name="")),
+        "is not 4 [re, im] number pairs",
+    ),
+    "short-vector-in-a-foreign-party-step": (
+        _spoiled(_short_vector, lambda doc: _node(doc, "N1", "N2").update(party="Bob")),
+        "is not 4 [re, im] number pairs",
     ),
 }
 
@@ -1301,10 +1331,11 @@ def _walk_kernel(step):
     ids=["example1", "prop1", "prop2"],
 )
 def test_split_groups_compile_the_same_operators(name, states, monkeypatch):
-    # one stack per step instead of one per group of steps: the same bytes,
-    # touches and walk kernels, and those kernels as a step formed outside
-    # the parser computes them from its operators; walked, every bucket of
-    # steps then holds one node, with the same reports
+    # one stack per distinct step instead of one per group of steps: the
+    # same bytes, touches and walk kernels, and those kernels as a step formed
+    # outside the parser computes them from its operators; walked, every
+    # bucket of steps then holds the nodes of one distinct step, which share
+    # its slot, with the same reports
     from importlib import resources
     from qrubik import locc
 
@@ -1325,6 +1356,43 @@ def test_split_groups_compile_the_same_operators(name, states, monkeypatch):
     sset = states()
     assert run_protocol(alone, sset) == run_protocol(grouped, sset)
     assert check_orthogonality_preservation(alone, sset) is True
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [("example1", (15, 9, 11, 4)), ("prop1", (97, 34, 62, 11)), ("prop2", (307, 57, 175, 24))],
+)
+def test_equal_steps_share_a_slot(name, counts):
+    # steps, distinct steps (each compiled once, into one slot), distinct
+    # operator tuples (equal steps with equal names share theirs) and stacks
+    # of kernels (one per group of steps on the same registers)
+    from importlib import resources
+
+    doc = json.loads(resources.files("qrubik").joinpath("data", f"{name}.json").read_text())
+    steps = [step for _, step in _steps(doc["root"], parse_protocol(doc).root)]
+    slots = {(id(step._kernel[0]), step._kernel[1]) for step in steps}
+    operators = {id(step.operators) for step in steps}
+    assert (len(steps), len(slots), len(operators), len({k for k, _ in slots})) == counts
+    # the shared operators cannot be written through
+    assert not any(op.matrix.flags.writeable for step in steps for op in step.operators)
+
+
+def test_vectors_that_do_not_decode_together_decode_one_at_a_time():
+    # numpy vectors, which the batch decode does not take, read one at a time
+    from qrubik.locc import _vectors
+
+    doc = example1_protocol()
+    spec, arrays = parse_protocol(doc), copy.deepcopy(doc)
+    for step_doc, _ in _steps(arrays["root"], spec.root):
+        for op in step_doc["operators"]:
+            if "vector" in op:
+                op["vector"] = np.array(op["vector"])
+                assert _vectors([op["vector"]], 4) is None
+    pairs = zip(_steps(doc["root"], spec.root), _steps(arrays["root"], parse_protocol(arrays).root))
+    for (_, a), (_, b) in pairs:
+        assert [op.matrix.tobytes() for op in a.operators] == [
+            op.matrix.tobytes() for op in b.operators
+        ]
 
 
 # sha256 of each shipped protocol with its vector operators in the dense
@@ -1621,8 +1689,8 @@ def test_identity_factor_detection_drives_touching():
     correlated = np.zeros((4, 4), dtype=complex)
     for a_level, anc in ((0, 0), (1, 1)):
         correlated[a_level * 2 + anc, a_level * 2 + anc] = 1.0
-    assert _acts_on(correlated[None], union, "a", table, 1e-9).all()
+    assert _acts_on(correlated[None], *table._index_map(union, ("a",)), 1e-9).all()
 
     factored = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), 3 * np.eye(2))
-    assert not _acts_on(factored[None], union, "a", table, 1e-9).any()
-    assert _acts_on(factored[None], union, "A", table, 1e-9).all()
+    assert not _acts_on(factored[None], *table._index_map(union, ("a",)), 1e-9).any()
+    assert _acts_on(factored[None], *table._index_map(union, ("A",)), 1e-9).all()

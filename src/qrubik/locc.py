@@ -472,9 +472,11 @@ def _compile_steps(
         }
     for n, found in pending.items():  # each distinct vector's projector, formed once
         _, first, inverse = np.unique(batches[n].view(f"V{16 * n}")[:, 0], True, True)
-        projectors = list(_projectors(batches[n][first]))
+        projectors, per = [], max(1, _MAX_GROUP_ENTRIES // (n * n))  # at most per pass
+        for at in range(0, len(first), per):
+            projectors += list(_projectors(batches[n][first[at : at + per]]))
         for (step, vector), u in zip(found, inverse.tolist()):
-            step.parts.append((*vector[:2], projectors[u]))
+            step.parts.append((vector[0], vector[1], projectors[u]))
 
     distinct: dict[tuple, _StepParts] = {}
     twins = []  # the first step equal to each
@@ -497,7 +499,7 @@ def _compile_steps(
         kernels, slot, stack, touches = twin.compiled
         key = (id(twin), *step.names)
         if key not in operators:
-            unions = [step.union] * len(touches)
+            unions = itertools.repeat(step.union)
             operators[key] = tuple(map(MeasurementOperator, step.names, unions, stack, touches))
         # the node is still being built; _kernel is the cached property's slot
         vars(node).update(operators=operators[key], _kernel=(kernels, slot))

@@ -471,7 +471,8 @@ def _compile_steps(
             for n, found in pending.items()
         }
     for n, found in pending.items():  # each distinct vector's projector, formed once
-        _, first, inverse = np.unique(batches[n].view(f"V{16 * n}")[:, 0], True, True)
+        rows = batches[n].view(f"V{16 * n}")[:, 0]  # each vector's bytes
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         projectors, per = [], max(1, _MAX_GROUP_ENTRIES // (n * n))  # at most per pass
         for at in range(0, len(first), per):
             projectors += list(_projectors(batches[n][first[at : at + per]]))

@@ -18,7 +18,7 @@ import time
 from importlib import resources
 
 from . import __version__
-from .cube import build_snoeb, build_snoes
+from .cube import MAX_D, build_snoeb, build_snoes
 from .entangle import profile_rows
 from .locc import ProtocolError, matrix_to_json, parse_protocol, run_protocol
 from .states import (
@@ -231,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a state set and write it to a file")
-    p.add_argument("--d", type=int, required=True, help="local dimension, d >= 3")
+    p.add_argument("--d", type=int, required=True, help=f"local dimension, 3 <= d <= {MAX_D}")
     p.add_argument(
         "--basis", action="store_true", help="include the completion states"
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,9 +42,9 @@ def _schmidt_ranks(
     A state's coefficient matrix across a cut is taken over its support only,
     with a row per distinct left index and a column per distinct right index
     of its terms, both in lexicographic order: the zero rows and columns of
-    the full matrix add no singular value. The matrices of all states are
-    stacked by shape into batched SVDs, and singular values below ``tol``
-    times a state's largest are treated as zero.
+    the full matrix add no singular value. The singular values of all states'
+    matrices come from :func:`states._block_singular_values`, and those below
+    ``tol`` times a state's largest are treated as zero.
     """
     state, idx, amps = terms
     if not np.bincount(state, minlength=count).all():
@@ -67,36 +67,30 @@ def schmidt_rank(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> in
 
 def _profiles(
     layout: PartyLayout, terms: tuple[np.ndarray, np.ndarray, np.ndarray], count: int, tol: float
-) -> list[EntanglementProfile]:
-    """Profiles of tripartite states across the three one-party-vs-rest cuts."""
+) -> tuple[list[str], Iterator[tuple[list[int], bool, bool]]]:
+    """The names of the three one-party-vs-rest cuts of a tripartite layout
+    and, per state, its Schmidt ranks across them, whether any rank is above
+    one (entangled) and whether every rank is (genuine)."""
     if len(layout.parties) != 3:
         raise ValueError("entanglement profile is defined for tripartite layouts")
     cuts = [Bipartition.of(layout, [p]) for p in layout.parties]
-    names = [cut.name for cut in cuts]
-    return [
-        EntanglementProfile(
-            ranks=dict(zip(names, row)),
-            entangled=any(r > 1 for r in row),
-            genuine=all(r > 1 for r in row),
-        )
-        for row in _schmidt_ranks(layout, terms, count, cuts, tol).tolist()
-    ]
+    ranks = _schmidt_ranks(layout, terms, count, cuts, tol)
+    above = ranks > 1
+    rows = zip(ranks.tolist(), above.any(axis=1).tolist(), above.all(axis=1).tolist())
+    return [cut.name for cut in cuts], rows
 
 
 def entanglement_profile(s: PureState, tol: float = DEFAULT_TOL) -> EntanglementProfile:
     """Ranks for the three one-party-vs-rest cuts of a tripartite state."""
-    return _profiles(s.layout, _term_arrays(s.layout, [s]), 1, tol)[0]
+    names, rows = _profiles(s.layout, _term_arrays(s.layout, [s]), 1, tol)
+    ((ranks, entangled, genuine),) = rows
+    return EntanglementProfile(dict(zip(names, ranks)), entangled, genuine)
 
 
 def profile_rows(sset: StateSet, tol: float = DEFAULT_TOL) -> list[dict]:
     """JSON-ready profile rows, one per state."""
-    profiles = _profiles(sset.layout, sset.term_arrays, len(sset), tol)
+    names, rows = _profiles(sset.layout, sset.term_arrays, len(sset), tol)
     return [
-        {
-            "label": label,
-            "ranks": dict(prof.ranks),
-            "entangled": prof.entangled,
-            "genuine": prof.genuine,
-        }
-        for label, prof in zip(sset.labels, profiles)
+        {"label": label, "ranks": dict(zip(names, ranks)), "entangled": ent, "genuine": gen}
+        for label, (ranks, ent, gen) in zip(sset.labels, rows)
     ]

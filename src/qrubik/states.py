@@ -512,8 +512,9 @@ def _set_matrix(
 
 def _key_positions(block: np.ndarray, key: np.ndarray, n_blocks: int):
     """Each entry's position among the distinct keys of its block, ascending,
-    and the number of distinct keys of every block."""
-    order = np.lexsort((key, block))
+    and the number of distinct keys of every block (keys non-negative, and
+    ``n_blocks`` times the largest key within int64)."""
+    order = np.argsort(block.astype(np.int64) * (int(key.max()) + 1) + key, kind="stable")
     b, k = block[order], key[order]
     first = np.ones(b.size, dtype=bool)
     first[1:] = b[1:] != b[:-1]
@@ -532,20 +533,33 @@ def _block_singular_values(
 
     Entry k holds ``amps[k]`` in block ``block[k]`` (0 <= block < n_blocks,
     every block with at least one entry) at row key ``row[k]`` and column key
-    ``col[k]``. A block is the dense matrix over its distinct row keys and
-    its distinct column keys, both ascending; blocks of one shape are stacked
-    into one batched SVD. Returns one (block ids, singular values) pair per
-    shape, one row of descending singular values per block.
+    ``col[k]``, no two entries of a block at the same keys. A block is the
+    dense matrix over its distinct row keys and its distinct column keys,
+    both ascending.
+
+    Two kinds of block are read off their entries: a block with one row or
+    one column has one singular value, the norm of its entries, and a block
+    with as many entries as rows and as columns is a permuted diagonal, whose
+    singular values are the moduli of its entries. The coefficient matrix of
+    a cube-set state across any one-party cut is of one of these kinds. Every
+    other block goes to a batched SVD, the blocks of one shape stacked.
+    Returns (block ids, singular values) pairs, one row of descending
+    singular values per block.
     """
     if not block.size:
         return []
     r, heights = _key_positions(block, row, n_blocks)
     c, widths = _key_positions(block, col, n_blocks)
+    sizes = np.minimum(heights, widths)
+    entry_counts = np.bincount(block, minlength=n_blocks)
+    direct = (sizes == 1) | ((entry_counts == heights) & (entry_counts == widths))
     span = int(widths.max()) + 1
+    # a direct block is keyed by minus its number of singular values, any
+    # other block by its shape
     codes, shape, count = np.unique(
-        heights * span + widths, return_inverse=True, return_counts=True
+        np.where(direct, -sizes, heights * span + widths), return_inverse=True, return_counts=True
     )
-    # renumber the blocks so that those of one shape are consecutive
+    # renumber the blocks so that those of one key are consecutive
     order = np.argsort(shape, kind="stable")
     new_id = np.empty_like(order)
     new_id[order] = np.arange(n_blocks)
@@ -555,12 +569,20 @@ def _block_singular_values(
     entry_ends = np.searchsorted(entry_id[entries], ends)
     result = []
     start = entry_start = 0
-    for code, end, entry_end in zip(codes, ends, entry_ends):
-        h, w = divmod(int(code), span)
+    for code, end, entry_end in zip(codes.tolist(), ends, entry_ends):
+        ids = order[start:end]
         e = entries[entry_start:entry_end]
-        stack = np.zeros((end - start, h, w), dtype=complex)
-        stack[entry_id[e] - start, r[e], c[e]] = amps[e]
-        result.append((order[start:end], np.linalg.svd(stack, compute_uv=False)))
+        if code == -1:
+            firsts = np.cumsum(entry_counts[ids]) - entry_counts[ids]
+            svals = np.hypot.reduceat(np.abs(amps[e]), firsts)[:, None]
+        elif code < 0:
+            svals = np.sort(np.abs(amps[e]).reshape(-1, -code), axis=1)[:, ::-1]
+        else:
+            h, w = divmod(code, span)
+            stack = np.zeros((end - start, h, w), dtype=complex)
+            stack[entry_id[e] - start, r[e], c[e]] = amps[e]
+            svals = np.linalg.svd(stack, compute_uv=False)
+        result.append((ids, svals))
         start, entry_start = end, entry_end
     return result
 
@@ -729,16 +751,21 @@ def _document_chunks(sset: StateSet) -> Iterator[str]:
     """The document of :func:`state_set_to_dict` exactly as ``json.dump(doc,
     fh, indent=1)`` writes it, a state at a time, with the final newline.
 
-    Every term has one shape, so it is filled into a fixed template instead of
-    passing through the pure-Python encoder that ``indent`` selects:
-    amplitudes are finite floats and print with ``float.__repr__`` (``%r``),
-    as the encoder prints them.
+    Every term has one shape, so the terms do not pass through the
+    pure-Python encoder that ``indent`` selects. The states with one number
+    of terms form a class, and all states of a class are filled in one ``%``
+    pass of the class's template (a state's template, repeated) from a slice
+    of one flat list of the values of every term: indices print with ``%d``,
+    and amplitudes are finite floats and print with ``float.__repr__``, as
+    the encoder prints them, formed once per distinct real or imaginary part
+    (the parts of a cube set are a few roots of unity). The filled states are
+    then split apart, given their labels and put back in set order.
     """
     layout = sset.layout
     term = _json_object(
         [
             ("idx", _json_container("[", "]", ["%d"] * len(layout.dims), 5)),
-            ("amp", _json_container("[", "]", ["%r", "%r"], 5)),
+            ("amp", _json_container("[", "]", ["%s", "%s"], 5)),
         ],
         4,
     )
@@ -746,12 +773,30 @@ def _document_chunks(sset: StateSet) -> Iterator[str]:
     parties = _json_container("[", "]", [_json_scalar(p) for p in layout.parties], 1)
     yield f'{{\n "dims": {dims},\n "parties": {parties},\n "states": '
     state, idx, amps = sset.term_arrays
-    values = [(*k, r, i) for k, r, i in zip(idx.tolist(), amps.real.tolist(), amps.imag.tolist())]
+    counts = np.bincount(state, minlength=len(sset.labels))
+    # the terms class by class, and within a class in set order
+    order = np.argsort(counts[state], kind="stable")
+    parts = np.stack([amps.real[order], amps.imag[order]], axis=1)
+    # parts told apart by their bits, so that -0.0 and 0.0 stay two
+    bits, part = np.unique(parts.view(np.int64).ravel(), return_inverse=True)
+    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    width = len(layout.dims) + 2
+    values = np.empty((order.size, width), dtype=object)
+    values[:, :-2], values[:, -2:] = idx[order], reprs[part.reshape(-1, 2)]
+    values = values.ravel().tolist()
+    bodies = []
+    start = 0
+    for n, m in zip(*(a.tolist() for a in np.unique(counts, return_counts=True))):
+        body = ',\n   "terms": ' + _json_container("[", "]", [term] * n, 3) + "\n  }"
+        end = start + m * n * width
+        # no filled value holds a NUL, so it parts the states of a class
+        bodies += ("\0".join([body] * m) % tuple(values[start:end])).split("\0")
+        start = end
+    place = np.empty(len(bodies), dtype=np.int64)
+    place[np.argsort(counts, kind="stable")] = np.arange(len(bodies))
     separator = "[\n  "
-    for label, (start, end) in zip(sset.labels, _state_ranges(state, len(sset.labels))):
-        terms = [term % v for v in values[start:end]]
-        fields = [("label", _json_scalar(label)), ("terms", _json_container("[", "]", terms, 3))]
-        yield separator + _json_object(fields, 2)
+    for label, k in zip(sset.labels, place.tolist()):
+        yield separator + '{\n   "label": ' + _json_scalar(label) + bodies[k]
         separator = ",\n  "
     yield ("\n ]" if sset.labels else "[]") + "\n}\n"
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from importlib import resources
 
-from qrubik import cli, verify
+from qrubik import cli, cube, verify
 from qrubik.cli import main
 
 from reference_data import dense_operator, ghz_basis
@@ -56,6 +56,23 @@ def test_construct_set_default_name(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert _payload(out)["result"]["size"] == 24
     assert os.path.exists("b3.json")
+
+
+def test_construct_refuses_d_above_the_bound_before_building(tmp_path, capsys, monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"the runs of d = {d} were built")
+
+    monkeypatch.setattr(cube, "_run_cells", refuse)
+    out_file = str(tmp_path / "big.json")
+    for d in (cube.MAX_D + 1, 100):
+        for basis in ((), ("--basis",)):
+            code, out, err = _run(capsys, "construct", "--d", str(d), *basis, "--output", out_file)
+            assert code == 2 and out == ""
+            assert f"3 <= d <= {cube.MAX_D}" in err and f"d = {d}" in err
+    assert not os.path.exists(out_file)
+    # the bound itself passes the check and goes on to build the runs
+    with pytest.raises(AssertionError, match=f"d = {cube.MAX_D} were built"):
+        cube.build_snoeb(cube.MAX_D)
 
 
 def test_analyze_profiles(tmp_path, capsys):
@@ -554,11 +571,33 @@ def test_construct_and_analyze_bytes_are_pinned(tmp_path, capsys):
             ),
         ),
         _unlabelled(PureState(layout, [((0, 1), 1)], None)),
+        _interleaved_term_counts(),
     ]
     for sset in cases:
         save_state_set(sset, path)
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == json.dumps(state_set_to_dict(sset), indent=1) + "\n"
+
+
+def _interleaved_term_counts():
+    """A set whose states have 0, 1, 3 and 9 terms in interleaved order, so
+    that the writer's classes of equal term counts are not runs of the set,
+    with amplitude parts that repeat, -0.0 beside 0.0 and parts of extreme
+    scale."""
+    layout = PartyLayout(("A", "B", "C"), (3, 3, 2))
+    rng = np.random.default_rng(9)
+    cells = list(np.ndindex(*layout.dims))
+    parts = [0.0, -0.0, 1.0, -0.5, 1 / 3, 0.1, 1e-300, -2.5e300]
+    counts = [3, 0, 9, 1, 9, 3, 0, 1, 3, 9, 1, 0]
+    owner, idx, amps = [], [], []
+    for k, n in enumerate(counts):
+        for c in np.sort(rng.choice(len(cells), n, replace=False)):
+            owner.append(k)
+            idx.append(cells[c])
+            amps.append(complex(*rng.choice(parts, 2)))
+    arrays = (np.array(owner, dtype=np.int64), np.array(idx, dtype=np.int64).reshape(-1, 3))
+    labels = [f"s{k}" for k in range(len(counts))]
+    return StateSet._of_arrays(layout, labels, (*arrays, np.array(amps, dtype=complex)))
 
 
 def _unlabelled(state):

@@ -120,7 +120,7 @@ def _dense_rank(s, cut, tol=1e-9):
 
 
 @pytest.mark.parametrize("build", [build_snoes, build_snoeb], ids=["snoes", "snoeb"])
-@pytest.mark.parametrize("d", (3, 4, 5))
+@pytest.mark.parametrize("d", (3, 4, 5, 9))
 def test_support_rank_matches_dense_rank(build, d):
     sset = build(d)
     rng = np.random.default_rng(d)

@@ -276,6 +276,87 @@ def test_validate_set_takes_no_whole_set_svd(monkeypatch):
     assert shapes and max(max(shape) for shape in shapes) <= 16
 
 
+def _phased(moduli, rng):
+    return moduli * np.exp(2j * np.pi * rng.random(np.shape(moduli)))
+
+
+def _permuted_diagonal(moduli, rng):
+    k = len(moduli)
+    mat = np.zeros((k, k), dtype=complex)
+    mat[np.arange(k), rng.permutation(k)] = _phased(np.asarray(moduli), rng)
+    return mat
+
+
+def _direct_and_svd_blocks(rng, tol=1e-9):
+    """Dense blocks, every row and column with an entry: permuted diagonals
+    with moduli from 1e-12 to 1, one with a modulus just above and one just
+    below ``tol`` times its largest; single rows and columns, two of them at
+    a scale whose squares leave the float range; and blocks of the same
+    shapes that need an SVD. Returns the blocks and the number that need one."""
+    direct = [
+        _permuted_diagonal(10 ** rng.uniform(-12, 0, int(k)), rng) for k in rng.integers(2, 7, 20)
+    ]
+    top = 0.7
+    direct.append(_permuted_diagonal([top, top * tol * 1.001, top * tol * 0.999, 0.3], rng))
+    for w in range(1, 6):
+        direct.append(_phased(10 ** rng.uniform(-12, 0, (1, w)), rng))
+        direct.append(_phased(10 ** rng.uniform(-12, 0, (w + 1, 1)), rng))
+    direct += [_phased(np.full((1, 3), 1e170), rng), _phased(np.full((2, 1), 1e-170), rng)]
+    svd = []
+    for k in range(2, 7):
+        svd.append(_phased(rng.uniform(0.1, 1, (k, k)), rng))
+        extra = _permuted_diagonal(rng.uniform(0.1, 1, k), rng)
+        zero = np.argwhere(extra == 0)[int(rng.integers(k * k - k))]
+        extra[tuple(zero)] = 0.5
+        svd.append(extra)
+    # one entry in every row, or in every column, but not both
+    svd += [np.array([[1, 2j, 0], [0, 0, 3]]), np.array([[1, 0], [0, 2], [3j, 0]])]
+    blocks = direct + svd
+    return [blocks[i] for i in rng.permutation(len(blocks))], len(svd)
+
+
+def _block_entries(blocks, rng):
+    """The entries of ``blocks`` as the (block, row key, column key,
+    amplitude) arrays of ``states._block_singular_values``: each block at
+    random ascending keys, and the entries of all blocks in random order."""
+    block, row, col, amps = [], [], [], []
+    for b, mat in enumerate(blocks):
+        rows = np.sort(rng.choice(10 * mat.shape[0], mat.shape[0], replace=False))
+        cols = np.sort(rng.choice(10 * mat.shape[1], mat.shape[1], replace=False))
+        i, j = np.nonzero(mat)
+        block += [b] * len(i)
+        row += rows[i].tolist()
+        col += cols[j].tolist()
+        amps += mat[i, j].tolist()
+    order = rng.permutation(len(block))
+    return tuple(np.array(a)[order] for a in (block, row, col, amps))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_blocks_match_dense_svd(monkeypatch, seed, tol=1e-9):
+    rng = np.random.default_rng(seed)
+    blocks, need_svd = _direct_and_svd_blocks(rng, tol)
+    svd = np.linalg.svd
+    stacked = []
+
+    def recording_svd(a, *args, **kwargs):
+        stacked.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    found = {}
+    for ids, svals in states._block_singular_values(*_block_entries(blocks, rng), len(blocks)):
+        assert svals.shape[0] == len(ids)
+        found.update(zip(ids.tolist(), svals))
+    assert sorted(found) == list(range(len(blocks)))
+    # only the blocks that are not a permuted diagonal, a row or a column
+    assert sum(stacked) == need_svd
+    for b, mat in enumerate(blocks):
+        ref = svd(mat, compute_uv=False)
+        np.testing.assert_allclose(found[b], ref, rtol=1e-12, atol=1e-13 * ref[0])
+        assert np.sum(found[b] > tol * found[b][0]) == np.sum(ref > tol * ref[0])
+
+
 def _random_document(rng, dims, spelling):
     """A state-set document with unsorted terms, duplicate indices that merge
     (some to exactly zero), -0.0 parts, zero terms and states scaled by

@@ -20,7 +20,7 @@ from importlib import resources
 from . import __version__
 from .cube import MAX_D, build_snoeb, build_snoes
 from .entangle import profile_rows
-from .locc import ProtocolError, matrix_to_json, parse_protocol, run_protocol
+from .locc import _NO_STATES, ProtocolError, matrix_to_json, parse_protocol, run_protocol
 from .states import (
     DEFAULT_TOL,
     Bipartition,
@@ -62,6 +62,16 @@ def _resolve_data(arg: str) -> str:
     raise FileNotFoundError(f"no such file or packaged document: {arg}")
 
 
+def _load_set(arg: str):
+    """The path and the state set of ``arg``; a set with no states leaves
+    nothing to decide, and every command that reads one refuses it."""
+    path = _resolve_data(arg)
+    sset = load_state_set(path)
+    if not len(sset):
+        raise ValueError(_NO_STATES)
+    return path, sset
+
+
 def _emit(command: str, inputs: dict[str, str], payload, started: float) -> None:
     report = {
         "command": command,
@@ -95,8 +105,7 @@ def _cmd_construct(args, started: float) -> int:
 
 
 def _cmd_analyze(args, started: float) -> int:
-    path = _resolve_data(args.input)
-    sset = load_state_set(path)
+    path, sset = _load_set(args.input)
     payload = {"profiles": profile_rows(sset)}
     _emit(_echo(args), {path: _digest(path)}, payload, started)
     return 0
@@ -112,8 +121,7 @@ def _check_payload(result) -> dict:
 
 
 def _cmd_verify(args, started: float) -> int:
-    path = _resolve_data(args.input)
-    sset = load_state_set(path)
+    path, sset = _load_set(args.input)
     if args.check:
         cut_name, _, actor = args.check.partition(":")
         left, _, right = cut_name.partition("|")
@@ -158,10 +166,9 @@ def _cmd_verify(args, started: float) -> int:
 
 def _cmd_simulate(args, started: float) -> int:
     ppath = _resolve_data(args.protocol)
-    spath = _resolve_data(args.states)
     with _collector_paused(), open(ppath, "r", encoding="utf-8") as fh:
         spec = parse_protocol(json.load(fh))
-    sset = load_state_set(spath)
+    spath, sset = _load_set(args.states)
     report = run_protocol(spec, sset)
     payload = {
         "protocol": spec.name,

@@ -32,6 +32,8 @@ _MAX_STEP_ENTRIES = 2**20
 # the most entries one stack of steps holds while their operators are
 # compiled, 16 MiB of complex numbers (a larger group is split)
 _MAX_GROUP_ENTRIES = 2**20
+# the refusal of a set with no states, which the CLI makes for every command
+_NO_STATES = "the state set has no states to discriminate"
 
 
 class ProtocolError(ValueError):
@@ -904,7 +906,7 @@ def _walk(
     of them faults or is found not orthogonal first.
     """
     if not len(sset):
-        raise ProtocolError("the state set has no states to discriminate")
+        raise ProtocolError(_NO_STATES)
     principal = spec.principal_registers
     if len(principal) != len(sset.layout.parties):
         raise ProtocolError(

@@ -414,12 +414,6 @@ def prop2_protocol() -> dict:
     """
 
     def subtree(beta: int, gamma: int) -> dict:
-        def b1v(b_level: int) -> int:
-            return (0 if b_level == 0 else 1) ^ beta
-
-        def c1v(c_level: int) -> int:
-            return (0 if c_level in (0, 1) else 1) ^ gamma
-
         def step5() -> dict:
             m51 = _proj_op(
                 "M5,1",

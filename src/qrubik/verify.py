@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -89,19 +89,6 @@ def coords_from_hermitian(mat: np.ndarray) -> np.ndarray:
     return v
 
 
-def _fold(m: int) -> scipy.sparse.csr_matrix:
-    """Sparse (m^2 x m^2) map from a flattened coupling block c to Hermitian
-    coordinates: c[k, k] to slot k, c[k, l] + c[l, k] to the pair's slot and
-    i (c[k, l] - c[l, k]) to slot + 1.  As <i|(E x I)|j> = sum c[u, w] E[u, w],
-    the real and imaginary parts, off the diagonal over sqrt(2), are two rows."""
-    k, l, slot = _offdiagonal(m)
-    diag = np.arange(m)
-    src = np.concatenate([diag * (m + 1), k * m + l, l * m + k, k * m + l, l * m + k])
-    dst = np.concatenate([diag, slot, slot, slot + 1, slot + 1])
-    val = np.concatenate([np.ones(m + 2 * k.size), np.full(k.size, 1j), np.full(k.size, -1j)])
-    return scipy.sparse.csr_matrix((val, (src, dst)), shape=(m * m, m * m))
-
-
 def identity_coords(m: int) -> np.ndarray:
     v = np.zeros(m * m)
     v[:m] = 1.0
@@ -109,53 +96,24 @@ def identity_coords(m: int) -> np.ndarray:
 
 
 class ConstraintSystem:
-    """Real linear constraints on the actor-side Hermitian element.
+    """Real linear constraints of one check on the actor-side Hermitian element.
 
     Each state pair with nonvanishing coupling contributes a real and an
-    imaginary row, taken from the states each divided by its norm, so
-    rescaling a state moves the rows by roundoff at most; identically zero
-    rows are dropped.
-
-    For a tight set, whose N states touch exactly N cells (:func:`_tight_size`;
-    a basis, once it has passed the orthogonality check, is one), ``reduced``
-    is the m^2 x N matrix M of the Hermitian coordinates of the N unit
-    states' reduced states on the actor side, ``coverage`` the count h of
-    :func:`_coverage` per coordinate, and for the Gram matrix G of those
-    states ``gram_deviation`` is delta = ||G - I||_F and ``pair_overlap`` the
-    root of the sum of |G_ij|^2 over the pairs i < j: with them :func:`_solve`
-    certifies the system without its rows.  So the rows and
-    ``n_coupled_pairs`` of a tight set are built by ``assemble`` (which
-    returns the folded blocks of :func:`_coupled_blocks`) when first read,
-    which only the fallbacks do.  For any other set the rows are given and
-    the four fields are None.
+    imaginary row (:func:`_rows`), taken from the states each divided by its
+    norm, so rescaling a state moves the rows by roundoff at most;
+    identically zero rows are dropped.  The rows and ``n_coupled_pairs`` are
+    built when first read, which only the rows fallback of
+    :func:`certify_triviality` and :func:`solution_space` do.
     """
 
-    def __init__(
-        self,
-        m: int,
-        rows: scipy.sparse.csr_matrix | None,
-        n_pairs: int,
-        n_coupled_pairs: int | None,
-        reduced: scipy.sparse.csr_matrix | None = None,
-        coverage: np.ndarray | None = None,
-        gram_deviation: float | None = None,
-        pair_overlap: float | None = None,
-        assemble: Callable[[], scipy.sparse.csr_matrix] | None = None,
-    ) -> None:
+    def __init__(self, sset: StateSet, axes: list[int], m: int) -> None:
         self.m = m
-        self.n_pairs = n_pairs
-        self.reduced = reduced
-        self.coverage = coverage
-        self.gram_deviation = gram_deviation
-        self.pair_overlap = pair_overlap
-        self._assemble = assemble
-        if assemble is None:
-            self._assembled = rows, n_coupled_pairs
+        self.n_pairs = len(sset) * (len(sset) - 1) // 2
+        self._sset, self._axes = sset, axes
 
     @functools.cached_property
     def _assembled(self) -> tuple[scipy.sparse.csr_matrix, int]:
-        folded = self._assemble()
-        return _real_rows(folded, self.m), folded.shape[0]
+        return _rows(self._sset, self._axes, self.m)
 
     @property
     def rows(self) -> scipy.sparse.csr_matrix:
@@ -240,9 +198,7 @@ def _tight_size(sset: StateSet) -> int | None:
     at most that many, and is tight without counting.  Any other set's cells
     are counted once (``StateSet._cell_count``)."""
     n = len(sset)
-    if n == sset.layout.total_dim:
-        return n
-    return n if sset._cell_count == n else None
+    return n if n == sset.layout.total_dim or sset._cell_count == n else None
 
 
 def _check_unknowns(m: int, tight: int | None, check: str) -> None:
@@ -264,7 +220,14 @@ def _check_name(cut: Bipartition, actor: Sequence[str] | str) -> str:
     return f"check {cut.name}:{''.join(actor)}"
 
 
-def _check_orthogonal(sset: StateSet, gram: scipy.sparse.csr_matrix, tol: float) -> None:
+def _check_orthogonal(sset: StateSet, tol: float) -> None:
+    """Refuse a set with a zero state or a pair of states that are not
+    orthogonal, read off the Gram matrix of its unit states, which is formed
+    once per set (``StateSet._unit_gram``)."""
+    gram = sset._unit_gram[0]
+    zero = np.flatnonzero(gram.diagonal() == 0)
+    if zero.size:
+        raise ValueError(f"input state {sset.labels[zero[0]]} is the zero state")
     bad = _first_nonorthogonal_pair(gram, tol)
     if bad is not None:
         raise ValueError(
@@ -272,34 +235,62 @@ def _check_orthogonal(sset: StateSet, gram: scipy.sparse.csr_matrix, tol: float)
         )
 
 
-def _coupled_blocks(
-    sset: StateSet, axes: list[int], m: int, tol: float
-) -> scipy.sparse.csr_matrix:
-    """The m x m coupling blocks c[u, w] = <i|(|u><w| x I)|j> of the pairs
-    i < j with an entry above ``_ROW_DROP``, in pair order, folded by
-    :func:`_fold`.  The states are taken at norm one (:func:`_unit_scaled`,
-    an exact power of two first, so no product underflows or overflows), and
-    one sparse product holds every block; the block traces are the Gram matrix
-    the orthogonality check reads.
+def _rows(sset: StateSet, axes: list[int], m: int) -> tuple[scipy.sparse.csr_matrix, int]:
+    """The constraint rows of one check, and the number of coupled pairs.
+
+    With the set as a sparse matrix S of rows (state, actor index) and
+    columns the other index, each state at norm one (:func:`_set_matrix`, an
+    exact power of two first, so no product underflows or overflows),
+    conj(S) S^T holds the m x m coupling block c[u, w] = <i|(|u><w| x I)|j>
+    of every pair.  A pair i < j is coupled when an entry of its block is
+    above ``_ROW_DROP``.  As <i|(E x I)|j> = sum c[u, w] E[u, w], its block
+    folds into Hermitian coordinates: c[k, k] to coordinate k, and for k < l
+    c[k, l] + c[l, k] to the slot of (k, l) and i (c[k, l] - c[l, k]) to
+    slot + 1, both over sqrt(2).  Coupled pair p gives row 2p from the real
+    parts and row 2p + 1 from the imaginary parts, each with its entries
+    above ``_ROW_DROP``; empty rows are dropped.
     """
-    n = len(sset)
+    n, mm = len(sset), m * m
     mat = _set_matrix(sset, axes, unit=True)
     blocks = (mat.conj() @ mat.T).tocoo()
-    i, u = np.divmod(blocks.row, m)
-    j, w = np.divmod(blocks.col, m)
-    trace = u == w
-    _check_orthogonal(
-        sset, scipy.sparse.csr_matrix((blocks.data[trace], (i[trace], j[trace])), shape=(n, n)), tol
-    )
-    del trace
-    upper = i < j
-    pairs, pair_of = np.unique(i[upper].astype(np.int64) * n + j[upper], return_inverse=True)
-    coupled = scipy.sparse.csr_matrix(
-        (blocks.data[upper], (pair_of, u[upper] * m + w[upper])), shape=(pairs.size, m * m)
-    )
-    del blocks, i, u, j, w  # the product is the largest array here; fold without it
-    keep = np.maximum.reduceat(np.abs(coupled.data), coupled.indptr[:-1]) > _ROW_DROP
-    return coupled[keep] @ _fold(m)
+    upper = np.flatnonzero(blocks.row // m < blocks.col // m)
+    (i, u), (j, w) = np.divmod(blocks.row[upper], m), np.divmod(blocks.col[upper], m)
+    c = blocks.data[upper]
+    del blocks, upper  # the product is the largest array here; fold without it
+    # entry (u, w) of pair (i, j) is keyed by the pair, the row (real, then
+    # imaginary) and the slot of (min(u, w), max(u, w)), where (w, u) meets
+    # it; slot + 1 takes it with the sign of w - u, zero on the diagonal
+    sign = np.sign(w - u)
+    slot = np.where(sign == 0, u, _pair_slot(np.minimum(u, w), np.maximum(u, w), m))
+    key = (i.astype(np.int64) * n + j) * (2 * mm) + slot
+    del i, j, u, w, slot
+    key = np.concatenate([key, key + mm])
+    order = np.argsort(key, kind="stable")  # timsort, on runs of the product order
+    key = key[order]
+    # its values at slot and at slot + 1 in the real row, then the imaginary row
+    at_slot = np.concatenate([c.real, c.imag])[order]
+    at_next = np.concatenate([-sign * c.imag, sign * c.real])[order]
+    strong = np.tile(np.abs(c) > _ROW_DROP, 2)[order]
+    del c, sign, order
+    pair_first = np.diff(key // (2 * mm), prepend=-1) != 0
+    coupled = np.logical_or.reduceat(strong, np.flatnonzero(pair_first))
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    vals = np.empty((starts.size, 2))
+    np.add.reduceat(at_slot, starts, out=vals[:, 0])
+    np.add.reduceat(at_next, starts, out=vals[:, 1])
+    del at_slot, at_next, strong
+    live = coupled[np.cumsum(pair_first)[starts] - 1]
+    key = key[starts]
+    slot = (key % mm).astype(np.int32)
+    vals /= np.where(slot < m, 1.0, _SQRT2)[:, None]
+    big = (np.abs(vals) > _ROW_DROP) & live[:, None]
+    # the entries up to the end of each row, with each empty row dropped
+    ends = np.flatnonzero(np.diff(key // mm, append=-1))
+    indptr = np.r_[0, np.cumsum(big[:, 0].astype(np.int64) + big[:, 1])[ends]]
+    indptr = indptr[np.diff(indptr, prepend=-1) > 0]
+    indices = (slot[:, None] + np.arange(2, dtype=np.int32))[big]
+    rows = scipy.sparse.csr_matrix((vals[big], indices, indptr), shape=(indptr.size - 1, mm))
+    return rows, int(coupled.sum())
 
 
 def _reduced_coords(sset: StateSet, axes: list[int], m: int) -> scipy.sparse.csr_matrix:
@@ -352,61 +343,21 @@ def _coverage(sset: StateSet, axes: list[int], m: int) -> np.ndarray:
     return h
 
 
-def _real_rows(folded: scipy.sparse.csr_matrix, m: int) -> scipy.sparse.csr_matrix:
-    """Rows 2p and 2p + 1 from the real and imaginary part of folded block p,
-    keeping the entries above ``_ROW_DROP``; returns the nonempty rows."""
-    folded.sort_indices()
-    pair = np.repeat(np.arange(folded.shape[0]), np.diff(folded.indptr))
-    vals = np.concatenate([folded.data.real, folded.data.imag])
-    cols = np.tile(folded.indices, 2)
-    vals[cols >= m] /= _SQRT2
-    big = np.abs(vals) > _ROW_DROP
-    vals, cols = vals[big], cols[big]
-    # now the row of each entry: the grouping into rows is stable, so each
-    # row keeps its columns in order
-    pair = np.concatenate([2 * pair, 2 * pair + 1])[big]
-    rows = scipy.sparse.csr_matrix((vals, (pair, cols)), shape=(2 * folded.shape[0], m * m))
-    filled = np.flatnonzero(np.diff(rows.indptr))
-    indptr = rows.indptr[np.r_[0, filled + 1]]
-    return scipy.sparse.csr_matrix((rows.data, rows.indices, indptr), shape=(filled.size, m * m))
-
-
 def assemble_constraints(
     sset: StateSet,
     cut: Bipartition,
     actor: Sequence[str] | str,
     tol: float = DEFAULT_TOL,
 ) -> ConstraintSystem:
-    """Build the orthogonality-preservation constraint rows for one actor side.
+    """The orthogonality-preservation constraints of one actor side.
 
     The unknown is an m x m Hermitian element on the actor side (m = product
-    of the actor dims).  Each coupled state pair's block, folded into
-    Hermitian coordinates, gives a real and an imaginary row, in pair order.
-
-    For a tight set, only the reduced states and the coverage are formed
-    here, and the Gram matrix of the unit states is read by the same
-    orthogonality check; that matrix, with its delta and pair overlap, is
-    formed once per set (``StateSet._unit_gram``), and the rows are built
-    when first read.
+    of the actor dims).  The set is first checked for a zero state and for
+    pairwise orthogonality at ``tol``; the rows are built when first read.
     """
     m, axes = _actor_side(sset, cut, actor)
-    n_pairs = len(sset) * (len(sset) - 1) // 2
-    if _tight_size(sset) is None:
-        folded = _coupled_blocks(sset, axes, m, tol)
-        return ConstraintSystem(m, _real_rows(folded, m), n_pairs, folded.shape[0])
-    gram, deviation, overlap = sset._unit_gram
-    _check_orthogonal(sset, gram, tol)
-    return ConstraintSystem(
-        m,
-        rows=None,
-        n_pairs=n_pairs,
-        n_coupled_pairs=None,
-        reduced=_reduced_coords(sset, axes, m),
-        coverage=_coverage(sset, axes, m),
-        gram_deviation=deviation,
-        pair_overlap=overlap,
-        assemble=functools.partial(_coupled_blocks, sset, axes, m, tol),
-    )
+    _check_orthogonal(sset, tol)
+    return ConstraintSystem(sset, axes, m)
 
 
 def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarray:
@@ -436,10 +387,10 @@ def _nullspace(rows: scipy.sparse.csr_matrix, dim: int, tol: float) -> np.ndarra
     return vt[rank:].T
 
 
-def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
-    """Whether one Cholesky factorisation built from a tight set's reduced
-    states proves that the identity is the only solution; False for any
-    other set.
+def _reduced_states_certify_trivial(sset: StateSet, axes: list[int], m: int, tol: float) -> bool:
+    """Whether one Cholesky factorisation built from the reduced states of a
+    tight set (:func:`_tight_size`) on ``axes`` proves that the identity is
+    the only solution of its check.
 
     Let the N states psi_i, each taken at norm one, touch exactly N cells,
     with Gram matrix G = I + Delta, delta = ||Delta||_F, P = sum_i
@@ -521,17 +472,16 @@ def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
     than tol sigma_max, so the entries dropped at ``_ROW_DROP`` are taken as
     the roundoff they stand for, as the orthogonality check takes them.
     """
-    reduced, h, m = cs.reduced, cs.coverage, cs.m
-    if reduced is None:
-        return False
-    n = reduced.shape[1]
+    n = len(sset)
     side = min(m * m, n)
+    h = _coverage(sset, axes, m)
     low, high = float(h.min()), float(h.max())
     if side > _MAX_UNKNOWNS or low == 0:
         return False
     eps = np.finfo(float).eps
     gram_error = 2 * (n + 3) * eps * n
-    delta = cs.gram_deviation + gram_error
+    deviation, overlap = sset._unit_gram[1:]
+    delta = deviation + gram_error
     eta = _SQRT2 * _ROW_DROP * n * m + 6 * (high + 2) * eps * n
     error = eps * (
         6 * (1 + delta) * (high + 2) * high * math.sqrt(m)
@@ -547,9 +497,10 @@ def _reduced_states_certify_trivial(cs: ConstraintSystem, tol: float) -> bool:
     )
     if not shift < low:
         return False
+    reduced = _reduced_coords(sset, axes, m)
     mass = float(np.dot(reduced.data, reduced.data)) + (6 * (high + 2) + reduced.nnz) * eps * n
     floor = ((1 - 2 * delta - delta * delta) * float(h.sum()) - mass) / (2 * m * m)
-    overlap = cs.pair_overlap + gram_error
+    overlap += gram_error
     if not overlap * overlap / m <= tol * tol * floor:
         return False
     # Fortran order lets LAPACK factor the matrix in place
@@ -623,42 +574,25 @@ def _gram_certifies_trivial(rows: scipy.sparse.csr_matrix, m: int, tol: float) -
 
 
 def _solve(
-    cs: ConstraintSystem, tol: float, check: str = "constraint system"
+    rows: scipy.sparse.csr_matrix, m: int, tol: float, check: str = "constraint system"
 ) -> np.ndarray:
-    """Orthonormal nullspace basis (columns, in coordinates) of a constraint system.
-
-    A tight set's system is first offered to the reduced-state certificate,
-    one Cholesky factorisation of side min(m^2, N); a system it does not
-    certify, and any system of a set that is not tight, goes to the Cholesky
-    test of the rows' Gram matrix.  A system either certifies trivial gets
-    exactly the unit identity; any other goes through the blockwise QR/SVD
-    of all its rows.  Both need the m^2 x m^2 matrix within the solver
-    limit, so a tight set's check above it that the first certificate
-    declines stops before its rows are built.
-    """
-    tight = None if cs.reduced is None else cs.reduced.shape[1]
-    _check_unknowns(cs.m, tight, check)
-    ident = identity_coords(cs.m)[:, None] / math.sqrt(cs.m)
-    if _reduced_states_certify_trivial(cs, tol):
-        return ident
-    if cs.m * cs.m > _MAX_UNKNOWNS:
-        raise ValueError(
-            f"{check} has m^2 = {cs.m * cs.m} unknowns, and the reduced-state certificate "
-            f"did not certify it: the dense fallback is above the solver limit of "
-            f"{_MAX_UNKNOWNS}"
-        )
-    if _gram_certifies_trivial(cs.rows, cs.m, tol):
-        return ident
-    return _nullspace(cs.rows, cs.m * cs.m, tol)
+    """Orthonormal nullspace basis (columns, in coordinates) of constraint
+    rows on m^2 unknowns: exactly the unit identity when the Cholesky test of
+    the rows' Gram matrix certifies them, else the blockwise QR/SVD of all
+    the rows.  Both need the m^2 x m^2 matrix within the solver limit."""
+    _check_unknowns(m, None, check)
+    if _gram_certifies_trivial(rows, m, tol):
+        return identity_coords(m)[:, None] / math.sqrt(m)
+    return _nullspace(rows, m * m, tol)
 
 
 def solution_space(cs: ConstraintSystem, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Frobenius-orthonormal Hermitian basis of the constraint nullspace: the
-    identity over sqrt(m) alone when a Cholesky certificate (from a tight
-    set's reduced states, or from the rows' Gram matrix) decides the system, else
-    the SVD basis of :func:`_nullspace`, which is fixed only up to a rotation
-    within the space (:func:`_witness` is not)."""
-    basis = _solve(cs, tol)
+    identity over sqrt(m) alone when the Cholesky test of the rows' Gram
+    matrix decides the system, else the SVD basis of :func:`_nullspace`,
+    which is fixed only up to a rotation within the space (:func:`_witness`
+    is not)."""
+    basis = _solve(cs.rows, cs.m, tol)
     return [hermitian_from_coords(basis[:, k], cs.m) for k in range(basis.shape[1])]
 
 
@@ -695,15 +629,31 @@ def certify_triviality(
     solution :func:`_witness` takes from the solution space; see
     :class:`TrivialityVerdict` for why a witness always yields a valid
     nontrivial measurement.
+
+    The set is checked (:func:`assemble_constraints`) before anything else.
+    A tight set is then offered to the reduced-state certificate, one
+    Cholesky factorisation of side min(m^2, N) that needs no rows; any other
+    set, and a check that certificate declines, goes to :func:`_solve` on its
+    rows.  That needs the m^2 x m^2 matrix within the solver limit, so a
+    declined check above it stops before its rows are built.
     """
     name = _check_name(cut, actor)
-    _check_unknowns(_actor_side(sset, cut, actor)[0], _tight_size(sset), name)
+    m, axes = _actor_side(sset, cut, actor)
+    tight = _tight_size(sset)
+    _check_unknowns(m, tight, name)
     cs = assemble_constraints(sset, cut, actor, tol)
-    basis = _solve(cs, tol, name)
+    if tight is not None and _reduced_states_certify_trivial(sset, axes, m, tol):
+        return TrivialityVerdict(trivial=True, solution_dim=1, witness=None)
+    if m * m > _MAX_UNKNOWNS:
+        raise ValueError(
+            f"{name} has m^2 = {m * m} unknowns, and the reduced-state certificate did not "
+            f"certify it: the dense fallback is above the solver limit of {_MAX_UNKNOWNS}"
+        )
+    basis = _solve(cs.rows, m, tol, name)
     dim = basis.shape[1]
     if dim == 1:
         return TrivialityVerdict(trivial=True, solution_dim=1, witness=None)
-    return TrivialityVerdict(trivial=False, solution_dim=int(dim), witness=_witness(basis, cs.m))
+    return TrivialityVerdict(trivial=False, solution_dim=int(dim), witness=_witness(basis, m))
 
 
 def standard_checks(layout) -> list[tuple[Bipartition, tuple[str, ...]]]:
@@ -730,11 +680,7 @@ def verify_strong_nonlocality(sset: StateSet, tol: float = DEFAULT_TOL) -> Nonlo
     for cut, actor in checks:
         _check_unknowns(_actor_side(sset, cut, actor)[0], tight, _check_name(cut, actor))
     results = [
-        CheckResult(
-            cut=cut.name,
-            actor="".join(actor),
-            verdict=certify_triviality(sset, cut, actor, tol),
-        )
+        CheckResult(cut.name, "".join(actor), certify_triviality(sset, cut, actor, tol))
         for cut, actor in checks
     ]
     return NonlocalityReport(

@@ -434,6 +434,43 @@ def _wide_set(tmp_path, dims=(2, 18, 9)):
     return path
 
 
+def _state_file(tmp_path, states):
+    layout = PartyLayout.uniform(("A", "B", "C"), 3)
+    path = str(tmp_path / "states.json")
+    save_state_set(StateSet(layout, tuple(PureState(layout, t, l) for t, l in states)), path)
+    return path
+
+
+def test_zero_state_exits_2(tmp_path, capsys):
+    # a zero-amplitude state beside |111>: verify used to find a witness and
+    # exit 1; its orthogonality check now refuses the state by name, as
+    # analyze and simulate refuse it
+    path = _state_file(tmp_path, [([((0, 0, 0), 0)], "zero"), ([((1, 1, 1), 1)], "one")])
+    for argv, message in (
+        (["verify", "--input", path], "input state zero is the zero state"),
+        (["verify", "--input", path, "--check", "A|BC:A"], "input state zero is the zero state"),
+        (["analyze", "--input", path], "zero state"),
+        (["simulate", "--protocol", "prop1", "--states", path], "zero state"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
+
+
+def test_empty_set_exits_2_in_every_command(tmp_path, capsys):
+    # a set with no states leaves nothing to decide: verify used to report a
+    # witness (exit 1) and analyze an empty profile list (exit 0)
+    path = _state_file(tmp_path, [])
+    for argv in (
+        ["verify", "--input", path],
+        ["analyze", "--input", path],
+        ["simulate", "--protocol", "prop1", "--states", path],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: the state set has no states to discriminate\n", argv
+
+
 def test_solver_size_budget_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, "verify", "--input", _wide_set(tmp_path))
     assert code == 2
@@ -500,14 +537,14 @@ def test_basis_past_the_block_limit_exits_2_before_its_rows(tmp_path, capsys, mo
     path = str(tmp_path / "wide-basis.json")
     save_state_set(sset, path)
     assembled = []
-    couple = verify._coupled_blocks
+    build = verify._rows
 
-    def recording(sset, axes, m, tol):
+    def recording(sset, axes, m):
         assert m != 164, "rows of the m = 164 check built"
         assembled.append(m)
-        return couple(sset, axes, m, tol)
+        return build(sset, axes, m)
 
-    monkeypatch.setattr(verify, "_coupled_blocks", recording)
+    monkeypatch.setattr(verify, "_rows", recording)
     code, out, err = _run(capsys, "verify", "--input", path)
     assert code == 2
     assert out == ""

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from qrubik import (
     verify_strong_nonlocality,
 )
 from qrubik.verify import (
-    ConstraintSystem,
+    _actor_side,
+    _coverage,
     _gram_certifies_trivial,
     _nullspace,
+    _reduced_coords,
     _reduced_states_certify_trivial,
     _solve,
     _tight_size,
@@ -216,8 +219,8 @@ def test_ghz_witness_depends_on_the_solution_space_alone():
         moved = certify_triviality(permuted, cut, actor).witness
         assert np.allclose(moved, witness, rtol=0, atol=1e-12)
         order = rng.permutation(cs.rows.shape[0])
-        shuffled = ConstraintSystem(cs.m, cs.rows[order], cs.n_pairs, cs.n_coupled_pairs)
-        assert np.allclose(_witness(_solve(shuffled, 1e-9), cs.m), witness, rtol=0, atol=1e-12)
+        shuffled = _solve(cs.rows[order], cs.m, 1e-9)
+        assert np.allclose(_witness(shuffled, cs.m), witness, rtol=0, atol=1e-12)
 
 
 def test_single_state_and_empty_set():
@@ -376,7 +379,7 @@ def _reference_assemble(sset, cut, actor):
         shape=(len(indptr) - 1, m * m),
     )
     n_pairs = len(sset) * (len(sset) - 1) // 2
-    return ConstraintSystem(m, rows, n_pairs, n_coupled)
+    return SimpleNamespace(m=m, rows=rows, n_pairs=n_pairs, n_coupled_pairs=n_coupled)
 
 
 def _unit_scaled(sset):
@@ -777,16 +780,16 @@ def test_blockwise_qr_nullspace_matches_dense_svd():
 # Cholesky certificate against the QR/SVD pipeline it short-cuts
 # ---------------------------------------------------------------------------
 
-def _assert_agrees(cs, tol=1e-9):
+def _assert_agrees(rows, m, tol=1e-9):
     """The certificate never says Trivial where the pipeline finds more; when
     it does not decide, :func:`_solve` returns the pipeline's basis unchanged."""
-    certified = _gram_certifies_trivial(cs.rows, cs.m, tol)
-    basis = _nullspace(cs.rows, cs.m * cs.m, tol)
+    certified = _gram_certifies_trivial(rows, m, tol)
+    basis = _nullspace(rows, m * m, tol)
     if certified:
         assert basis.shape[1] == 1
-        assert np.array_equal(_solve(cs, tol), identity_coords(cs.m)[:, None] / np.sqrt(cs.m))
+        assert np.array_equal(_solve(rows, m, tol), identity_coords(m)[:, None] / np.sqrt(m))
     else:
-        assert np.array_equal(_solve(cs, tol), basis)
+        assert np.array_equal(_solve(rows, m, tol), basis)
     return certified, basis.shape[1]
 
 
@@ -795,13 +798,14 @@ def test_cholesky_certificate_decides_every_construction_check(d):
     for sset in (build_snoes(d), build_snoeb(d)):
         for cut, actor in standard_checks(sset.layout):
             cs = assemble_constraints(sset, cut, actor)
-            assert _assert_agrees(cs) == (True, 1), (d, cut.name, actor)
+            assert _assert_agrees(cs.rows, cs.m) == (True, 1), (d, cut.name, actor)
 
 
 def test_cholesky_certificate_leaves_ghz_witnesses_to_pipeline():
     ghz = ghz_basis()
     for cut, actor in standard_checks(ghz.layout):
-        certified, dim = _assert_agrees(assemble_constraints(ghz, cut, actor))
+        cs = assemble_constraints(ghz, cut, actor)
+        certified, dim = _assert_agrees(cs.rows, cs.m)
         assert (certified, dim) == ((True, 1) if len(actor) == 1 else (False, 2))
 
 
@@ -813,7 +817,8 @@ def test_cholesky_certificate_on_random_sets():
         sset = _random_orthogonal_set(rng, layout, int(rng.integers(2, 9)))
         cut = Bipartition.of(layout, ["ABC"[trial % 3]])
         actor = cut.left if trial % 2 else cut.right
-        seen.add(_assert_agrees(assemble_constraints(sset, cut, actor)))
+        cs = assemble_constraints(sset, cut, actor)
+        seen.add(_assert_agrees(cs.rows, cs.m))
     # both outcomes occur, and every trivial pipeline verdict was certified
     assert (True, 1) in seen and any(dim > 1 for _, dim in seen)
     assert (False, 1) not in seen
@@ -831,16 +836,14 @@ def test_cholesky_certificate_near_the_rank_cut(gap, certified):
     u = np.linalg.qr(rng.normal(size=(n_rows, m * m - 1)))[0]
     svals = np.geomspace(1.0, gap, m * m - 1)
     rows = scipy.sparse.csr_matrix(u @ np.diag(svals) @ q[:, 1:].T)
-    cs = ConstraintSystem(m=m, rows=rows, n_pairs=0, n_coupled_pairs=0)
-    assert _assert_agrees(cs) == (certified, 1 if certified else 2)
+    assert _assert_agrees(rows, m) == (certified, 1 if certified else 2)
 
 
 def test_cholesky_certificate_needs_identity_solution():
     # rows of full column rank: the pipeline finds no solution at all, so the
     # certificate must not report the identity
     rows = scipy.sparse.csr_matrix(np.random.default_rng(53).normal(size=(40, 9)))
-    cs = ConstraintSystem(m=3, rows=rows, n_pairs=0, n_coupled_pairs=0)
-    assert _assert_agrees(cs) == (False, 0)
+    assert _assert_agrees(rows, 3) == (False, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -901,33 +904,38 @@ def test_basis_gram_matrix_from_reduced_states(build):
     # zero off the a = 0 face on the coordinates of a = 0
     sset = build()
     assert _tight_size(sset) == len(sset)
+    assert sset._unit_gram[1] < 1e-12
     for cut, actor in standard_checks(sset.layout):
-        cs = assemble_constraints(sset, cut, actor)
-        assert cs.reduced.shape == (cs.m * cs.m, len(sset))
-        assert cs.gram_deviation < 1e-12
+        rows = assemble_constraints(sset, cut, actor).rows
+        m, axes = _actor_side(sset, cut, actor)
+        reduced, coverage = _reduced_coords(sset, axes, m), _coverage(sset, axes, m)
+        assert reduced.shape == (m * m, len(sset))
         if len(sset) == sset.layout.total_dim:
-            assert np.all(cs.coverage == len(sset) / cs.m)
-        gram = (cs.rows.T @ cs.rows).toarray()
-        closed = 0.5 * (np.diag(cs.coverage) - (cs.reduced @ cs.reduced.T).toarray())
+            assert np.all(coverage == len(sset) / m)
+        gram = (rows.T @ rows).toarray()
+        closed = 0.5 * (np.diag(coverage) - (reduced @ reduced.T).toarray())
         assert np.max(np.abs(gram - closed)) < 1e-12, (cut.name, actor)
         # each reduced state has trace one, and together they are the
         # partial trace of the projector onto the touched cells
-        assert np.allclose(cs.reduced.T @ identity_coords(cs.m), 1.0, rtol=0, atol=1e-12)
-        traces = cs.reduced[: cs.m].sum(axis=1).A1
-        assert np.allclose(traces, cs.coverage[: cs.m], rtol=0, atol=1e-12)
+        assert np.allclose(reduced.T @ identity_coords(m), 1.0, rtol=0, atol=1e-12)
+        traces = reduced[:m].sum(axis=1).A1
+        assert np.allclose(traces, coverage[:m], rtol=0, atol=1e-12)
 
 
 def test_non_bases_carry_no_reduced_states(monkeypatch):
     # one state dropped from a basis: its 63 states touch 64 cells, so the
-    # set is not tight, the system has no reduced-state certificate, and the
-    # Gram certificate factors its m^2 x m^2 matrix
+    # set is not tight, no check is offered to the reduced-state
+    # certificate, and the Gram certificate factors its m^2 x m^2 matrix
     full = build_snoeb(4)
     sset = StateSet(full.layout, full.states[1:])
     assert _tight_size(sset) is None
+
+    def refuse(*args):
+        raise AssertionError("a set that is not tight offered to the reduced states")
+
+    monkeypatch.setattr(verify, "_reduced_states_certify_trivial", refuse)
     sides = _record_cholesky(monkeypatch)
     for cut, actor in standard_checks(sset.layout):
-        cs = assemble_constraints(sset, cut, actor)
-        assert cs.reduced is None and cs.coverage is None and cs.gram_deviation is None
         sides.clear()
         assert certify_triviality(sset, cut, actor).solution_dim == 1
         m = _actor_dim(sset, actor)
@@ -962,10 +970,12 @@ def test_spoiled_basis_keeps_the_pipeline_verdict(tol, pairs, reduced):
     # the reduced states still certify; at tol = 0.05 the bound
     # (2 delta + delta^2) r leaves no proof, so the certificate must decline
     sset = _boosted(build_snoeb(3), 0.5 * tol, pairs)
+    assert sset._unit_gram[1] == pytest.approx(0.5 * tol * np.sqrt(2 * pairs), rel=1e-6)
     for cut, actor in standard_checks(sset.layout):
         cs = assemble_constraints(sset, cut, actor, tol)
-        assert cs.gram_deviation == pytest.approx(0.5 * tol * np.sqrt(2 * pairs), rel=1e-6)
-        assert _reduced_states_certify_trivial(cs, tol) == reduced, (cut.name, actor)
+        m, axes = _actor_side(sset, cut, actor)
+        certified = _reduced_states_certify_trivial(sset, axes, m, tol)
+        assert certified == reduced, (cut.name, actor)
         pipeline = _nullspace(cs.rows, cs.m * cs.m, tol).shape[1]
         assert certify_triviality(sset, cut, actor, tol).solution_dim == pipeline == 1
 
@@ -977,10 +987,12 @@ def test_spoiled_set_keeps_the_pipeline_verdict(tol, pairs, reduced):
     # (2 delta + delta^2) h_max leaves no proof
     sset = _boosted(build_snoes(3), 0.5 * tol, pairs)
     assert _tight_size(sset) == len(sset)
+    assert sset._unit_gram[1] == pytest.approx(0.5 * tol * np.sqrt(2 * pairs), rel=1e-6)
     for cut, actor in standard_checks(sset.layout):
         cs = assemble_constraints(sset, cut, actor, tol)
-        assert cs.gram_deviation == pytest.approx(0.5 * tol * np.sqrt(2 * pairs), rel=1e-6)
-        assert _reduced_states_certify_trivial(cs, tol) == reduced, (cut.name, actor)
+        m, axes = _actor_side(sset, cut, actor)
+        certified = _reduced_states_certify_trivial(sset, axes, m, tol)
+        assert certified == reduced, (cut.name, actor)
         pipeline = _nullspace(cs.rows, cs.m * cs.m, tol).shape[1]
         assert certify_triviality(sset, cut, actor, tol).solution_dim == pipeline == 1
 
@@ -997,13 +1009,13 @@ _GHZ_WITNESS_SHA256 = {
 def _record_assemblies(monkeypatch):
     """The actor dimension m of every row assembly, in call order."""
     assembled = []
-    couple = verify._coupled_blocks
+    build = verify._rows
 
-    def recording(sset, axes, m, tol):
+    def recording(sset, axes, m):
         assembled.append(m)
-        return couple(sset, axes, m, tol)
+        return build(sset, axes, m)
 
-    monkeypatch.setattr(verify, "_coupled_blocks", recording)
+    monkeypatch.setattr(verify, "_rows", recording)
     return assembled
 
 
@@ -1047,10 +1059,29 @@ def test_trivial_basis_checks_build_no_rows(build, monkeypatch):
     def refuse(*args):
         raise AssertionError("constraint rows built")
 
-    monkeypatch.setattr(verify, "_coupled_blocks", refuse)
-    monkeypatch.setattr(verify, "_real_rows", refuse)
+    monkeypatch.setattr(verify, "_rows", refuse)
     report = verify_strong_nonlocality(sset)
     assert [c.verdict.solution_dim for c in report.checks] == [1] * 6
+
+
+def test_every_check_assembles_its_system_without_rows(monkeypatch):
+    # a tracer that wraps verify.assemble_constraints sees all six checks,
+    # the certified ones too, each returning a system that exposes m, rows,
+    # n_pairs and n_coupled_pairs; no check builds rows
+    systems = []
+    assemble = verify.assemble_constraints
+
+    def recording(*args, **kwargs):
+        systems.append(assemble(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(verify, "assemble_constraints", recording)
+    assert verify_strong_nonlocality(build_snoeb(4)).strongly_nonlocal
+    assert len(systems) == 6
+    assert not any("_assembled" in vars(cs) for cs in systems)
+    for cs in systems:
+        assert cs.m in (4, 16) and cs.n_pairs == 64 * 63 // 2
+        assert cs.rows.shape[1] == cs.m * cs.m and 0 < cs.n_coupled_pairs <= cs.n_pairs
 
 
 def test_basis_spoiled_above_tol_names_the_first_pair(tmp_path, capsys):
@@ -1107,7 +1138,9 @@ def test_basis_with_the_identity_outside_the_cut():
     sset = _skewed(build_snoeb(3), 0.9 * tol, 5)
     for cut, actor in standard_checks(sset.layout):
         cs = assemble_constraints(sset, cut, actor, tol)
-        assert not _reduced_states_certify_trivial(cs, tol), (cut.name, actor)
+        m, axes = _actor_side(sset, cut, actor)
+        certified = _reduced_states_certify_trivial(sset, axes, m, tol)
+        assert not certified, (cut.name, actor)
         assert _nullspace(cs.rows, cs.m * cs.m, tol).shape[1] == 0
         assert certify_triviality(sset, cut, actor, tol).solution_dim == 0
 
@@ -1122,5 +1155,4 @@ def test_cholesky_certificate_sees_null_vectors_across_blocks():
     mixed[3] = mixed[4] = 1 / np.sqrt(2)
     keep = np.eye(m * m) - np.outer(ident, ident) - np.outer(mixed, mixed)
     rows = scipy.sparse.csr_matrix(np.random.default_rng(59).normal(size=(40, m * m)) @ keep)
-    cs = ConstraintSystem(m=m, rows=rows, n_pairs=0, n_coupled_pairs=0)
-    assert _assert_agrees(cs) == (False, 2)
+    assert _assert_agrees(rows, m) == (False, 2)

@@ -17,6 +17,8 @@ import sys
 import time
 from importlib import resources
 
+import numpy as np
+
 from . import __version__
 from .cube import MAX_D, build_snoeb, build_snoes
 from .entangle import profile_rows
@@ -72,16 +74,64 @@ def _load_set(arg: str):
     return path, sset
 
 
+# what each byte value is to the layout: 0 any other byte, 1 a quote, 2 a
+# comma, 3 an open bracket, 4 a close bracket
+_KIND = np.zeros(256, np.int8)
+_KIND[list(b'",[{]}')] = 1, 2, 3, 3, 4, 4
+
+
+def _indented(text: str) -> str:
+    """``text``, compact JSON as ``json.dumps(..., separators=(",", ": "))``
+    gives it, laid out as ``indent=1`` lays it out.
+
+    With escaped pairs blanked, every quote left delimits a string, so the
+    commas and brackets that an even number of quotes precede are outside
+    strings.  A newline and one space per level of depth go after each comma
+    and each non-empty open, and before each non-empty close.  Under
+    ``ensure_ascii`` no string holds a raw newline, so the bytes are those of
+    ``json.dumps(..., indent=1)`` of the same value with the same options.
+    """
+    data = text.encode("ascii")
+    raw = np.frombuffer(data, np.uint8)
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"__").replace(b'\\"', b"__")
+    kind = _KIND.take(np.frombuffer(data, np.uint8))
+    pos = np.flatnonzero(kind)
+    kind = kind[pos]
+    quote = kind == 1
+    outside = ~quote & ~np.logical_xor.accumulate(quote)
+    pos, kind = pos[outside], kind[outside]
+    opens, closes = kind == 3, kind == 4
+    depth = np.cumsum(opens.astype(np.intp) - closes)
+    # a container is empty when its open and close are adjacent
+    empty = opens[:-1] & closes[1:] & (pos[:-1] + 1 == pos[1:])
+    broken = np.ones(pos.size, bool)
+    broken[:-1] &= ~empty
+    broken[1:] &= ~empty
+    # a break, a newline and depth spaces, goes after a comma or an open and
+    # before a close; between two breaks there is at least one byte of text
+    width = 1 + depth[broken]
+    start = (pos + ~closes)[broken] + np.cumsum(width) - width
+    edge = np.zeros(raw.size + width.sum() + 1, np.int8)
+    edge[start], edge[start + width] = 1, -1
+    out = np.full(edge.size - 1, ord(" "), np.uint8)
+    out[np.cumsum(edge[:-1], dtype=np.int8) == 0] = raw
+    out[start] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
 def _emit(command: str, inputs: dict[str, str], payload, started: float) -> None:
+    """Print the report: ``payload`` is its ``result``, with any float in it
+    already rounded (:func:`_round_floats`)."""
     report = {
         "command": command,
         "version": __version__,
         "tolerance": DEFAULT_TOL,
         "inputs": inputs,
-        "result": _round_floats(payload),
+        "result": payload,
         "duration_seconds": round(time.perf_counter() - started, 6),
     }
-    json.dump(report, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write(_indented(json.dumps(report, sort_keys=True, separators=(",", ": "))))
     sys.stdout.write("\n")
 
 
@@ -139,7 +189,7 @@ def _cmd_verify(args, started: float) -> int:
             "solution_dim": verdict.solution_dim,
         }
         if verdict.witness is not None:
-            payload["witness"] = matrix_to_json(verdict.witness)
+            payload["witness"] = _round_floats(matrix_to_json(verdict.witness))
         _emit(_echo(args), {path: _digest(path)}, payload, started)
         return 0 if verdict.trivial else 1
     report = verify_strong_nonlocality(sset)
@@ -158,7 +208,7 @@ def _cmd_verify(args, started: float) -> int:
     found = report.first_witness()
     if found is not None:
         check, witness = found
-        payload["witness"] = matrix_to_json(witness)
+        payload["witness"] = _round_floats(matrix_to_json(witness))
         payload["witness_check"] = {"cut": check.cut, "actor": check.actor}
     _emit(_echo(args), {path: _digest(path)}, payload, started)
     return 0 if report.strongly_nonlocal else 1
@@ -216,7 +266,7 @@ def _cmd_simulate(args, started: float) -> int:
     _emit(
         _echo(args),
         {ppath: _digest(ppath), spath: _digest(spath)},
-        payload,
+        _round_floats(payload),
         started,
     )
     return 0 if report.correct else 1

@@ -315,7 +315,8 @@ class StateSet:
         """The number of distinct cells (product basis states) the terms
         touch, counted once."""
         dims = self.layout.dims
-        return int(np.unique(_flat_index(self.term_arrays[1], dims, range(len(dims)))).size)
+        cells = np.sort(_flat_index(self.term_arrays[1], dims, range(len(dims))))
+        return int(cells.size and 1 + np.count_nonzero(cells[1:] != cells[:-1]))
 
     @functools.cached_property
     def _unit_gram(self) -> tuple[scipy.sparse.csr_matrix, float, float]:
@@ -330,6 +331,19 @@ class StateSet:
             float(np.linalg.norm((gram - scipy.sparse.identity(len(self))).data)),
             float(np.linalg.norm(scipy.sparse.triu(gram, k=1).data)),
         )
+
+    @functools.cached_property
+    def _nonorthogonal_pairs(self) -> dict[float, tuple[int, int] | None]:
+        """:meth:`_nonorthogonal_pair` of each tolerance asked so far."""
+        return {}
+
+    def _nonorthogonal_pair(self, tol: float) -> tuple[int, int] | None:
+        """:func:`_first_nonorthogonal_pair` of :attr:`_unit_gram` at ``tol``,
+        found once per tolerance."""
+        found = self._nonorthogonal_pairs
+        if tol not in found:
+            found[tol] = _first_nonorthogonal_pair(self._unit_gram[0], tol)
+        return found[tol]
 
 
 def _unique_labels(labels: Iterable[str]) -> tuple[str, ...]:

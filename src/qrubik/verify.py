@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .states import DEFAULT_TOL, Bipartition, StateSet
-from .states import _first_nonorthogonal_pair, _flat_index, _set_matrix
+from .states import _flat_index, _set_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -223,12 +223,12 @@ def _check_name(cut: Bipartition, actor: Sequence[str] | str) -> str:
 def _check_orthogonal(sset: StateSet, tol: float) -> None:
     """Refuse a set with a zero state or a pair of states that are not
     orthogonal, read off the Gram matrix of its unit states, which is formed
-    once per set (``StateSet._unit_gram``)."""
-    gram = sset._unit_gram[0]
-    zero = np.flatnonzero(gram.diagonal() == 0)
+    once per set (``StateSet._unit_gram``); the first bad pair is found once
+    per tolerance (``StateSet._nonorthogonal_pair``)."""
+    zero = np.flatnonzero(sset._unit_gram[0].diagonal() == 0)
     if zero.size:
         raise ValueError(f"input state {sset.labels[zero[0]]} is the zero state")
-    bad = _first_nonorthogonal_pair(gram, tol)
+    bad = sset._nonorthogonal_pair(tol)
     if bad is not None:
         raise ValueError(
             f"input set is not mutually orthogonal ({sset.labels[bad[0]]}, {sset.labels[bad[1]]})"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import tracemalloc
 import types
 
@@ -100,7 +101,9 @@ def test_verify_single_check_and_exit_codes(tmp_path, capsys):
     result = _payload(out)["result"]
     assert result["verdict"] == "Nontrivial"
     assert result["solution_dim"] == 2
-    assert "witness" in result
+    # a witness is printed at 12 significant digits
+    parts = [x for row in result["witness"] for entry in row for x in entry]
+    assert parts and all(x == float(f"{x:.12g}") for x in parts)
 
     code, out, _ = _run(capsys, "verify", "--input", ghz_file)
     assert code == 1
@@ -768,3 +771,86 @@ def test_saved_basis_goes_through_every_command_without_pure_states(tmp_path, ca
     copy = str(tmp_path / "copy.json")
     save_state_set(sset, copy)
     assert open(copy, "rb").read() == open(path, "rb").read()
+
+
+# characters that a byte-level layout could mistake for structure, or that
+# escape: quotes, backslashes, brackets, separators, control characters and
+# non-ASCII, beside plain ones
+_TRICKY = '"\\[]{},: \n\t\x00\x1fa1é☃\U0001f600'
+
+
+def _random_text(rng, longest):
+    return "".join(rng.choice(_TRICKY) for _ in range(rng.randrange(longest + 1)))
+
+
+def _random_value(rng, depth=0):
+    """A nested JSON value, at the top a container: empty containers occur
+    at every depth; the numbers include NaN, +-Infinity, -0.0 and 20-digit
+    ints."""
+    kind = rng.randrange(4 if depth == 0 else 0, 8 if depth < 4 else 6)
+    if kind == 0:
+        return _random_text(rng, 5)
+    if kind == 1:
+        return rng.choice([math.nan, math.inf, -math.inf, -0.0, rng.uniform(-1e3, 1e3)])
+    if kind == 2:
+        return rng.choice([rng.randrange(-50, 50), rng.randrange(-(10**20), 10**20)])
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind in (4, 5):
+        return rng.choice([[], {}])
+    size = rng.randrange(1, 4)
+    if kind == 6:
+        return [_random_value(rng, depth + 1) for _ in range(size)]
+    return {_random_text(rng, 3): _random_value(rng, depth + 1) for _ in range(size)}
+
+
+def test_layout_equals_the_indent_1_encoder_on_random_values():
+    rng = random.Random(27)
+    for _ in range(5000):
+        value = _random_value(rng)
+        compact = json.dumps(value, sort_keys=True, separators=(",", ": "))
+        assert cli._indented(compact) == json.dumps(value, indent=1, sort_keys=True), compact
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--d", "4", "--basis", "--output", "{tmp}/b4.json"),
+        ("analyze", "--input", "b3"),
+        ("verify", "--input", "b3"),
+        ("verify", "--input", "b3", "--check", "A|BC:A"),
+        ("verify", "--input", "{tmp}/ghz.json"),
+        ("verify", "--input", "{tmp}/ghz.json", "--check", "A|BC:BC"),
+        ("simulate", "--protocol", "prop1", "--states", "b3"),
+    ],
+)
+def test_report_is_laid_out_as_the_indent_1_encoder_lays_it_out(tmp_path, capsys, argv):
+    save_state_set(ghz_basis(), str(tmp_path / "ghz.json"))
+    _, out, _ = _run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert out == json.dumps(json.loads(out), indent=1, sort_keys=True) + "\n"
+
+
+def _floats(value):
+    if isinstance(value, dict):
+        return [f for v in value.values() for f in _floats(v)]
+    if isinstance(value, (list, tuple)):
+        return [f for v in value for f in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def test_construct_and_analyze_results_hold_no_float(tmp_path, capsys, monkeypatch):
+    # their floats are not rounded: only simulate and a verify witness have any
+    results = []
+    emit = cli._emit
+
+    def recording(command, inputs, payload, started):
+        results.append(payload)
+        emit(command, inputs, payload, started)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    path = str(tmp_path / "b5.json")
+    assert main(["construct", "--d", "5", "--basis", "--output", path]) == 0
+    assert main(["analyze", "--input", path]) == 0
+    capsys.readouterr()
+    assert len(results) == 2 and results[1]["profiles"]
+    assert [_floats(r) for r in results] == [[], []]

@@ -612,3 +612,26 @@ def test_verify_forms_the_unit_gram_once_per_set(monkeypatch):
     sset = StateSet(basis.layout, tuple(s.scaled(1.5 ** (i % 3)) for i, s in enumerate(basis)))
     assert verify_strong_nonlocality(sset).strongly_nonlocal
     assert calls == [()]
+
+
+def test_verify_finds_the_first_nonorthogonal_pair_once_per_set(monkeypatch):
+    calls = []
+    find = states._first_nonorthogonal_pair
+
+    def counting(gram, tol):
+        calls.append(tol)
+        return find(gram, tol)
+
+    monkeypatch.setattr(states, "_first_nonorthogonal_pair", counting)
+    assert verify_strong_nonlocality(build_snoeb(4)).strongly_nonlocal
+    assert calls == [verify.DEFAULT_TOL]
+
+
+def test_cell_count_is_the_number_of_distinct_index_tuples():
+    rng = np.random.default_rng(11)
+    layout = PartyLayout(("A", "B", "C"), (2, 3, 2))
+    # 40 states of up to 5 terms on 12 cells: most cells are shared
+    sset = StateSet(layout, [_random_state(layout, rng, f"s{k}") for k in range(40)])
+    cells = {tuple(idx) for s in sset for idx, _ in s.terms}
+    assert 0 < sset._cell_count == len(cells) < sum(len(s.terms) for s in sset)
+    assert StateSet(layout, [])._cell_count == 0

@@ -159,7 +159,7 @@ def ghz_like_states(
     if len(set(cells)) != len(cells):
         raise ValueError("cells must be pairwise distinct")
     run = tuple(_checked_index(layout, c) for c in cells)
-    arrays = _canonical_arrays(layout, *_family_terms([run]))
+    arrays = _canonical_arrays(layout, len(run), *_family_terms([run]))
     return list(_pure_states(layout, [None] * len(run), arrays))
 
 

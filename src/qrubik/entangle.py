@@ -14,6 +14,7 @@ from .states import (
     PureState,
     StateSet,
     _block_singular_values,
+    _checked_count,
     _flat_index,
     _term_arrays,
 )
@@ -46,6 +47,7 @@ def _schmidt_ranks(
     matrices come from :func:`states._block_singular_values`, and those below
     ``tol`` times a state's largest are treated as zero.
     """
+    _checked_count(layout, count)
     state, idx, amps = terms
     if not np.bincount(state, minlength=count).all():
         raise ValueError("Schmidt rank of the zero state is undefined")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DEFAULT_TOL, StateSet, _strides
+from .states import DEFAULT_TOL, StateSet, _bins, _coalesced, _strides, _summed
 from .states import _collector_paused, _power_of_two_scaled
 
 _PRUNE = 1e-12
@@ -32,6 +32,9 @@ _MAX_STEP_ENTRIES = 2**20
 # the most entries one stack of steps holds while their operators are
 # compiled, 16 MiB of complex numbers (a larger group is split)
 _MAX_GROUP_ENTRIES = 2**20
+# the most entries the walk starts from (the candidates' terms times the
+# levels of every shared pair), 64 MiB of amplitudes and 32 MiB of positions
+_MAX_INITIAL_ENTRIES = 2**22
 # the refusal of a set with no states, which the CLI makes for every command
 _NO_STATES = "the state set has no states to discriminate"
 
@@ -134,7 +137,7 @@ class RegisterTable:
         key = (union, regs)
         if key not in self._layouts:
             dims = self.dims(union)
-            strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+            strides = _strides(dims)
             index = np.arange(math.prod(dims), dtype=np.int64)
             sub, rest = np.zeros_like(index), index
             for at in map(union.index, regs):
@@ -335,7 +338,7 @@ def _proj_levels(
     """A ``proj`` item's registers and the flat index of each listed level."""
     regs = _distinct_regs(item["regs"], name)
     dims = table.dims(regs)
-    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    strides = _strides(dims).tolist()
     flat = []
     for level in item["levels"]:
         if len(level) != len(regs):
@@ -473,11 +476,11 @@ def _compile_steps(
             for n, found in pending.items()
         }
     for n, found in pending.items():  # each distinct vector's projector, formed once
-        rows = batches[n].view(f"V{16 * n}")[:, 0]  # each vector's bytes
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        distinct, inverse = _bins(batches[n].view(f"V{16 * n}")[:, 0])  # by their bytes
+        vectors = distinct.view(complex).reshape(-1, n)
         projectors, per = [], max(1, _MAX_GROUP_ENTRIES // (n * n))  # at most per pass
-        for at in range(0, len(first), per):
-            projectors += list(_projectors(batches[n][first[at : at + per]]))
+        for at in range(0, len(vectors), per):
+            projectors += list(_projectors(vectors[at : at + per]))
         for (step, vector), u in zip(found, inverse.tolist()):
             step.parts.append((vector[0], vector[1], projectors[u]))
 
@@ -700,36 +703,6 @@ def _abs2(amp: np.ndarray) -> np.ndarray:
     return amp.real * amp.real + amp.imag * amp.imag
 
 
-def _summed(inverse: np.ndarray, amp: np.ndarray, size: int) -> np.ndarray:
-    """Complex sums of ``amp`` by bin, each added in input order."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(inverse, amp.real, minlength=size)
-    out.imag = np.bincount(inverse, amp.imag, minlength=size)
-    return out
-
-
-def _bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values, sorted, and the bin of each value: np.unique's
-    inverse without its overhead, which dominates on arrays this small."""
-    order = np.argsort(values)
-    ordered = values[order]
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(values.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
-def _coalesced(pos: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries sorted by position, the amplitudes at one position summed in
-    input order, and exact zeros dropped."""
-    pos, inverse = _bins(pos)
-    amp = _summed(inverse, amp, pos.size)
-    nonzero = amp != 0
-    return pos[nonzero], amp[nonzero]
-
-
 def _ranges(first: np.ndarray, many: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices ``first[i]`` to ``first[i] + many[i] - 1`` for each i in
     turn, and the i of each."""
@@ -849,11 +822,24 @@ class ExecutionReport:
 def _initial(spec: ProtocolSpec, sset: StateSet) -> tuple[np.ndarray, np.ndarray]:
     """The root's entries, sorted by position: the candidates with every
     shared pair in sum_k |k,k>, each scaled by a power of two
-    (:func:`_power_of_two_scaled`), which leaves every Born ratio as it is."""
+    (:func:`_power_of_two_scaled`), which leaves every Born ratio as it is.
+    Raises before allocating unless there are at most
+    ``_MAX_INITIAL_ENTRIES`` entries and every position fits in int64."""
     table = spec.table
+    row, idx, amp = sset.term_arrays
+    entries = row.size * math.prod(res.dim for res in spec.resources)
+    if entries > _MAX_INITIAL_ENTRIES:
+        raise ProtocolError(
+            f"the walk starts from {entries} entries (the candidates' terms times the "
+            f"levels of every shared pair), above the limit of {_MAX_INITIAL_ENTRIES}"
+        )
+    if len(sset) * table.size >= 2**63:
+        raise ProtocolError(
+            f"positions do not fit in int64: {len(sset)} candidates x {table.size} "
+            "register-table levels >= 2^63"
+        )
     strides = table.strides
     principal = np.array([strides[r.name] for r in spec.principal_registers], dtype=np.int64)
-    row, idx, amp = sset.term_arrays
     amp = _power_of_two_scaled(row, amp, len(sset))
     pairs = np.zeros(1, dtype=np.int64)
     for res in spec.resources:

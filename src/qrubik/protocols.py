@@ -8,10 +8,8 @@ one candidate.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cube import build_snoes
-from .states import PartyLayout, PureState, StateSet, _strides
+from .states import PartyLayout, PureState, StateSet, _dense_vector
 
 # Row-major flattening of a 3x3 (B, C) pair into the 9-level joint index used
 # when one party holds both registers; this is the boustrophedon numbering of
@@ -68,19 +66,11 @@ def _measure(party: str, operators: list[dict], branches: dict[str, dict]) -> di
     }
 
 
-def _level_vector(dims: tuple[int, ...], components: list[tuple[tuple[int, ...], complex]]) -> np.ndarray:
-    strides = _strides(dims)
-    vec = np.zeros(int(np.prod(dims)), dtype=complex)
-    for level, amp in components:
-        vec[int(np.dot(level, strides))] = amp
-    return vec
-
-
 def _vector_projector_op(
     name: str, regs: tuple[str, ...], dims: tuple[int, ...], vector_components
 ) -> dict:
     """The projector onto v, written as its ``vector`` v (not normalised)."""
-    v = _level_vector(dims, vector_components)
+    v = _dense_vector(dims, vector_components)
     return {"name": name, "regs": list(regs), "vector": [[c.real, c.imag] for c in v.tolist()]}
 
 

@@ -49,7 +49,7 @@ class PartyLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         try:
@@ -175,11 +175,7 @@ class PureState:
 
     def to_vector(self) -> np.ndarray:
         """Dense coefficient vector over the full Hilbert space, lexicographic order."""
-        vec = np.zeros(self.layout.total_dim, dtype=complex)
-        strides = _strides(self.layout.dims)
-        for idx, amp in self.terms:
-            vec[int(np.dot(idx, strides))] = amp
-        return vec
+        return _dense_vector(self.layout.dims, self.terms)
 
 
 def _strides(dims: Sequence[int]) -> np.ndarray:
@@ -187,6 +183,15 @@ def _strides(dims: Sequence[int]) -> np.ndarray:
     for i in range(len(dims) - 2, -1, -1):
         strides[i] = strides[i + 1] * dims[i + 1]
     return strides
+
+
+def _dense_vector(dims: Sequence[int], terms: Iterable[tuple[Index, complex]]) -> np.ndarray:
+    """The C-order vector over ``dims`` with each (multi-index, amplitude) of ``terms``."""
+    vec = np.zeros(math.prod(dims), dtype=complex)
+    strides = _strides(dims)
+    for idx, amp in terms:
+        vec[int(np.dot(idx, strides))] = amp
+    return vec
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -215,18 +220,9 @@ def flatten(s: PureState, cut: Bipartition) -> np.ndarray:
     in lexicographic order of the parties as they appear in the layout.
     """
     cut.validate_for(s.layout)
-    left_axes = [s.layout.axis(p) for p in cut.left]
-    right_axes = [s.layout.axis(p) for p in cut.right]
-    left_dims = [s.layout.dims[i] for i in left_axes]
-    right_dims = [s.layout.dims[i] for i in right_axes]
-    l_strides = _strides(left_dims)
-    r_strides = _strides(right_dims)
-    mat = np.zeros((int(np.prod(left_dims)), int(np.prod(right_dims))), dtype=complex)
-    for idx, amp in s.terms:
-        row = int(sum(idx[ax] * st for ax, st in zip(left_axes, l_strides)))
-        col = int(sum(idx[ax] * st for ax, st in zip(right_axes, r_strides)))
-        mat[row, col] = amp
-    return mat
+    axes = [s.layout.axis(p) for p in cut.left + cut.right]
+    coefficients = s.to_vector().reshape(s.layout.dims).transpose(axes)
+    return coefficients.reshape(math.prod(coefficients.shape[: len(cut.left)]), -1)
 
 
 class StateSet:
@@ -247,6 +243,7 @@ class StateSet:
             if s.label is None:
                 raise ValueError(f"state {i} has no label")
         labels = _unique_labels(s.label for s in states)
+        _checked_count(layout, len(labels))
         self.__dict__.update(layout=layout, labels=labels, states=states)
 
     @classmethod
@@ -315,8 +312,7 @@ class StateSet:
         """The number of distinct cells (product basis states) the terms
         touch, counted once."""
         dims = self.layout.dims
-        cells = np.sort(_flat_index(self.term_arrays[1], dims, range(len(dims))))
-        return int(cells.size and 1 + np.count_nonzero(cells[1:] != cells[:-1]))
+        return _bins(_flat_index(self.term_arrays[1], dims, range(len(dims))))[0].size
 
     @functools.cached_property
     def _unit_gram(self) -> tuple[scipy.sparse.csr_matrix, float, float]:
@@ -351,6 +347,14 @@ def _unique_labels(labels: Iterable[str]) -> tuple[str, ...]:
     if len(set(labels)) != len(labels):
         raise ValueError("state labels must be unique")
     return labels
+
+
+def _checked_count(layout: PartyLayout, count: int) -> None:
+    """Refuse ``count`` states of ``layout`` unless every (state, cell) number,
+    state x total dimension + C-order cell index, fits in int64."""
+    total = layout.total_dim
+    if count * total >= 2**63:
+        raise ValueError(f"{count} states x {total} cells: (state, cell) numbers beyond int64")
 
 
 def _power_of_two_scaled(owner: np.ndarray, amps: np.ndarray, count: int) -> np.ndarray:
@@ -443,21 +447,53 @@ def _pure_states(
     )
 
 
+def _bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and the bin of each value, as numpy's
+    ``unique(values, return_inverse=True)`` gives them, from one stable sort:
+    every grouping by equal keys goes through here."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _summed(inverse: np.ndarray, amp: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of ``amp`` by bin, each added in input order from 0.0."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(inverse, amp.real, minlength=size)
+    out.imag = np.bincount(inverse, amp.imag, minlength=size)
+    return out
+
+
+def _coalesced(key: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries sorted by key, the amplitudes at one key summed in input order
+    from 0.0 (as ``0j + amp`` adds them, which turns a -0.0 part into +0.0),
+    and exact zeros dropped."""
+    key, inverse = _bins(key)
+    amp = _summed(inverse, amp, key.size)
+    nonzero = amp != 0
+    return key[nonzero], amp[nonzero]
+
+
 def _canonical_arrays(
-    layout: PartyLayout, owner: np.ndarray, idx: np.ndarray, amps: np.ndarray
+    layout: PartyLayout, count: int, owner: np.ndarray, idx: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The terms (``owner[t]``, ``idx[t]``, ``amps[t]``) of states numbered by
-    ``owner``, canonicalised at once as :func:`_canonical_terms` canonicalises
-    each state's, as the (state, index, amplitude) arrays of
+    """The terms (``owner[t]``, ``idx[t]``, ``amps[t]``) of ``count`` states
+    numbered by ``owner``, canonicalised at once as :func:`_canonical_terms`
+    canonicalises each state's, as the (state, index, amplitude) arrays of
     :func:`_term_arrays`.
 
-    Returns None unless ``idx`` holds an int multi-index of ``layout`` per
-    row, ``amps`` complex amplitudes and every merged amplitude is finite,
-    so that the caller can take :func:`_canonical_terms` per state instead,
-    which raises the error.  Duplicate indices are summed from 0j in the
-    order given, as ``merged.get(key, 0j) + amp`` sums them (which also
-    turns a -0.0 part into +0.0), and exact zeros are dropped.
+    Raises unless the states pass :func:`_checked_count`.  Returns None
+    unless ``idx`` holds an int multi-index of ``layout`` per row, ``amps``
+    complex amplitudes and every merged amplitude is finite, so that the
+    caller can take :func:`_canonical_terms` per state instead, which raises
+    the error.  The terms of one (state, cell) number are merged by
+    :func:`_coalesced`, as ``merged.get(key, 0j) + amp`` merges them.
     """
+    _checked_count(layout, count)
     dims = layout.dims
     if (
         idx.dtype.kind != "i"
@@ -468,17 +504,12 @@ def _canonical_arrays(
         or ((idx < 0) | (idx >= dims)).any()
     ):
         return None
-    order = np.lexsort((*idx.T[::-1], owner))
-    owner, idx, amps = owner[order], idx[order], amps[order]
-    new = np.ones(owner.size, dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (idx[1:] != idx[:-1]).any(axis=1)
-    merged = np.zeros(np.count_nonzero(new), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        np.add.at(merged, np.cumsum(new) - 1, amps)
-    if not np.isfinite(merged).all():
+    total, strides = layout.total_dim, _strides(dims)
+    key, amps = _coalesced(owner * total + idx @ strides, amps)
+    if not np.isfinite(amps).all():
         return None
-    keep = merged != 0
-    return owner[new][keep], idx[new][keep], merged[keep]
+    owner, cell = np.divmod(key, total)
+    return owner, cell[:, None] // strides % dims, amps
 
 
 def _canonical_set(
@@ -490,7 +521,7 @@ def _canonical_set(
 ) -> StateSet | None:
     """The set of the states ``labels[k]`` whose terms have ``owner`` k,
     through :func:`_canonical_arrays`, or None where that refuses them."""
-    arrays = _canonical_arrays(layout, owner, idx, amps)
+    arrays = _canonical_arrays(layout, len(labels), owner, idx, amps)
     return None if arrays is None else StateSet._of_arrays(layout, labels, arrays)
 
 
@@ -528,16 +559,10 @@ def _key_positions(block: np.ndarray, key: np.ndarray, n_blocks: int):
     """Each entry's position among the distinct keys of its block, ascending,
     and the number of distinct keys of every block (keys non-negative, and
     ``n_blocks`` times the largest key within int64)."""
-    order = np.argsort(block.astype(np.int64) * (int(key.max()) + 1) + key, kind="stable")
-    b, k = block[order], key[order]
-    first = np.ones(b.size, dtype=bool)
-    first[1:] = b[1:] != b[:-1]
-    new_key = first.copy()
-    new_key[1:] |= k[1:] != k[:-1]
-    distinct = np.cumsum(new_key) - 1
-    position = np.empty_like(distinct)
-    position[order] = distinct - np.maximum.accumulate(np.where(first, distinct, 0))
-    return position, np.bincount(b[new_key], minlength=n_blocks)
+    span = int(key.max()) + 1
+    pairs, inverse = _bins(block.astype(np.int64) * span + key)
+    counts = np.bincount(pairs // span, minlength=n_blocks)
+    return inverse - (np.cumsum(counts) - counts)[block], counts
 
 
 def _block_singular_values(
@@ -570,17 +595,13 @@ def _block_singular_values(
     span = int(widths.max()) + 1
     # a direct block is keyed by minus its number of singular values, any
     # other block by its shape
-    codes, shape, count = np.unique(
-        np.where(direct, -sizes, heights * span + widths), return_inverse=True, return_counts=True
-    )
+    codes, shape = _bins(np.where(direct, -sizes, heights * span + widths))
     # renumber the blocks so that those of one key are consecutive
     order = np.argsort(shape, kind="stable")
-    new_id = np.empty_like(order)
-    new_id[order] = np.arange(n_blocks)
-    ends = np.cumsum(count)
-    entry_id = new_id[block]
+    entry_id = np.argsort(order)[block]
     entries = np.argsort(entry_id, kind="stable")
-    entry_ends = np.searchsorted(entry_id[entries], ends)
+    ends = np.cumsum(np.bincount(shape, minlength=codes.size))
+    entry_ends = np.cumsum(np.bincount(shape[block], minlength=codes.size))
     result = []
     start = entry_start = 0
     for code, end, entry_end in zip(codes.tolist(), ends, entry_ends):
@@ -610,8 +631,7 @@ def _components(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
     with, then pointing every node at its root, until no entry joins two roots.
     """
     n_rows = int(rows.max()) + 1
-    _, cols = np.unique(cols, return_inverse=True)
-    cols = cols + n_rows
+    cols = _bins(cols)[1] + n_rows
     parent = np.arange(int(cols.max()) + 1)
     while True:
         up = parent[parent]
@@ -622,7 +642,7 @@ def _components(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
         if not join.any():
             break
         np.minimum.at(parent, np.maximum(a, b)[join], np.minimum(a, b)[join])
-    roots, component = np.unique(a, return_inverse=True)
+    roots, component = _bins(a)
     return component, roots.size
 
 
@@ -792,7 +812,7 @@ def _document_chunks(sset: StateSet) -> Iterator[str]:
     order = np.argsort(counts[state], kind="stable")
     parts = np.stack([amps.real[order], amps.imag[order]], axis=1)
     # parts told apart by their bits, so that -0.0 and 0.0 stay two
-    bits, part = np.unique(parts.view(np.int64).ravel(), return_inverse=True)
+    bits, part = _bins(parts.view(np.int64).ravel())
     reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     width = len(layout.dims) + 2
     values = np.empty((order.size, width), dtype=object)
@@ -800,14 +820,14 @@ def _document_chunks(sset: StateSet) -> Iterator[str]:
     values = values.ravel().tolist()
     bodies = []
     start = 0
-    for n, m in zip(*(a.tolist() for a in np.unique(counts, return_counts=True))):
+    sizes, state_class = _bins(counts)
+    for n, m in zip(sizes.tolist(), np.bincount(state_class, minlength=sizes.size).tolist()):
         body = ',\n   "terms": ' + _json_container("[", "]", [term] * n, 3) + "\n  }"
         end = start + m * n * width
         # no filled value holds a NUL, so it parts the states of a class
         bodies += ("\0".join([body] * m) % tuple(values[start:end])).split("\0")
         start = end
-    place = np.empty(len(bodies), dtype=np.int64)
-    place[np.argsort(counts, kind="stable")] = np.arange(len(bodies))
+    place = np.argsort(np.argsort(counts, kind="stable"))
     separator = "[\n  "
     for label, k in zip(sset.labels, place.tolist()):
         yield separator + '{\n   "label": ' + _json_scalar(label) + bodies[k]

@@ -25,6 +25,17 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _traced_run(capsys, *argv):
+    """:func:`_run`, and the peak of the memory Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        found = _run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (*found, peak)
+
+
 def _payload(out):
     report = json.loads(out)
     assert {"command", "version", "tolerance", "inputs", "result", "duration_seconds"} <= set(report)
@@ -257,6 +268,19 @@ def _true_dim_pair(protocol, states):
     )
 
 
+def _giant_pair(protocol, states):
+    # a pair of 2^31 levels that no step measures: the walk's 2^35 root
+    # entries (the 8 terms of bell.json times the 2 x 2^31 levels of the two
+    # pairs) used to be allocated, from a 16 GiB range of the pair's levels
+    protocol["registers"] += [
+        {"name": "z", "owner": "Alice", "dim": 2**31},
+        {"name": "w", "owner": "Bob", "dim": 2**31},
+    ]
+    protocol["resources"].append(
+        {"name": "big", "pair": ["Alice", "Bob"], "dim": 2**31, "registers": ["z", "w"]}
+    )
+
+
 # Each spoils example1.json or bell.json; each used to end in a traceback, a
 # giant allocation or a wrong answer with exit 0
 MALFORMED_SIMULATE_INPUTS = {
@@ -329,6 +353,7 @@ MALFORMED_SIMULATE_INPUTS = {
     ),
     # a pair of dim-true registers read as a dim-1 resource
     "bool-register-dim": (_true_dim_pair, "register dims must be integers >= 1"),
+    "giant-resource-pair": (_giant_pair, "the walk starts from 34359738368 entries"),
     "label-list": (_setter("states", "states", 0, "label", value=["psi1"]), "not a string"),
     # exit 0 with "correct: true" about no states
     "no-states": (_setter("states", "states", value=[]), "no states"),
@@ -347,10 +372,11 @@ def test_malformed_simulate_input_exits_2(tmp_path, capsys, case):
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps(doc))
     argv = ["simulate", "--protocol", str(paths[0]), "--states", str(paths[1])]
-    code, out, err = _run(capsys, *argv)
+    code, out, err, peak = _traced_run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and peak < 50 * 2**20
 
 
 def _set_term(key, value):
@@ -367,6 +393,12 @@ MALFORMED_STATE_SETS = {
     "string-idx": (_set_term("idx", ["1", 0, 0]), "index entries must be integers"),
     # the 7 was dropped without a word
     "three-entry-amp": (_set_term("amp", [1, 0, 7]), "not an [re, im] pair"),
+    # analyze exited 0 with the (state, cell) numbers, up to 24 x 4.5 * 10^19,
+    # wrapped mod 2^64
+    "cells-beyond-int64": (
+        lambda doc: doc["dims"].__setitem__(1, 5 * 10**18),
+        "24 states x 45000000000000000000 cells: (state, cell) numbers beyond int64",
+    ),
 }
 
 
@@ -378,10 +410,11 @@ def test_malformed_state_set_exits_2(tmp_path, capsys, case, command):
     spoil(doc)
     path = tmp_path / "b3.json"
     path.write_text(json.dumps(doc))
-    code, out, err = _run(capsys, command, "--input", str(path))
+    code, out, err, peak = _traced_run(capsys, command, "--input", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "simulate"])
@@ -497,12 +530,7 @@ def test_asymmetric_check_above_the_limit_exits_2_without_allocating(tmp_path, c
     )
     path = str(tmp_path / "product.json")
     save_state_set(sset, path)
-    tracemalloc.start()
-    try:
-        code, out, err = _run(capsys, "verify", "--input", path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, out, err, peak = _traced_run(capsys, "verify", "--input", path)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "check A|BC:BC has m^2 = 10000 unknowns" in err

@@ -1395,6 +1395,61 @@ def test_vectors_that_do_not_decode_together_decode_one_at_a_time():
         ]
 
 
+def _vector_entries(node):
+    """The vector of every vector operator under ``node``, in document order."""
+    if node["type"] == "teleport":
+        return _vector_entries(node["then"])
+    if node["type"] == "leaf":
+        return []
+    found = [op["vector"] for op in node["operators"] if "vector" in op]
+    for child in node["branches"].values():
+        found += _vector_entries(child)
+    return found
+
+
+@pytest.mark.parametrize("protocol", [example1_protocol, prop1_protocol, prop2_protocol])
+def test_bins_group_the_shipped_vectors_as_np_unique_does(protocol):
+    # the projector of each distinct vector is formed once, its bytes the key
+    from qrubik.locc import _vectors
+    from qrubik.states import _bins
+
+    by_length = {}
+    for vector in _vector_entries(protocol()["root"]):
+        by_length.setdefault(len(vector), []).append(vector)
+    for n, vectors in by_length.items():
+        rows = _vectors(vectors, n).view(f"V{16 * n}")[:, 0]
+        distinct, inverse = _bins(rows)
+        want, want_inverse = np.unique(rows, return_inverse=True)
+        assert distinct.tobytes() == want.tobytes() and np.array_equal(inverse, want_inverse)
+        assert distinct.size < rows.size
+
+
+def test_positions_beyond_int64_are_refused_before_allocating():
+    # three candidates on a table of 2^29 x 2^29 x 4 x 4 = 2^62 levels: the
+    # third one's positions, from 2^63 on, wrapped to negative numbers, which
+    # np.bincount refused with a message about a list.  The bound is the
+    # states' one: candidates x levels below 2^63
+    doc = {
+        "name": "wide",
+        "registers": [
+            {"name": "A", "owner": "Alice", "dim": 2**29},
+            {"name": "B", "owner": "Bob", "dim": 2**29},
+            {"name": "a", "owner": "Alice", "dim": 4},
+            {"name": "b", "owner": "Bob", "dim": 4},
+        ],
+        "resources": [
+            {"name": "r", "pair": ["Alice", "Bob"], "dim": 4, "registers": ["a", "b"]}
+        ],
+        "root": {"type": "leaf", "answer": "s0"},
+    }
+    layout = PartyLayout(("A", "B"), (2**29, 2**29))
+    sset = StateSet(layout, [PureState(layout, [((k, k), 1)], f"s{k}") for k in range(3)])
+    spec = parse_protocol(doc)
+    with pytest.raises(ProtocolError, match=r"3 candidates x 4611686018427387904 register"):
+        run_protocol(spec, sset)
+    assert run_protocol(spec, sset.subset(1)).correct
+
+
 # sha256 of each shipped protocol with its vector operators in the dense
 # form, written as make_data writes it: the documents as they were shipped
 # in that form

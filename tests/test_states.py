@@ -22,6 +22,7 @@ from qrubik import (
     load_state_set,
     norm,
     save_state_set,
+    schmidt_rank,
     state_set_from_dict,
     state_set_to_dict,
     validate_set,
@@ -522,6 +523,7 @@ MALFORMED_DOCUMENTS = {
     "empty-entry": lambda doc: doc["states"].append({}),
     "list-entry": lambda doc: doc["states"].append([]),
     "fractional-dim": lambda doc: doc["dims"].__setitem__(1, 2.5),
+    "cells-beyond-int64": lambda doc: doc["dims"].__setitem__(1, 5 * 10**18),
 }
 
 
@@ -635,3 +637,78 @@ def test_cell_count_is_the_number_of_distinct_index_tuples():
     cells = {tuple(idx) for s in sset for idx, _ in s.terms}
     assert 0 < sset._cell_count == len(cells) < sum(len(s.terms) for s in sset)
     assert StateSet(layout, [])._cell_count == 0
+
+
+def _bins_cases():
+    rng = np.random.default_rng(28)
+    return {
+        "empty": np.array([], dtype=np.int64),
+        "one": np.array([7]),
+        "all-equal": np.full(50, -3),
+        "sorted": np.arange(-20, 80),
+        "reversed": np.arange(100)[::-1].copy(),
+        "negative": rng.integers(-(2**62), 0, 500),
+        "many-duplicates": rng.integers(-5, 5, 1000),
+        "wide": rng.integers(-(2**62), 2**62, 1000),
+        "nearly-sorted": np.repeat(np.arange(200), 3) + rng.integers(0, 2, 600),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bins_cases()))
+def test_bins_match_np_unique(case):
+    values = _bins_cases()[case]
+    distinct, inverse = states._bins(values)
+    want, want_inverse = np.unique(values, return_inverse=True)
+    assert distinct.dtype == want.dtype and np.array_equal(distinct, want)
+    assert np.array_equal(inverse, want_inverse)
+
+
+def test_key_positions_match_sorted_sets_per_block():
+    rng = np.random.default_rng(29)
+    for n_blocks, size, top in [(1, 1, 1), (3, 40, 3), (30, 400, 1000), (200, 2000, 2**40)]:
+        block = rng.integers(0, n_blocks, size)
+        if n_blocks == 3:  # the keys in block order, as the profiles give them
+            block.sort()
+        key = rng.integers(0, top, size)
+        keys: dict[int, set[int]] = {}
+        for b, k in zip(block.tolist(), key.tolist()):
+            keys.setdefault(b, set()).add(k)
+        ranked = {b: sorted(found) for b, found in keys.items()}
+        position, counts = states._key_positions(block, key, n_blocks)
+        want = [ranked[b].index(k) for b, k in zip(block.tolist(), key.tolist())]
+        assert position.tolist() == want
+        assert counts.tolist() == [len(keys.get(b, ())) for b in range(n_blocks)]
+
+
+def test_no_np_unique_in_the_package():
+    # every grouping by equal keys goes through states._bins
+    package = resources.files("qrubik")
+    sources = [f for f in package.iterdir() if f.name.endswith(".py")]
+    assert len(sources) > 5
+    assert [f.name for f in sources if "np.unique(" in f.read_text()] == []
+
+
+def test_sets_whose_cells_overflow_int64_are_refused():
+    # the two BC indices 4 * 10^18 * 5 and 310651185258089676 * 5 + 4 are
+    # equal mod 2^64, so the state read as a product state across A|BC, in a
+    # set and alone
+    layout = PartyLayout(("A", "B", "C"), (2, 5 * 10**18, 5))
+    assert layout.total_dim == 5 * 10**19
+    terms = [((0, 4 * 10**18, 0), 1), ((1, 310651185258089676, 4), 1)]
+    state = PureState(layout, terms, "s")
+    doc = {
+        "dims": list(layout.dims),
+        "parties": list(layout.parties),
+        "states": [{"label": "s", "terms": [{"idx": list(i), "amp": [1, 0]} for i, _ in terms]}],
+    }
+    message = r"1 states x 50000000000000000000 cells: \(state, cell\) numbers beyond int64"
+    with pytest.raises(ValueError, match=message):
+        StateSet(layout, [state])
+    with pytest.raises(ValueError, match=message):
+        schmidt_rank(state, Bipartition.of(layout, ["A"]))
+    with pytest.raises(ValueError, match=message):
+        state_set_from_dict(doc)
+    # the largest set that fits
+    fits = PartyLayout(("A", "B"), (2**31, 2**31 - 1))
+    assert len(StateSet(fits, [PureState(fits, [((2**31 - 1, 0), 1)], "s")])) == 1
+    assert len(state_set_from_dict({**doc, "dims": [1, 2**62, 1], "states": []})) == 0

@@ -31,7 +31,7 @@ from .states import (
     save_state_set,
     validate_set,
 )
-from .verify import certify_triviality, verify_strong_nonlocality
+from .verify import CheckResult, certify_triviality, verify_strong_nonlocality
 
 def _digest(path: str) -> str:
     h = hashlib.sha256()
@@ -161,7 +161,7 @@ def _cmd_analyze(args, started: float) -> int:
     return 0
 
 
-def _check_payload(result) -> dict:
+def _check_payload(result: CheckResult) -> dict:
     return {
         "cut": result.cut,
         "actor": result.actor,
@@ -182,12 +182,7 @@ def _cmd_verify(args, started: float) -> int:
             raise ValueError(f"check {args.check!r}: the right side must be {''.join(cut.right)}")
         actor_parties = split(actor)
         verdict = certify_triviality(sset, cut, actor_parties)
-        payload = {
-            "cut": cut.name,
-            "actor": actor.replace(",", ""),
-            "verdict": verdict.verdict,
-            "solution_dim": verdict.solution_dim,
-        }
+        payload = _check_payload(CheckResult(cut.name, actor.replace(",", ""), verdict))
         if verdict.witness is not None:
             payload["witness"] = _round_floats(matrix_to_json(verdict.witness))
         _emit(_echo(args), {path: _digest(path)}, payload, started)

@@ -253,61 +253,57 @@ class ProtocolSpec:
         raise ProtocolError(f"unknown resource {name!r}")
 
 
+def _pair_parts(entry: Sequence, n: int) -> tuple | None:
+    """The real parts and then the imaginary parts of ``entry`` when it is
+    ``n`` [re, im] pairs of numbers: ints within int64 and floats, numpy
+    scalars included, none a bool; else None."""
+    try:
+        if len(entry) != n:
+            return None
+        re, im = zip(*entry, strict=True)
+    except (TypeError, ValueError):  # a number where a list belongs, or a pair of another length
+        return None
+    parts = re + im
+    types = set(map(type, parts))
+    if types == {float}:
+        return parts
+    numbers = (int, float, np.integer, np.floating)
+    if bool in types or not all(issubclass(t, numbers) for t in types):
+        return None
+    ints = [part for part in parts if isinstance(part, (int, np.integer))]
+    return parts if not ints or -(2**63) <= min(ints) <= max(ints) < 2**63 else None
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """Real parts and then imaginary parts, (..., 2, n), as complex numbers
+    (..., n), exactly."""
+    return np.ascontiguousarray(np.swapaxes(parts, -1, -2)).view(complex)[..., 0]
+
+
 def _matrix_from_json(entry: Sequence, name: str) -> np.ndarray:
-    """An n x n array of [re, im] number pairs, none a bool, as a complex
-    matrix, exactly."""
+    """An n x n array of [re, im] number pairs (:func:`_pair_parts`) as a
+    complex matrix, exactly."""
     try:
-        pairs = np.array(entry)
-    except ValueError:  # ragged nesting
-        pairs = np.array(None)
-    if (
-        pairs.dtype.kind not in "iuf"
-        or pairs.ndim != 3
-        or pairs.shape[1:] != (len(pairs), 2)
-        or bool in {type(part) for row in entry for cell in row for part in cell}
-    ):
-        raise ProtocolError(f"operator {name!r} matrix is not an n x n array of [re, im] pairs")
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-
-
-def _vector_from_json(entry: Sequence, name: str, n: int) -> np.ndarray:
-    """``n`` [re, im] number pairs, none a bool, as a finite nonzero complex
-    vector, exactly."""
-    try:
-        pairs = np.array(entry)
-    except ValueError:  # ragged nesting
-        pairs = np.array(None)
-    if (
-        pairs.dtype.kind not in "iuf"
-        or pairs.shape != (n, 2)
-        or bool in set(map(type, itertools.chain.from_iterable(entry)))
-    ):
-        raise ProtocolError(f"operator {name!r} vector is not {n} [re, im] number pairs")
-    pairs = np.ascontiguousarray(pairs, dtype=float)
-    peak = np.abs(pairs).max()  # NaN when any part is
-    if not math.isfinite(peak):
-        raise ProtocolError(f"operator {name!r} vector has non-finite entries")
-    if peak == 0:
-        raise ProtocolError(f"operator {name!r} vector is zero")
-    return pairs.view(complex)[:, 0]
-
-
-def _vectors(entries: Sequence, n: int) -> np.ndarray | None:
-    """The ``entries`` as the rows of one complex array when each is ``n``
-    [re, im] pairs of ints and floats, finite and not all zero, else None."""
-    chain = itertools.chain.from_iterable
-    try:
-        pairs = list(chain(entries))
-        parts = list(chain(pairs))
-        shaped = set(map(len, entries)) == {n} and set(map(len, pairs)) == {2}
+        rows = [_pair_parts(row, len(entry)) for row in entry]
     except TypeError:  # a number where a list belongs
-        return None
-    values = np.array(parts) if shaped and set(map(type, parts)) <= {int, float} else None
-    if values is None or values.dtype.kind not in "iuf":  # object for an int beyond 64 bits
-        return None
-    peak = np.abs(values).reshape(-1, 2 * n).max(axis=1)  # NaN when any part is
-    ok = np.isfinite(peak).all() and peak.all()
-    return values.astype(float).view(complex).reshape(-1, n) if ok else None
+        rows = []
+    if not rows or None in rows:
+        raise ProtocolError(f"operator {name!r} matrix is not an n x n array of [re, im] pairs")
+    return _complex(np.array(rows, dtype=float).reshape(len(rows), 2, -1))
+
+
+def _vector_parts(entry: Sequence, name: str, n: int) -> tuple:
+    """The parts (:func:`_pair_parts`) of ``n`` [re, im] number pairs that
+    are finite and not all zero."""
+    parts = _pair_parts(entry, n)
+    if parts is None:
+        raise ProtocolError(f"operator {name!r} vector is not {n} [re, im] number pairs")
+    norm = math.hypot(*parts)  # inf or NaN when a part is, or when it overflows
+    if not math.isfinite(norm) and not all(map(math.isfinite, parts)):
+        raise ProtocolError(f"operator {name!r} vector has non-finite entries")
+    if not norm:
+        raise ProtocolError(f"operator {name!r} vector is zero")
+    return parts
 
 
 def _projectors(vectors: np.ndarray) -> np.ndarray:
@@ -368,14 +364,14 @@ class _StepParts:
     """A measurement step as the tree pass of :func:`_compile` reads it: the
     operator names, the position of the complement operator, the parts
     (position, registers, and a ``proj``'s levels, a ``matrix`` or a
-    ``vector``'s projector), the ``vector`` parts not yet decoded (position,
-    registers, entry, name, levels) and the union of their registers in
-    table order."""
+    ``vector``'s projector), the ``vector`` parts whose projectors are not
+    yet formed (position, registers, the entry's checked parts) and the
+    union of their registers in table order."""
 
     names: list[str]
     complement: int | None
     parts: list[tuple[int, tuple[str, ...], object]]
-    vectors: list[tuple[int, tuple[str, ...], object, str, int]]
+    vectors: list[tuple[int, tuple[str, ...], tuple]]
     union: tuple[str, ...]
     compiled: tuple = ()  # its kernels, slot, operators and their touches
 
@@ -385,62 +381,57 @@ def _step_parts(docs: Sequence[Mapping], table: RegisterTable) -> _StepParts:
     names: list[str] = []
     complements: list[int] = []
     parts: list[tuple[int, tuple[str, ...], object]] = []
-    vectors: list[tuple[int, tuple[str, ...], object, str, int]] = []
-    try:
-        for doc in docs:
-            name = doc.get("name")
-            if not isinstance(name, str) or not name:
-                raise ProtocolError("measurement operator without a name")
-            complement = doc.get("complement", False)
-            if complement is not True and complement is not False:
-                raise ProtocolError(f"operator {name!r} complement must be true or false")
-            if complement:
-                complements.append(len(names))
-            elif "proj" in doc:
-                items = tuple(_proj_levels(item, table, name) for item in doc["proj"])
-                parts.append((len(names), table._union(tuple(r for r, _ in items))[0], items))
-            elif "matrix" in doc:
-                regs = _distinct_regs(doc["regs"], name)
-                mat = _matrix_from_json(doc["matrix"], name)
-                full = math.prod(table.dims(regs))
-                if mat.shape != (full, full):
-                    raise ProtocolError(
-                        f"operator {name!r} matrix shape {mat.shape} does not match regs {regs}"
-                    )
-                if not np.isfinite(mat).all():
-                    raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
-                parts.append((len(names), regs, mat))
-            elif "vector" in doc:
-                regs = _distinct_regs(doc["regs"], name)
-                vectors.append((len(names), regs, doc["vector"], name, math.prod(table.dims(regs))))
-            else:
+    vectors: list[tuple[int, tuple[str, ...], tuple]] = []
+    for doc in docs:
+        name = doc.get("name")
+        if not isinstance(name, str) or not name:
+            raise ProtocolError("measurement operator without a name")
+        complement = doc.get("complement", False)
+        if complement is not True and complement is not False:
+            raise ProtocolError(f"operator {name!r} complement must be true or false")
+        if complement:
+            complements.append(len(names))
+        elif "proj" in doc:
+            items = tuple(_proj_levels(item, table, name) for item in doc["proj"])
+            parts.append((len(names), table._union(tuple(r for r, _ in items))[0], items))
+        elif "matrix" in doc:
+            regs = _distinct_regs(doc["regs"], name)
+            mat = _matrix_from_json(doc["matrix"], name)
+            full = math.prod(table.dims(regs))
+            if mat.shape != (full, full):
                 raise ProtocolError(
-                    f"operator {name!r} needs 'proj', 'matrix', 'vector' or 'complement'"
+                    f"operator {name!r} matrix shape {mat.shape} does not match regs {regs}"
                 )
-            names.append(name)
+            if not np.isfinite(mat).all():
+                raise ProtocolError(f"operator {name!r} matrix has non-finite entries")
+            parts.append((len(names), regs, mat))
+        elif "vector" in doc:
+            regs = _distinct_regs(doc["regs"], name)
+            checked = _vector_parts(doc["vector"], name, math.prod(table.dims(regs)))
+            vectors.append((len(names), regs, checked))
+        else:
+            raise ProtocolError(
+                f"operator {name!r} needs 'proj', 'matrix', 'vector' or 'complement'"
+            )
+        names.append(name)
 
-        if len(names) != len(set(names)):
-            raise ProtocolError("operator names within a step must be unique")
-        if len(complements) > 1:
-            raise ProtocolError("at most one complement operator per step")
-        union, full = table._union(tuple(part[1] for part in parts + vectors))
-        if not union:
-            raise ProtocolError("measurement step acts on no registers")
-        if full > _MAX_STEP_LEVELS:
-            raise ProtocolError(
-                f"measurement step on {union} has {full} levels, above the limit of "
-                f"{_MAX_STEP_LEVELS} for a dense operator"
-            )
-        if len(names) * full * full > _MAX_STEP_ENTRIES:
-            raise ProtocolError(
-                f"measurement step on {union} has {len(names)} operators on {full} levels, "
-                f"above the limit of {_MAX_STEP_ENTRIES} dense operator entries"
-            )
-    except (ValueError, LookupError, TypeError, AttributeError):
-        # a vector's fault is met as its operator is read: before any later fault
-        for vector in vectors:
-            _vector_from_json(*vector[2:])
-        raise
+    if len(names) != len(set(names)):
+        raise ProtocolError("operator names within a step must be unique")
+    if len(complements) > 1:
+        raise ProtocolError("at most one complement operator per step")
+    union, full = table._union(tuple(part[1] for part in parts + vectors))
+    if not union:
+        raise ProtocolError("measurement step acts on no registers")
+    if full > _MAX_STEP_LEVELS:
+        raise ProtocolError(
+            f"measurement step on {union} has {full} levels, above the limit of "
+            f"{_MAX_STEP_LEVELS} for a dense operator"
+        )
+    if len(names) * full * full > _MAX_STEP_ENTRIES:
+        raise ProtocolError(
+            f"measurement step on {union} has {len(names)} operators on {full} levels, "
+            f"above the limit of {_MAX_STEP_ENTRIES} dense operator entries"
+        )
     return _StepParts(names, complements[0] if complements else None, parts, vectors, union)
 
 
@@ -456,27 +447,15 @@ def _compile_steps(
     compiled once and share a slot of a stack, and their operators when
     their names are equal too.  The distinct steps with the same levels and
     outcomes are compiled in one pass, of at most ``_MAX_GROUP_ENTRIES``."""
-    pending: dict[int, list] = {}  # each length's vector parts and their steps, in read order
+    pending: dict[int, tuple[list, list]] = {}  # each length's parts and their steps, in read order
     for step, _ in steps:
         for vector in step.vectors:
-            pending.setdefault(vector[-1], []).append((step, vector))
-    batches = {n: _vectors([v[2] for _, v in found], n) for n, found in pending.items()}
-    if any(batch is None for batch in batches.values()):
-        # one at a time, in read order: a fault is raised once the steps read
-        # before its own are compiled, so that their faults come first
-        for i, (step, _) in enumerate(steps):
-            try:
-                for vector in step.vectors:
-                    _vector_from_json(*vector[2:])
-            except ProtocolError:
-                _compile_steps(steps[:i], table, by_reg, tol)
-                raise
-        batches = {
-            n: np.array([_vector_from_json(*v[2:]) for _, v in found])
-            for n, found in pending.items()
-        }
-    for n, found in pending.items():  # each distinct vector's projector, formed once
-        distinct, inverse = _bins(batches[n].view(f"V{16 * n}")[:, 0])  # by their bytes
+            flat, found = pending.setdefault(len(vector[2]) // 2, ([], []))
+            flat += vector[2]
+            found.append((step, vector))
+    for n, (flat, found) in pending.items():  # each distinct vector's projector, formed once
+        rows = _complex(np.array(flat, dtype=float).reshape(-1, 2, n))
+        distinct, inverse = _bins(rows.view(f"V{16 * n}")[:, 0])  # by their bytes
         vectors = distinct.view(complex).reshape(-1, n)
         projectors, per = [], max(1, _MAX_GROUP_ENTRIES // (n * n))  # at most per pass
         for at in range(0, len(vectors), per):
@@ -737,9 +716,11 @@ def _outcomes(
     the pruning cutoff, and the survivors' entries and norms, renumbered in
     (outcome, candidate) order.  All outcomes are formed in one pass, outcome
     o's entries at keys ``o * count * size + pos``, and the sums at one key
-    run in the order of a pass over the one step alone.
+    run in the order of a pass over the one step alone.  Raises before
+    forming them unless every key fits in int64.
     """
     size, k = table.size, kernels.outcomes
+    _check_positions(size, outcomes=k, candidates=count)
     strides, dims, inner, offset = table._layout(kernels.regs)
     # each entry's index on the step's registers picks the operator column it
     # meets; each nonzero there gives a product, by entry, operator and row
@@ -819,12 +800,23 @@ class ExecutionReport:
     total_ebits: float
 
 
+def _check_positions(size: int, **counts: int) -> None:
+    """Raise unless the product of ``counts`` (each named) times ``size``
+    register-table levels is below 2^63: the walk's int64 positions."""
+    if math.prod(counts.values()) * size >= 2**63:
+        named = " x ".join(f"{count} {name}" for name, count in counts.items())
+        raise ProtocolError(
+            f"positions do not fit in int64: {named} x {size} register-table levels >= 2^63"
+        )
+
+
 def _initial(spec: ProtocolSpec, sset: StateSet) -> tuple[np.ndarray, np.ndarray]:
     """The root's entries, sorted by position: the candidates with every
     shared pair in sum_k |k,k>, each scaled by a power of two
     (:func:`_power_of_two_scaled`), which leaves every Born ratio as it is.
     Raises before allocating unless there are at most
-    ``_MAX_INITIAL_ENTRIES`` entries and every position fits in int64."""
+    ``_MAX_INITIAL_ENTRIES`` entries and every position fits in int64
+    (:func:`_check_positions`)."""
     table = spec.table
     row, idx, amp = sset.term_arrays
     entries = row.size * math.prod(res.dim for res in spec.resources)
@@ -833,11 +825,7 @@ def _initial(spec: ProtocolSpec, sset: StateSet) -> tuple[np.ndarray, np.ndarray
             f"the walk starts from {entries} entries (the candidates' terms times the "
             f"levels of every shared pair), above the limit of {_MAX_INITIAL_ENTRIES}"
         )
-    if len(sset) * table.size >= 2**63:
-        raise ProtocolError(
-            f"positions do not fit in int64: {len(sset)} candidates x {table.size} "
-            "register-table levels >= 2^63"
-        )
+    _check_positions(table.size, candidates=len(sset))
     strides = table.strides
     principal = np.array([strides[r.name] for r in spec.principal_registers], dtype=np.int64)
     amp = _power_of_two_scaled(row, amp, len(sset))
@@ -889,7 +877,8 @@ def _walk(
     mutually orthogonal, read off one block-diagonal Gram matrix per
     frontier.  A fault is raised as a depth-first walk meets it: only the
     nodes before it in depth-first order go on, and it is raised unless one
-    of them faults or is found not orthogonal first.
+    of them faults or is found not orthogonal first.  A frontier whose
+    positions would pass int64 is refused at once.
     """
     if not len(sset):
         raise ProtocolError(_NO_STATES)
@@ -943,6 +932,7 @@ def _walk(
         # each part numbers its candidates from 0: shift them to follow the last
         total, parts = 0, []
         for children, (pos, *rest) in grown:
+            _check_positions(size, candidates=total + len(rest[1]))
             for child in children:
                 child.start += total
             parts.append((pos + total * size, *rest))

@@ -307,6 +307,9 @@ MALFORMED_SIMULATE_INPUTS = {
     "string-vector-part": (_set_vector_part("1"), "is not 4 [re, im] number pairs"),
     # read as 1.0, so the operator was the projector it had been
     "bool-vector-part": (_set_vector_part(True), "is not 4 [re, im] number pairs"),
+    # an int part beyond float64's range, and one beyond int64's
+    "huge-int-vector-part": (_set_vector_part(10**400), "is not 4 [re, im] number pairs"),
+    "giant-int-vector-part": (_set_vector_part(2**70), "is not 4 [re, im] number pairs"),
     "nan-vector-part": (_set_vector_part(math.nan), "vector has non-finite entries"),
     "inf-vector-part": (_set_vector_part(math.inf), "vector has non-finite entries"),
     "zero-vector": (_edit_vector(lambda op: op.update(vector=[[0, 0]] * 4)), "vector is zero"),

@@ -1377,22 +1377,59 @@ def test_equal_steps_share_a_slot(name, counts):
     assert not any(op.matrix.flags.writeable for step in steps for op in step.operators)
 
 
-def test_vectors_that_do_not_decode_together_decode_one_at_a_time():
-    # numpy vectors, which the batch decode does not take, read one at a time
-    from qrubik.locc import _vectors
-
+def test_numpy_vector_entries_give_the_same_operator_bytes():
+    # each vector entry an array of numpy floats, read as the lists are
     doc = example1_protocol()
     spec, arrays = parse_protocol(doc), copy.deepcopy(doc)
     for step_doc, _ in _steps(arrays["root"], spec.root):
         for op in step_doc["operators"]:
             if "vector" in op:
                 op["vector"] = np.array(op["vector"])
-                assert _vectors([op["vector"]], 4) is None
     pairs = zip(_steps(doc["root"], spec.root), _steps(arrays["root"], parse_protocol(arrays).root))
     for (_, a), (_, b) in pairs:
         assert [op.matrix.tobytes() for op in a.operators] == [
             op.matrix.tobytes() for op in b.operators
         ]
+
+
+def _operator_bytes(doc):
+    spec = parse_protocol(doc)
+    steps = _steps(doc["root"], spec.root)
+    return [op.matrix.tobytes() for _, step in steps for op in step.operators]
+
+
+def _with_matrix_part(doc, part):
+    # P0 on A written as a matrix, the real part of its (0, 0) entry ``part``
+    doc["root"]["operators"][0] = {
+        "name": "P0",
+        "regs": ["A"],
+        "matrix": [[[part, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    }
+    return doc
+
+
+@pytest.mark.parametrize("part", [1, np.int64(1), np.float64(1.0), np.float32(1.0), np.uint8(1)])
+def test_int_and_numpy_parts_read_as_their_floats(part):
+    # the real part of m0p12S0+'s |11> entry, 1.0 as shipped
+    doc = example1_protocol()
+    spoiled = copy.deepcopy(doc)
+    _node(spoiled, "N1", "N2")["operators"][0]["vector"][3][0] = part
+    assert _operator_bytes(spoiled) == _operator_bytes(doc)
+    assert _operator_bytes(_with_matrix_part(_minimal_doc(), part)) == _operator_bytes(
+        _with_matrix_part(_minimal_doc(), 1.0)
+    )
+
+
+@pytest.mark.parametrize("part", [2**63, -(2**63) - 1, 2**70, 10**400, np.uint64(2**63), np.True_])
+def test_parts_beyond_int64_and_numpy_bools_are_refused(part):
+    # one pair check reads vector and matrix entries: an int part must fit in
+    # int64, and no part may be a bool, numpy's included
+    doc = example1_protocol()
+    _node(doc, "N1", "N2")["operators"][0]["vector"][3][0] = part
+    with pytest.raises(ProtocolError, match=re.escape("vector is not 4 [re, im] number pairs")):
+        parse_protocol(doc)
+    with pytest.raises(ProtocolError, match=re.escape("is not an n x n array of [re, im] pairs")):
+        parse_protocol(_with_matrix_part(_minimal_doc(), part))
 
 
 def _vector_entries(node):
@@ -1410,14 +1447,15 @@ def _vector_entries(node):
 @pytest.mark.parametrize("protocol", [example1_protocol, prop1_protocol, prop2_protocol])
 def test_bins_group_the_shipped_vectors_as_np_unique_does(protocol):
     # the projector of each distinct vector is formed once, its bytes the key
-    from qrubik.locc import _vectors
+    from qrubik.locc import _complex, _vector_parts
     from qrubik.states import _bins
 
     by_length = {}
     for vector in _vector_entries(protocol()["root"]):
-        by_length.setdefault(len(vector), []).append(vector)
+        parts = np.array(_vector_parts(vector, "v", len(vector)), dtype=float)
+        by_length.setdefault(len(vector), []).append(_complex(parts.reshape(2, -1)))
     for n, vectors in by_length.items():
-        rows = _vectors(vectors, n).view(f"V{16 * n}")[:, 0]
+        rows = np.array(vectors).view(f"V{16 * n}")[:, 0]
         distinct, inverse = _bins(rows)
         want, want_inverse = np.unique(rows, return_inverse=True)
         assert distinct.tobytes() == want.tobytes() and np.array_equal(inverse, want_inverse)
@@ -1448,6 +1486,93 @@ def test_positions_beyond_int64_are_refused_before_allocating():
     with pytest.raises(ProtocolError, match=r"3 candidates x 4611686018427387904 register"):
         run_protocol(spec, sset)
     assert run_protocol(spec, sset.subset(1)).correct
+
+
+def _proj(name, regs, levels):
+    return {"name": name, "proj": [{"regs": regs, "levels": levels}]}
+
+
+def test_outcome_keys_beyond_int64_are_refused():
+    # ten product states on 2^29 x 2^29 x 3 levels fit (30 x 2^58 positions),
+    # but a three-outcome step keys its products by outcome x 10 candidates x
+    # 3 x 2^58, which wrapped past int64 and ended in np.bincount refusing a
+    # list with negative elements
+    doc = {
+        "name": "wide",
+        "registers": [
+            {"name": "A", "owner": "Alice", "dim": 2**29},
+            {"name": "B", "owner": "Bob", "dim": 2**29},
+            {"name": "C", "owner": "Charlie", "dim": 3},
+        ],
+        "root": {
+            "type": "measure",
+            "party": "Charlie",
+            "operators": [_proj(f"c{k}", ["C"], [[k]]) for k in range(3)],
+            "branches": {f"c{k}": {"type": "leaf", "answer": f"s{k}"} for k in range(3)},
+        },
+    }
+    layout = PartyLayout(("A", "B", "C"), (2**29, 2**29, 3))
+    states = [PureState(layout, [((k, k, k % 3), 1)], f"s{k}") for k in range(10)]
+    spec = parse_protocol(doc)
+    with pytest.raises(
+        ProtocolError,
+        match=r"do not fit in int64: 3 outcomes x 10 candidates x 864691128455135232 register",
+    ):
+        run_protocol(spec, StateSet(layout, states))
+    assert run_protocol(spec, StateSet(layout, states[:3])).correct
+
+
+def test_frontier_positions_beyond_int64_are_refused():
+    # two steps on different registers at one depth, each within the bound
+    # (2 outcomes x 3 candidates x 2^60 levels), keep all three candidates on
+    # both outcomes: the next frontier's 12 candidates x 2^60 positions
+    # wrapped past int64, and np.repeat then refused negative counts
+    def step(*operators, answers):
+        names = [op["name"] for op in operators]
+        ends = {
+            name: {
+                "type": "measure",
+                "party": "Charlie",
+                "operators": [_proj("all", ["C"], [[0], [1], [2], [3]])],
+                "branches": {"all": {"type": "leaf", "answer": answer}},
+            }
+            for name, answer in zip(names, answers)
+        }
+        return {
+            "type": "measure", "party": "Charlie", "operators": list(operators), "branches": ends
+        }
+
+    complement = lambda name: {"name": name, "complement": True}
+    low = step(_proj("l0", ["C"], [[0]]), complement("l1"), answers=["s0", "s1"])
+    high = step(_proj("h2", ["C", "c"], [[2, 0], [2, 1]]), complement("h3"), answers=["s0", "s1"])
+    doc = {
+        "name": "split",
+        "registers": [
+            {"name": "A", "owner": "Alice", "dim": 2**28},
+            {"name": "B", "owner": "Bob", "dim": 2**28},
+            {"name": "C", "owner": "Charlie", "dim": 4},
+            {"name": "c", "owner": "Charlie", "dim": 2},
+            {"name": "a", "owner": "Alice", "dim": 2},
+        ],
+        "resources": [
+            {"name": "r", "pair": ["Alice", "Charlie"], "dim": 2, "registers": ["a", "c"]}
+        ],
+        "root": {
+            "type": "measure",
+            "party": "Charlie",
+            "operators": [_proj("lo", ["C"], [[0], [1]]), _proj("hi", ["C"], [[2], [3]])],
+            "branches": {"lo": low, "hi": high},
+        },
+    }
+    layout = PartyLayout(("A", "B", "C"), (2**28, 2**28, 4))
+    sset = StateSet(
+        layout, [PureState(layout, [((k, k, c), 1) for c in range(4)], f"s{k}") for k in range(3)]
+    )
+    spec = parse_protocol(doc)
+    with pytest.raises(ProtocolError, match=r"int64: 12 candidates x 1152921504606846976 register"):
+        run_protocol(spec, sset)
+    report = run_protocol(spec, sset.subset(1))
+    assert [b.probability for b in report.outcomes[0].branches] == [0.25] * 4
 
 
 # sha256 of each shipped protocol with its vector operators in the dense

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cube import MAX_D, build_snoeb, build_snoes
 from .entangle import profile_rows
-from .locc import _NO_STATES, ProtocolError, matrix_to_json, parse_protocol, run_protocol
+from .locc import _NO_STATES, matrix_to_json, parse_protocol, run_protocol
 from .states import (
     DEFAULT_TOL,
     Bipartition,
@@ -320,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         return args.func(args, started)
-    except (ValueError, ProtocolError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -108,21 +108,6 @@ def _family_run(size: int, family: int, t: int) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _block_extent(size: int, family: int) -> Subcube:
-    m = size - 1
-    low = tuple(range(0, m))
-    high = tuple(range(1, m + 1))
-    extents = {
-        0: (high, (0,), low),
-        1: (high, low, (m,)),
-        2: ((m,), high, low),
-        3: (low, high, (0,)),
-        4: (low, (m,), high),
-        5: ((0,), low, high),
-    }
-    return Subcube(extents[family])
-
-
 def decompose_layer(d: int) -> LayerDecomposition:
     """Outer-layer partition of the d x d x d cube into blocks, corners, inner region."""
     if d < 3:
@@ -130,7 +115,11 @@ def decompose_layer(d: int) -> LayerDecomposition:
     blocks = tuple(
         tuple(_family_run(d, f, t) for t in range(d - 1)) for f in range(6)
     )
-    extents = tuple(_block_extent(d, f) for f in range(6))
+    # each block's extent: the distinct coordinates of its cells, axis by axis
+    extents = tuple(
+        Subcube(tuple(sorted(set(axis)) for axis in zip(*itertools.chain(*block))))
+        for block in blocks
+    )
     inner = Subcube((tuple(range(1, d - 1)),) * 3)
     return LayerDecomposition(
         d=d,

@@ -38,6 +38,8 @@ class PartyLayout:
             raise ValueError("layout needs at least one party")
         if len(self.parties) != len(self.dims):
             raise ValueError("parties and dims must have equal length")
+        if not all(isinstance(p, str) for p in self.parties):
+            raise ValueError(f"party labels must be strings, got {list(self.parties)}")
         if len(set(self.parties)) != len(self.parties):
             raise ValueError("party labels must be distinct")
         if any(d < 1 for d in self.dims):

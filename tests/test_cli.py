@@ -281,8 +281,38 @@ def _giant_pair(protocol, states):
     )
 
 
+def _set_root_operator(op):
+    return _setter("protocol", "root", "operators", 0, value=op)
+
+
+def _add_resource(resource):
+    def spoil(protocol, states):
+        protocol["resources"].append(resource)
+    return spoil
+
+
+def _teleport_first(source, resource, to):
+    """A teleport of ``source`` over ``resource`` to ``to`` above the root,
+    with a register ``c`` that Charlie holds."""
+    def spoil(protocol, states):
+        protocol["registers"].append({"name": "c", "owner": "Charlie", "dim": 2})
+        protocol["root"] = {
+            "type": "teleport", "source": source, "resource": resource, "to": to,
+            "then": protocol["root"],
+        }
+    return spoil
+
+
+def _prop1_on_b4(protocol, states):
+    protocol.clear()
+    protocol.update(_packaged_doc("prop1.json"))
+    states.clear()
+    states.update(_packaged_doc("b4.json"))
+
+
 # Each spoils example1.json or bell.json; each used to end in a traceback, a
-# giant allocation or a wrong answer with exit 0
+# giant allocation or a wrong answer with exit 0, or is a refusal that no other
+# input reaches
 MALFORMED_SIMULATE_INPUTS = {
     # [0, 3] on the dim-2 register a wrapped to (1, 1): exit 0, "correct"
     "level-above-dim": (_set_levels([[0, 0], [0, 3]]), "outside dims"),
@@ -362,6 +392,73 @@ MALFORMED_SIMULATE_INPUTS = {
     "no-states": (_setter("states", "states", value=[]), "no states"),
     # read as 2 without a word
     "fractional-dim": (_setter("states", "dims", 1, value=2.5), "must be integers"),
+    # exit 0 with "correct: true"
+    "int-party-label": (_setter("states", "parties", 0, value=0), "party labels must be strings"),
+    "register-name-twice": (
+        _setter("protocol", "registers", 2, "name", value="A"), "register names must be unique"
+    ),
+    "short-level": (_set_levels([[0, 0], [1]]), "arity mismatch"),
+    "number-matrix": (
+        _set_root_operator({"name": "N1", "regs": ["A", "a"], "matrix": 1}),
+        "operator 'N1' matrix is not an n x n array of [re, im] pairs",
+    ),
+    "matrix-shape": (
+        _set_root_operator({"name": "N1", "regs": ["A", "a"], "matrix": [[[1, 0]]]}),
+        "operator 'N1' matrix shape (1, 1) does not match regs ('A', 'a')",
+    ),
+    "bare-operator": (
+        _set_root_operator({"name": "N1"}),
+        "operator 'N1' needs 'proj', 'matrix', 'vector' or 'complement'",
+    ),
+    "operator-name-twice": (
+        _setter("protocol", "root", "operators", 1, "name", value="N1"),
+        "operator names within a step must be unique",
+    ),
+    "two-complements": (
+        _set_root_operator({"name": "N1", "complement": True}),
+        "at most one complement operator per step",
+    ),
+    "complement-only": (
+        _setter("protocol", "root", "operators", value=[{"name": "N1bar", "complement": True}]),
+        "measurement step acts on no registers",
+    ),
+    "resource-twice": (
+        _add_resource({"name": "phi2_ab", "pair": ["Alice", "Bob"], "dim": 2, "registers": []}),
+        "duplicate resource 'phi2_ab'",
+    ),
+    "one-party-resource": (
+        _setter("protocol", "resources", 0, "pair", value=["Alice", "Alice"]),
+        "resource 'phi2_ab' must join two distinct parties",
+    ),
+    "resource-off-its-pair": (
+        _setter("protocol", "resources", 0, "registers", value=["a", "A"]),
+        "resource 'phi2_ab' registers are not held by its party pair",
+    ),
+    "resource-dim-mismatch": (
+        _setter("protocol", "resources", 0, "dim", value=3),
+        "resource 'phi2_ab' register 'a' dim mismatch",
+    ),
+    "register-in-two-resources": (
+        _add_resource({"name": "r", "pair": ["Alice", "Bob"], "dim": 2, "registers": ["a", "b"]}),
+        "register 'a' claimed by two resources",
+    ),
+    "teleport-unknown-resource": (
+        _teleport_first("A", "nope", "Bob"), "teleport references unknown resource 'nope'"
+    ),
+    "teleport-to-no-party": (
+        _teleport_first("A", "phi2_ab", "Dave"), "teleport destination 'Dave' is not a party"
+    ),
+    "teleport-off-its-pair": (
+        _teleport_first("c", "phi2_ab", "Bob"),
+        "teleport 'c'->'Bob' does not ride resource 'phi2_ab'",
+    ),
+    "unknown-measuring-party": (
+        _setter("protocol", "root", "party", value="Dave"), "unknown measuring party 'Dave'"
+    ),
+    # simulate --protocol prop1 --states b4
+    "set-dims-off-the-principal-registers": (
+        _prop1_on_b4, "principal register 'A' has dim 3, states need 4"
+    ),
 }
 
 
@@ -396,6 +493,13 @@ MALFORMED_STATE_SETS = {
     "string-idx": (_set_term("idx", ["1", 0, 0]), "index entries must be integers"),
     # the 7 was dropped without a word
     "three-entry-amp": (_set_term("amp", [1, 0, 7]), "not an [re, im] pair"),
+    # analyze and verify exited 1 with a TypeError traceback from Bipartition.name
+    "int-party-label": (
+        lambda doc: doc["parties"].__setitem__(0, 0), "party labels must be strings"
+    ),
+    "float-party-label": (
+        lambda doc: doc["parties"].__setitem__(1, 1.5), "party labels must be strings"
+    ),
     # analyze exited 0 with the (state, cell) numbers, up to 24 x 4.5 * 10^19,
     # wrapped mod 2^64
     "cells-beyond-int64": (

@@ -61,6 +61,43 @@ def test_layout_validation():
         layout.axis("Z")
 
 
+_AB = PartyLayout(("A", "B"), (2, 2))
+
+# Each builds a layout, bipartition or set that its constructor or check refuses
+STATES_REFUSALS = {
+    "unequal-lengths": (
+        lambda: PartyLayout(("A", "B"), (2,)), "parties and dims must have equal length"
+    ),
+    "empty-side": (
+        lambda: Bipartition(("A",), ()), "both sides of a bipartition must be nonempty"
+    ),
+    "overlapping-sides": (
+        lambda: Bipartition(("A", "B"), ("B",)), "bipartition sides must be disjoint"
+    ),
+    "unknown-parties": (
+        lambda: Bipartition.of(_AB, ["A", "Z"]), r"unknown parties \['Z'\] in bipartition"
+    ),
+    "layout-not-covered": (
+        lambda: Bipartition(("A",), ("B",)).validate_for(_layout3()),
+        r"bipartition A\|B does not cover layout parties",
+    ),
+    "state-on-another-layout": (
+        lambda: StateSet(_AB, [PureState(_layout3(), [((0, 0, 0), 1)], "s")]),
+        "state 0 does not share the set layout",
+    ),
+    "unlabelled-state": (
+        lambda: StateSet(_AB, [PureState(_AB, [((0, 0), 1)])]), "state 0 has no label"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STATES_REFUSALS))
+def test_states_refusals(case):
+    build, message = STATES_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_state_canonicalization():
     layout = _layout3()
     s = PureState(layout, [((2, 0, 1), 1), ((1, 0, 0), 1), ((2, 0, 1), -1)])
